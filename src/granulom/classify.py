@@ -5,6 +5,13 @@ comparisons happen on squared values, reported distances are the roots.
 Neighbour order is ascending distance with ties broken by sample id, and
 a split vote falls to the class of the nearest neighbour among the tied
 classes, so reports are fully deterministic.
+
+Every squared distance comes from one engine. `squared_difference_table`
+lays out (q_f - t_f)**2 feature-major, as (features, queries, train), and
+`summed_rows` adds the selected rows left to right in ascending feature
+index. That summation order is a contract: the GA's history and mask
+bytes depend on it, so no Gram-matrix form, pairwise or reordered sum,
+or incremental update may replace it.
 """
 
 from __future__ import annotations
@@ -153,8 +160,7 @@ def distance(x, m, mask: FeatureMask | None = None) -> float:
     if xv.shape != mv.shape or xv.ndim != 1:
         raise DataError("vectors must be 1-D and of equal length")
     sel = _selected_columns(xv.size, mask)
-    d = xv[sel] - mv[sel]
-    return sqrt(float(np.sum(d * d)))
+    return sqrt(float(_squared_distances(xv[None, sel], mv[None, sel])[0, 0]))
 
 
 def _ordered_training(train: Dataset) -> tuple[list[int], list[str], list[str], np.ndarray]:
@@ -165,10 +171,26 @@ def _ordered_training(train: Dataset) -> tuple[list[int], list[str], list[str], 
     return order, ids, labels, train.matrix[order]
 
 
-def _squared_distance_matrix(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
-    """All pairwise squared distances; plain difference form, no Gram shortcut."""
-    diff = queries[:, None, :] - training[None, :, :]
-    return (diff * diff).sum(axis=2)
+def squared_difference_table(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
+    """Feature-major table sq[f, i, j] = (queries[i, f] - training[j, f]) ** 2."""
+    sq = np.empty((queries.shape[1], queries.shape[0], training.shape[0]))
+    np.subtract(queries.T[:, :, None], training.T[:, None, :], out=sq)
+    sq *= sq
+    return sq
+
+
+def summed_rows(sq: np.ndarray, rows) -> np.ndarray:
+    """Squared distances over the table rows `rows` (ascending), added left to right."""
+    d2 = sq[rows[0]].copy()
+    for f in rows[1:]:
+        d2 += sq[f]
+    return d2
+
+
+def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
+    """(queries, train) squared distances over every column of both inputs."""
+    sq = squared_difference_table(queries, training)
+    return summed_rows(sq, range(sq.shape[0]))
 
 
 def _vote(labels: list[str], order: np.ndarray, k: int) -> str:
@@ -198,7 +220,7 @@ def classify_knn(
     if qv.shape != (train.n_features,):
         raise DataError("query length must match the training feature count")
     _, ids, labels, matrix = _ordered_training(train)
-    d2 = _squared_distance_matrix(qv[None, sel], matrix[:, sel])[0]
+    d2 = _squared_distances(qv[None, sel], matrix[:, sel])[0]
     order = np.argsort(d2, kind="stable")
     label = _vote(labels, order, cfg.k)
     neighbours = [
@@ -228,7 +250,7 @@ def classify_template(train: Dataset, query, mask: FeatureMask | None = None) ->
     if qv.shape != (train.n_features,):
         raise DataError("query length must match the training feature count")
     class_labels, means = _class_means(train)
-    d2 = _squared_distance_matrix(qv[None, sel], means[:, sel])[0]
+    d2 = _squared_distances(qv[None, sel], means[:, sel])[0]
     return class_labels[int(np.argmin(d2))]
 
 
@@ -245,7 +267,7 @@ def evaluate_template(
     sel = _selected_columns(train.n_features, mask)
     class_labels, means = _class_means(train)
     test_order = sorted(range(test.n_samples), key=lambda i: test.sample_ids[i])
-    d2 = _squared_distance_matrix(test.matrix[test_order][:, sel], means[:, sel])
+    d2 = _squared_distances(test.matrix[test_order][:, sel], means[:, sel])
     hits = 0
     per_sample: list[SampleOutcome] = []
     confusion: dict[tuple[str, str], int] = {}
@@ -276,7 +298,7 @@ def evaluate(
 
     test_order = sorted(range(test.n_samples), key=lambda i: test.sample_ids[i])
     queries = test.matrix[test_order][:, sel]
-    d2 = _squared_distance_matrix(queries, train_matrix[:, sel])
+    d2 = _squared_distances(queries, train_matrix[:, sel])
 
     hits = 0
     per_sample: list[SampleOutcome] = []

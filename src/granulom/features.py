@@ -283,6 +283,13 @@ class Dataset:
             self.feature_names = default_feature_names(self.matrix.shape[1])
         if len(self.feature_names) != self.matrix.shape[1]:
             raise DatasetError("feature_names must match matrix columns")
+        bad = np.argwhere(~np.isfinite(self.matrix))
+        if bad.size:
+            row, col = bad[0]
+            raise DatasetError(
+                f"non-finite feature value {self.matrix[row, col]} "
+                f"(sample {self.sample_ids[row]!r}, feature {self.feature_names[col]!r})"
+            )
         seen = set()
         for sid in self.sample_ids:
             if sid in seen:

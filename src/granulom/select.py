@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import FeatureMask, _ordered_training, _squared_distance_matrix
+from .classify import FeatureMask, _ordered_training, squared_difference_table, summed_rows
 from .errors import DataError
 from .features import Dataset
 
@@ -87,6 +87,8 @@ class GARunReport:
     generations_run: int
     stop_reason: str  # "max_generations" | "stagnation"
     seed: int
+    cache_hits: int  # objective calls answered from the mask cache
+    evaluations: int  # objective calls that scored a mask
 
     @property
     def selected_features(self) -> tuple[int, ...]:
@@ -118,7 +120,11 @@ def fitness(hits: int, nf: int, alpha: float, beta: float) -> float:
 
 
 class _WrapperObjective:
-    """1-NN hit counting for masks over a fixed train/eval pair, memoized."""
+    """1-NN hit counting for masks over a fixed train/eval pair, memoized.
+
+    The squared-difference table over all features is built once; a mask's
+    distances are the sum of its rows.
+    """
 
     def __init__(self, train: Dataset, eval_set: Dataset, cfg: GAConfig):
         if train.n_features != eval_set.n_features:
@@ -126,25 +132,26 @@ class _WrapperObjective:
         if train.n_samples == 0 or eval_set.n_samples == 0:
             raise DataError("train and eval sets must be non-empty")
         self.cfg = cfg
-        _, _, train_labels, self.train_matrix = _ordered_training(train)
+        _, _, train_labels, train_matrix = _ordered_training(train)
         codes = {lab: i for i, lab in enumerate(sorted(set(train_labels)))}
         self.train_codes = np.array([codes[lab] for lab in train_labels])
-        self.eval_matrix = eval_set.matrix
+        self.sq = squared_difference_table(eval_set.matrix, train_matrix)
         self.eval_codes = np.array([codes.get(lab, -1) for lab in eval_set.labels])
         self.eval_total = eval_set.n_samples
         self.cache: dict[bytes, tuple[int, int, float]] = {}
+        self.cache_hits = 0
 
     def __call__(self, bits: np.ndarray) -> tuple[int, int, float]:
         key = bits.tobytes()
         hit = self.cache.get(key)
         if hit is not None:
+            self.cache_hits += 1
             return hit
         nf = int(bits.sum())
         if nf == 0:
             result = (0, 0, EMPTY_MASK_FITNESS)
         else:
-            sel = np.flatnonzero(bits)
-            d2 = _squared_distance_matrix(self.eval_matrix[:, sel], self.train_matrix[:, sel])
+            d2 = summed_rows(self.sq, np.flatnonzero(bits))
             nearest = np.argmin(d2, axis=1)  # first occurrence = smallest sample id
             hits = int((self.train_codes[nearest] == self.eval_codes).sum())
             result = (hits, nf, fitness(hits, nf, self.cfg.alpha, self.cfg.beta))
@@ -247,6 +254,8 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         generations_run=history[-1].generation,
         stop_reason=stop_reason,
         seed=cfg.seed,
+        cache_hits=objective.cache_hits,
+        evaluations=len(objective.cache),
     )
 
 

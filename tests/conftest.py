@@ -164,6 +164,26 @@ def knn_oracle(train_rows, query, k, mask_idx=None):
     raise AssertionError
 
 
+def left_to_right_d2(queries, training, selected):
+    """Squared distances as plain-python float sums in ascending feature order.
+
+    queries (nq, F), training (nt, F); returns an (nq, nt) array whose cell
+    is sum((q_f - t_f)**2 for f in sorted(selected)), added left to right.
+    """
+    rows = [[float(v) for v in q] for q in np.asarray(queries, dtype=np.float64)]
+    cols = [[float(v) for v in t] for t in np.asarray(training, dtype=np.float64)]
+    order = sorted(int(f) for f in selected)
+    out = np.empty((len(rows), len(cols)))
+    for i, q in enumerate(rows):
+        for j, t in enumerate(cols):
+            acc = 0.0
+            for f in order:
+                d = q[f] - t[f]
+                acc += d * d
+            out[i, j] = acc
+    return out
+
+
 # --- independent eigenvalue oracle -----------------------------------------------
 
 def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole module finishes in a few minutes on a desktop.
 """
 
+import hashlib
 import time
 from itertools import product
 
@@ -24,7 +25,7 @@ from granulom.features import Dataset, builtin_recipe, extract_corpus, split
 from granulom.granulometry import granulometry_openings, size_intensity
 from granulom.imagecore import GreyImage
 from granulom.morphology import FAMILIES, StructuringElement, closing, opening
-from granulom.select import GAConfig, run_ga
+from granulom.select import GAConfig, run_ga, write_mask
 from granulom.synthkit import builtin_corpus_spec, generate_corpus
 
 
@@ -317,6 +318,31 @@ def test_criterion_9_determinism(granite14_run, tmp_path):
     ok &= ga2.best_mask == granite14_run["ga"].best_mask
     ok &= ga2.history == granite14_run["ga"].history
     _verdict(9, "seeded reruns byte-identical at any thread count", ok)
+
+
+# --- golden GA record ------------------------------------------------------------------
+# Recorded on the shipped seed. Near-ties make these bytes depend on the
+# order in which squared differences are summed; a change to that order or
+# to the GA's work shows up here.
+
+GOLDEN_GA_CSV_SHA256 = "79ef1e3c6119f08663dcd11310ec27aac199da061bf2bc417026ee09ec23b156"
+GOLDEN_MASK = "1" + "0" * 56 + "11" + "0" * 38 + "1" + "0" * 17 + "1" + "0"
+
+
+def test_ga_golden_bytes(granite14_run, tmp_path):
+    ga = granite14_run["ga"]
+    ga.to_csv(tmp_path / "ga.csv")
+    write_mask(ga.best_mask, tmp_path / "mask.txt")
+    assert hashlib.sha256((tmp_path / "ga.csv").read_bytes()).hexdigest() == GOLDEN_GA_CSV_SHA256
+    assert (tmp_path / "mask.txt").read_text() == GOLDEN_MASK + "\n"
+    assert ga.selected_features == (1, 58, 59, 98, 116)
+    assert (ga.best_hits, ga.best_fitness) == (49, 27.4)
+
+
+def test_ga_golden_work_counts(granite14_run):
+    ga = granite14_run["ga"]
+    assert (ga.cache_hits, ga.evaluations) == (5235, 35515)
+    assert ga.cache_hits + ga.evaluations == 50 * (ga.generations_run + 1)
 
 
 # --- criterion 10: end-to-end pipeline -----------------------------------------------------

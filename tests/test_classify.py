@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import knn_oracle
+from conftest import knn_oracle, left_to_right_d2
 from granulom.classify import (
     EvalReport,
     FeatureMask,
     KnnConfig,
+    _squared_distances,
     classify_knn,
     classify_template,
     distance,
     evaluate,
     evaluate_template,
+    squared_difference_table,
+    summed_rows,
 )
 from granulom.errors import DataError
 from granulom.features import Dataset
@@ -216,3 +219,51 @@ def test_evaluate_template_mode():
     rep = evaluate_template(train, test)
     assert rep.hits == 2
     assert all(s.neighbours == () for s in rep.per_sample)
+
+
+# --- distance engine ------------------------------------------------------------
+
+def _engine_inputs(rng, n_features):
+    scale = rng.uniform(0.1, 1000.0, size=n_features)  # mixed magnitudes expose reordering
+    return rng.normal(size=(7, n_features)) * scale, rng.normal(size=(11, n_features)) * scale
+
+
+@pytest.mark.parametrize("n_features", [1, 9, 117, 150])
+def test_engine_matches_left_to_right_reference(rng, n_features):
+    queries, training = _engine_inputs(rng, n_features)
+    sq = squared_difference_table(queries, training)
+    assert sq.shape == (n_features, 7, 11)
+    masks = [np.ones(n_features, dtype=bool), np.eye(1, n_features, n_features - 1, dtype=bool)[0]]
+    masks += [rng.random(n_features) < p for p in (0.1, 0.5, 0.9)]
+    for bits in masks:
+        sel = np.flatnonzero(bits)
+        if sel.size == 0:
+            continue
+        expected = left_to_right_d2(queries, training, sel)
+        assert np.array_equal(summed_rows(sq, sel), expected)
+        assert np.array_equal(_squared_distances(queries[:, sel], training[:, sel]), expected)
+        assert distance(queries[0], training[0], FeatureMask(bits)) == np.sqrt(expected[0, 0])
+
+
+@pytest.mark.parametrize("n_features", [1, 117, 150])
+def test_knn_and_template_distances_are_left_to_right(rng, n_features):
+    queries, training = _engine_inputs(rng, n_features)
+    labels = [f"c{i % 3}" for i in range(training.shape[0])]
+    ids = [f"t{i:02d}" for i in range(training.shape[0])]
+    train = Dataset(ids, labels, training)
+    bits = rng.random(n_features) < 0.5
+    bits[0] = True
+    for mask in (None, FeatureMask(bits)):
+        sel = np.arange(n_features) if mask is None else mask.indices()
+        # single query: every reported distance is the root of the reference sum
+        _, neighbours = classify_knn(train, queries[0], KnnConfig(len(ids)), mask)
+        reference = left_to_right_d2(queries[:1], training, sel)[0]
+        by_id = dict(zip(ids, reference))
+        assert [n.distance for n in neighbours] == [np.sqrt(by_id[n.sample_id]) for n in neighbours]
+        # class means: the template decision is the argmin of the reference sums
+        means = np.stack([training[[i for i, l in enumerate(labels) if l == c]].mean(axis=0)
+                          for c in train.class_labels])
+        expected = left_to_right_d2(queries, means, sel)
+        assert np.array_equal(_squared_distances(queries[:, sel], means[:, sel]), expected)
+        for q, row in zip(queries, expected):
+            assert classify_template(train, q, mask) == train.class_labels[int(np.argmin(row))]

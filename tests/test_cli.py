@@ -86,6 +86,12 @@ def test_bad_data_is_data_error(tmp_path):
     assert main(["granulo", str(bad), str(tmp_path / "out.csv")]) == 2
 
 
+def test_non_finite_dataset_is_data_error(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("sample_id,label,f0001\na,x,1.0\nb,y,nan\n")
+    assert main(["--quiet", "knn", "--train", str(train), "--test", str(train)]) == 2
+
+
 def test_morph_and_granulo_and_si(tmp_path):
     rng = np.random.default_rng(0)
     src = tmp_path / "in.pgm"

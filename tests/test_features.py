@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from granulom.errors import (
     DataError,
+    DatasetError,
     DuplicateSampleIdError,
     NonNumericValueError,
     RaggedRowError,
@@ -156,6 +157,21 @@ def test_load_errors(tmp_path):
         load_dataset(p)
     p.write_text("id,label,f0001\na,x,1\n")
     with pytest.raises(DataError):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_values(value):
+    matrix = np.zeros((2, 3))
+    matrix[1, 2] = value
+    with pytest.raises(DatasetError, match="non-finite feature value .*'b'.*'f0003'"):
+        Dataset(["a", "b"], ["x", "y"], matrix)
+
+
+def test_load_rejects_nan_cell(tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text("sample_id,label,f0001,f0002\na,x,1.0,2.0\nb,y,nan,3.0\n")
+    with pytest.raises(DatasetError, match="non-finite"):
         load_dataset(p)
 
 

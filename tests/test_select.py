@@ -106,6 +106,9 @@ def test_run_ga_deterministic(tmp_path):
     rep2 = run_ga(train, eval_set, cfg)
     assert rep1.best_mask == rep2.best_mask
     assert rep1.history == rep2.history
+    assert (rep1.cache_hits, rep1.evaluations) == (rep2.cache_hits, rep2.evaluations)
+    assert rep1.cache_hits + rep1.evaluations == cfg.population_size * (cfg.generations + 1)
+    assert 0 < rep1.evaluations <= 2 ** train.n_features
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     rep1.to_csv(p1)
     rep2.to_csv(p2)
@@ -183,3 +186,21 @@ def test_mask_file_roundtrip(tmp_path):
     write_mask(mask, p)
     assert p.read_text() == "0110101\n"
     assert read_mask(p) == mask
+
+
+def test_evaluate_individual_matches_evaluate_lot117_shape(rng):
+    # 117 features, 187 train / 50 eval and 14 classes, as in the shipped split
+    scale = rng.uniform(0.01, 100, size=117)
+    def block(n, tag):
+        labels = [f"c{i % 14:02d}" for i in range(n)]
+        ids = [f"{tag}{i:03d}" for i in rng.permutation(n)]
+        return Dataset(ids, labels, rng.normal(size=(n, 117)) * scale)
+    train, eval_set = block(187, "tr"), block(50, "ev")
+    cfg = GAConfig(seed=0)
+    for p in (0.03, 0.1, 0.5, 0.9, 1.0):
+        bits = rng.random(117) < p
+        bits[int(rng.integers(0, 117))] = True
+        mask = FeatureMask(bits)
+        hits, nf, _ = evaluate_individual(mask, train, eval_set, cfg)
+        assert hits == evaluate(train, eval_set, KnnConfig(1), mask).hits
+        assert nf == mask.n_selected
