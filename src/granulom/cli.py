@@ -387,7 +387,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dir", required=True, help="corpus directory (with manifest.csv)")
     p.add_argument("--out", required=True, help="output dataset CSV")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; never changes output bytes")
+                   help="worker threads, each taking whole chunks of the image batch; "
+                        "never changes output bytes")
     p.set_defaults(func=_cmd_extract)
 
     p = add_parser("split", help="stratified train/test split of a dataset")
@@ -480,7 +481,9 @@ def build_parser() -> _Parser:
     p = add_parser("pipeline", help="run the full workflow from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="extraction worker threads, each taking whole chunks of the image "
+                        "batch; never changes output bytes")
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

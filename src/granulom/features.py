@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     NonNumericValueError,
     RaggedRowError,
 )
-from .granulometry import granulometry_closings, granulometry_openings
+from .granulometry import STACK_CHUNK, closing_curves, opening_curves
 from .imagecore import ColorImage, histogram, intensity, to_hls
 from .morphology import se_family
 
@@ -66,8 +67,9 @@ class ChannelHistogram:
     def names(self) -> list[str]:
         return [f"hist_{self.channel}_b{i:02d}" for i in range(1, self.bins + 1)]
 
-    def extract(self, ctx: "_ImageContext") -> np.ndarray:
-        return histogram(getattr(ctx.img, self.channel), self.bins)
+    def extract(self, batch: "_Batch") -> np.ndarray:
+        return np.array([histogram(getattr(img, self.channel), self.bins)
+                         for img in batch.images])
 
 
 @dataclass(frozen=True)
@@ -88,10 +90,10 @@ class HlsHistogram:
     def names(self) -> list[str]:
         return [f"hls_{self.component}_b{i:02d}" for i in range(1, self.bins + 1)]
 
-    def extract(self, ctx: "_ImageContext") -> np.ndarray:
-        plane = getattr(ctx.hls, self.component)
+    def extract(self, batch: "_Batch") -> np.ndarray:
         vmax = 359 if self.component == "h" else 255
-        return histogram(plane, self.bins, vmax=vmax)
+        return np.array([histogram(getattr(hls, self.component), self.bins, vmax=vmax)
+                         for hls in batch.hls])
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,8 @@ class OpeningGranulometry:
     def names(self) -> list[str]:
         return [f"gopen_{self.family}_r{r:02d}" for r in range(self.r_first, self.r_last + 1)]
 
-    def extract(self, ctx: "_ImageContext") -> np.ndarray:
-        curve = granulometry_openings(ctx.grey, self.family, self.r_last)
-        return np.array(curve.values[self.r_first : self.r_last + 1], dtype=np.float64)
+    def extract(self, batch: "_Batch") -> np.ndarray:
+        return opening_curves(batch.greys, self.family, self.r_last)[:, self.r_first :]
 
 
 @dataclass(frozen=True)
@@ -135,33 +136,27 @@ class ClosingGranulometry:
     def names(self) -> list[str]:
         return [f"gclose_{self.family}_r{r:02d}" for r in range(self.r_first, self.r_last + 1)]
 
-    def extract(self, ctx: "_ImageContext") -> np.ndarray:
-        curve = granulometry_closings(ctx.grey, self.family, self.r_last)
-        return np.array(curve.values[self.r_first : self.r_last + 1], dtype=np.float64)
+    def extract(self, batch: "_Batch") -> np.ndarray:
+        return closing_curves(batch.greys, self.family, self.r_last)[:, self.r_first :]
 
 
 Extractor = Union[ChannelHistogram, HlsHistogram, OpeningGranulometry, ClosingGranulometry]
 
 
-class _ImageContext:
-    """Caches the derived rasters shared between extractors of one image."""
+class _Batch:
+    """Equal-shape images and the derived rasters their extractors share."""
 
-    def __init__(self, img: ColorImage):
-        self.img = img
-        self._grey = None
-        self._hls = None
+    def __init__(self, images: Sequence[ColorImage]):
+        self.images = images
 
-    @property
-    def grey(self):
-        if self._grey is None:
-            self._grey = intensity(self.img)
-        return self._grey
+    @cached_property
+    def greys(self) -> np.ndarray:
+        """Intensity planes stacked into one (n, H, W) uint8 array."""
+        return np.stack([intensity(img).pixels for img in self.images])
 
-    @property
-    def hls(self):
-        if self._hls is None:
-            self._hls = to_hls(self.img)
-        return self._hls
+    @cached_property
+    def hls(self) -> list:
+        return [to_hls(img) for img in self.images]
 
 
 @dataclass(frozen=True)
@@ -213,18 +208,37 @@ def builtin_recipe(name: str) -> FeatureRecipe:
     raise DataError(f"unknown recipe {name!r}")
 
 
+def _extract_images(recipe: FeatureRecipe, images: Sequence[ColorImage]) -> np.ndarray:
+    """Feature rows of several images, in input order.
+
+    Images of one shape form one batch, so each granulometry runs once
+    over a stack of them.
+    """
+    matrix = np.empty((len(images), recipe.total_features), dtype=np.float64)
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, img in enumerate(images):
+        by_shape.setdefault(img.pixels.shape, []).append(i)
+    for rows in by_shape.values():
+        batch = _Batch([images[i] for i in rows])
+        col = 0
+        for e in recipe.extractors:
+            matrix[rows, col : col + e.n_features] = e.extract(batch)
+            col += e.n_features
+    return matrix
+
+
 def extract(recipe: FeatureRecipe, img: ColorImage) -> np.ndarray:
     """Concatenated extractor outputs, in recipe order."""
-    ctx = _ImageContext(img)
-    parts = [e.extract(ctx) for e in recipe.extractors]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+    return _extract_images(recipe, [img])[0]
 
 
 def extract_corpus(manifest_path, recipe: FeatureRecipe, threads: int = 1) -> "Dataset":
     """Extract every image listed in a corpus manifest into one dataset.
 
-    Rows are ordered by sample id. Images are independent, so the worker
-    count never changes the output.
+    Rows are ordered by sample id. The sorted manifest is read in chunks
+    of STACK_CHUNK images, each extracted as one batch; `threads` workers
+    take whole chunks. Rows never depend on the chunking or the worker
+    count.
     """
     import os
     from concurrent.futures import ThreadPoolExecutor
@@ -238,15 +252,17 @@ def extract_corpus(manifest_path, recipe: FeatureRecipe, threads: int = 1) -> "D
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = sorted(read_manifest(manifest_path), key=lambda e: e.sample_id)
 
-    def one(entry):
-        return extract(recipe, read_ppm(os.path.join(base, entry.path)))
+    chunks = [entries[i : i + STACK_CHUNK] for i in range(0, len(entries), STACK_CHUNK)]
+
+    def one(chunk):
+        return _extract_images(recipe, [read_ppm(os.path.join(base, e.path)) for e in chunk])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            vectors = list(pool.map(one, entries))
+            blocks = list(pool.map(one, chunks))
     else:
-        vectors = [one(e) for e in entries]
-    matrix = np.vstack(vectors) if vectors else np.empty((0, recipe.total_features))
+        blocks = [one(c) for c in chunks]
+    matrix = np.vstack(blocks) if blocks else np.empty((0, recipe.total_features))
     return Dataset(
         [e.sample_id for e in entries],
         [e.label for e in entries],

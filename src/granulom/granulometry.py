@@ -10,6 +10,10 @@ the pixel count of the binary opening of size r applied to the threshold
 set {f >= k}. Column r=0 is therefore the survival count of the grey
 histogram, and each fixed-k row is the binary granulometric area sequence
 of that threshold set.
+
+The curves are computed for a stack of equal-size images at once
+(`opening_curves`, `closing_curves`); the single-image functions pass a
+stack of one. Size-intensity stacks the threshold sets of one image.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ __all__ = [
     "granulometry_openings",
     "granulometry_closings",
     "size_intensity",
+    "opening_curves",
+    "closing_curves",
     "export_curve",
     "read_curve_csv",
     "read_diagram_csv",
@@ -60,46 +66,69 @@ class SizeIntensityDiagram:
         return int(self.cells[r, self.levels.index(k)])
 
 
-def _opened_volumes(arr: np.ndarray, family: str, r_max: int) -> list[int]:
-    """Volumes of openings of size 0..r_max, reusing the growing erosion."""
-    vols = [int(arr.astype(np.int64).sum())]
-    eroded = arr
+# Images (or threshold sets) per batched pass; bounds the memory of a stack.
+STACK_CHUNK = 16
+
+
+def _opened_volumes(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
+    """Volumes of openings of size 0..r_max of each image in a (..., H, W) stack.
+
+    The erosion grows by one unit step per size; each dilation is a single
+    size-r pass. Returns int64 of shape (..., r_max + 1).
+    """
+    vols = np.zeros(stack.shape[:-2] + (r_max + 1,), dtype=np.int64)
+    vols[..., 0] = stack.sum(axis=(-2, -1), dtype=np.int64)
+    eroded = stack
     for r in range(1, r_max + 1):
         eroded = erode_raw(eroded, family, 1)
-        opened = dilate_raw(eroded, family, r)
-        vols.append(int(opened.astype(np.int64).sum()))
+        if not eroded.any():
+            break  # every later opening is empty too
+        vols[..., r] = dilate_raw(eroded, family, r).sum(axis=(-2, -1), dtype=np.int64)
     return vols
+
+
+def _check_r_max(r_max: int) -> None:
+    if r_max < 0:
+        raise DataError("r_max must be >= 0")
+
+
+def opening_curves(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
+    """Opening-curve values of each image in a (..., H, W) uint8 stack."""
+    family = se_family(family)
+    _check_r_max(r_max)
+    vols = _opened_volumes(stack, family, r_max)
+    total = vols[..., :1]
+    if not total.all():
+        raise DataError("opening granulometry of an all-zero image (zero volume)")
+    return (total - vols) / total
+
+
+def closing_curves(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
+    """Closing-curve values: the opening curves of the complements 255 - f.
+
+    The closed volume above f equals the headroom minus the opened volume
+    of 255 - f (duality), so the integers and hence the floats are the same.
+    """
+    family = se_family(family)
+    _check_r_max(r_max)
+    complement = 255 - stack
+    if not complement.any(axis=(-2, -1)).all():
+        raise DataError("closing granulometry of a fully saturated image")
+    return opening_curves(complement, family, r_max)
 
 
 def granulometry_openings(f: GreyImage, family: str, r_max: int) -> GranulometryCurve:
     """Cumulative size distribution by openings of increasing size."""
     family = se_family(family)
-    if r_max < 0:
-        raise DataError("r_max must be >= 0")
-    total = int(f.pixels.astype(np.int64).sum())
-    if total == 0:
-        raise DataError("opening granulometry of an all-zero image (zero volume)")
-    vols = _opened_volumes(f.pixels, family, r_max)
-    values = tuple((total - v) / total for v in vols)
-    return GranulometryCurve(family, "openings", tuple(range(r_max + 1)), values)
+    values = opening_curves(f.pixels, family, r_max)
+    return GranulometryCurve(family, "openings", tuple(range(r_max + 1)), tuple(values.tolist()))
 
 
 def granulometry_closings(f: GreyImage, family: str, r_max: int) -> GranulometryCurve:
     """Mirror curve by closings, normalized by the headroom above f."""
     family = se_family(family)
-    if r_max < 0:
-        raise DataError("r_max must be >= 0")
-    total = int(f.pixels.astype(np.int64).sum())
-    headroom = 255 * f.width * f.height - total
-    if headroom == 0:
-        raise DataError("closing granulometry of a fully saturated image")
-    values = [0.0]
-    dilated = f.pixels
-    for r in range(1, r_max + 1):
-        dilated = dilate_raw(dilated, family, 1)
-        closed = erode_raw(dilated, family, r)
-        values.append((int(closed.astype(np.int64).sum()) - total) / headroom)
-    return GranulometryCurve(family, "closings", tuple(range(r_max + 1)), tuple(values))
+    values = closing_curves(f.pixels, family, r_max)
+    return GranulometryCurve(family, "closings", tuple(range(r_max + 1)), tuple(values.tolist()))
 
 
 def size_intensity(
@@ -107,34 +136,24 @@ def size_intensity(
 ) -> SizeIntensityDiagram:
     """Areas of binary openings of every threshold set {f >= k}."""
     family = se_family(family)
-    if r_max < 0:
-        raise DataError("r_max must be >= 0")
+    _check_r_max(r_max)
     if not 1 <= k_max <= 255:
         raise DataError(f"k_max must lie in [1, 255], got {k_max}")
     if k_step < 1:
         raise DataError("k_step must be >= 1")
     levels = tuple(range(1, k_max + 1, k_step))
-    cells = np.zeros((r_max + 1, len(levels)), dtype=np.int64)
 
-    # {f >= k} only changes when k crosses a value present in the image, so
-    # levels sharing the same effective threshold share one column.
+    # {f >= k} equals {f >= present[pos]} for pos = searchsorted(present, k),
+    # so levels with one pos share one column; pos == len(present) is empty.
     present = np.unique(f.pixels)
-    for col, k in enumerate(levels):
-        pos = np.searchsorted(present, k)
-        if pos == len(present):
-            continue  # empty threshold set, column stays zero
-        if col and levels[col - 1] > (int(present[pos - 1]) if pos else -1):
-            cells[:, col] = cells[:, col - 1]  # same effective threshold
-            continue
-        mask = (f.pixels >= k).astype(np.uint8)
-        cells[0, col] = int(np.count_nonzero(mask))
-        eroded = mask
-        for r in range(1, r_max + 1):
-            eroded = erode_raw(eroded, family, 1)
-            if not eroded.any():
-                break
-            opened = dilate_raw(eroded, family, r)
-            cells[r, col] = int(np.count_nonzero(opened))
+    pos = np.searchsorted(present, levels)
+    areas = np.zeros((len(present) + 1, r_max + 1), dtype=np.int64)
+    needed = np.unique(pos[pos < len(present)])
+    for i in range(0, len(needed), STACK_CHUNK):
+        idx = needed[i : i + STACK_CHUNK]
+        masks = (f.pixels >= present[idx][:, None, None]).astype(np.uint8)
+        areas[idx] = _opened_volumes(masks, family, r_max)
+    cells = np.ascontiguousarray(areas[pos].T)
     return SizeIntensityDiagram(family, r_max, k_max, levels, cells)
 
 

@@ -149,13 +149,22 @@ def write_manifest(entries, path) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    """Entries of a manifest CSV; every image path must stay inside its directory."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "sample_id,label,path":
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != "sample_id,label,path":
         raise DataError("not a corpus manifest CSV")
     out = []
-    for ln in lines[1:]:
-        sid, lab, rel = ln.split(",")
+    for lineno, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != 3:
+            raise DataError(f"{path}: line {lineno}: {len(cells)} cells, expected 3 "
+                            "(sample_id,label,path)")
+        sid, lab, rel = cells
+        norm = os.path.normpath(rel)
+        if os.path.isabs(rel) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
+            raise DataError(f"{path}: line {lineno}: image path {rel!r} "
+                            "leaves the corpus directory")
         out.append(ManifestEntry(sid, lab, rel))
     return out
 

@@ -320,6 +320,22 @@ def test_criterion_9_determinism(granite14_run, tmp_path):
     _verdict(9, "seeded reruns byte-identical at any thread count", ok)
 
 
+# --- golden extraction record -------------------------------------------------------
+# sha256 of the granite14 lot117 all.csv, recorded before extraction was batched.
+
+GOLDEN_ALL_CSV_SHA256 = "d95d7484ce7c21fc60210e107ee1710b3c0f55e7cbc5d56cd25f47837726db7e"
+
+
+def test_extraction_golden_bytes(granite14_run, tmp_path):
+    from granulom.features import save_dataset
+
+    serial = extract_corpus(granite14_run["corpus_dir"], builtin_recipe("lot117"), threads=1)
+    for name, ds in (("t1.csv", serial), ("t2.csv", granite14_run["dataset"])):
+        save_dataset(ds, tmp_path / name)
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_ALL_CSV_SHA256, name
+
+
 # --- golden GA record ------------------------------------------------------------------
 # Recorded on the shipped seed. Near-ties make these bytes depend on the
 # order in which squared differences are summed; a change to that order or

@@ -92,6 +92,20 @@ def test_non_finite_dataset_is_data_error(tmp_path):
     assert main(["--quiet", "knn", "--train", str(train), "--test", str(train)]) == 2
 
 
+@pytest.mark.parametrize("row", ["ALM-1,ALM", "ALM-1,ALM,../../../etc/hostname",
+                                 "ALM-1,ALM,/etc/hostname"])
+def test_bad_manifest_row_is_one_line_data_error(tmp_path, capsys, row):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "manifest.csv").write_text(f"sample_id,label,path\n{row}\n")
+    code = main(["--quiet", "extract", "--dir", str(corpus), "--out", str(tmp_path / "a.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "line 2" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_morph_and_granulo_and_si(tmp_path):
     rng = np.random.default_rng(0)
     src = tmp_path / "in.pgm"

@@ -12,6 +12,7 @@ from granulom.errors import (
 )
 from granulom.features import (
     ChannelHistogram,
+    ClosingGranulometry,
     Dataset,
     FeatureRecipe,
     HlsHistogram,
@@ -19,13 +20,15 @@ from granulom.features import (
     apply_scaler,
     builtin_recipe,
     extract,
+    extract_corpus,
     load_dataset,
     minmax_scaler,
     save_dataset,
     split,
 )
-from granulom.imagecore import ColorImage
-from granulom.synthkit import TextureSpec, generate_texture
+from granulom.granulometry import STACK_CHUNK
+from granulom.imagecore import ColorImage, write_ppm
+from granulom.synthkit import ManifestEntry, TextureSpec, generate_texture, write_manifest
 
 
 def test_builtin_recipe_sizes():
@@ -89,6 +92,30 @@ def test_two_grain_sizes_separate_in_granulometry_block():
         blocks[spec.class_label] = np.mean(vecs, axis=0)
     gap_at_r4 = abs(blocks["small"][3] - blocks["big"][3])
     assert gap_at_r4 >= 0.1
+
+
+def test_extract_corpus_mixed_shapes_match_per_image_extract(tmp_path):
+    # two shapes interleaved in sample-id order, across more than one chunk;
+    # the 33-row frame has an odd height
+    spec = TextureSpec("t", (2, 4), (190, 30), 70, 14.0, (1.0, 0.9, 1.1))
+    entries, images = [], []
+    for i in range(STACK_CHUNK + 7):
+        img = generate_texture(spec, 40, i)
+        if i % 3 == 1:
+            img = ColorImage(img.pixels[:33, :29])
+        sid = f"s-{i:02d}"
+        write_ppm(img, tmp_path / f"{sid}.ppm")
+        entries.append(ManifestEntry(sid, "ab"[i % 2], f"{sid}.ppm"))
+        images.append(img)
+    write_manifest(entries, tmp_path / "manifest.csv")
+    for recipe in (builtin_recipe("lot117"), FeatureRecipe("mixed", (
+            HlsHistogram("l", 8), OpeningGranulometry("square", 2, 6),
+            ClosingGranulometry("hexagon", 0, 9), ChannelHistogram("g", 5)))):
+        for threads in (1, 3):
+            ds = extract_corpus(tmp_path, recipe, threads=threads)
+            assert ds.sample_ids == [e.sample_id for e in entries]
+            expected = np.vstack([extract(recipe, img) for img in images])
+            assert np.array_equal(ds.matrix, expected)
 
 
 # --- dataset persistence -------------------------------------------------------

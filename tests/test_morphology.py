@@ -3,6 +3,7 @@ import pytest
 
 from conftest import naive_dilate, naive_erode
 from granulom.errors import DataError
+from granulom.granulometry import _opened_volumes
 from granulom.imagecore import GreyImage
 from granulom.morphology import (
     FAMILIES,
@@ -10,7 +11,9 @@ from granulom.morphology import (
     area_nonzero,
     closing,
     dilate,
+    dilate_raw,
     erode,
+    erode_raw,
     opening,
     se_family,
     volume,
@@ -90,6 +93,35 @@ def test_iterated_equals_direct_definition(family, rng):
             se = StructuringElement(family, r)
             assert np.array_equal(erode(img, se).pixels, naive_erode(px, family, r))
             assert np.array_equal(dilate(img, se).pixels, naive_dilate(px, family, r))
+
+
+@pytest.mark.parametrize("family", ("hexagon", "square"))
+@pytest.mark.parametrize("shape", [(7, 6), (6, 9), (1, 9), (8, 1), (5, 1)])
+def test_segment_form_equals_direct_definition_past_the_frame(family, shape, rng):
+    # sizes up to and beyond the frame, odd and even heights, 1xN and Nx1 frames
+    px = rng.integers(0, 256, shape)
+    img = GreyImage(px)
+    for r in (0, 1, 2, 3, 4, 7, 13):
+        se = StructuringElement(family, r)
+        assert np.array_equal(erode(img, se).pixels, naive_erode(px, family, r)), r
+        assert np.array_equal(dilate(img, se).pixels, naive_dilate(px, family, r)), r
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("shape", [(9, 8), (7, 10), (1, 6), (6, 1)])
+def test_stack_equals_separate_images(family, shape, rng):
+    stack = rng.integers(0, 256, (4,) + shape).astype(np.uint8)
+    stack[1] = 0
+    for r in (0, 1, 2, 5):
+        for fn in (erode_raw, dilate_raw):
+            together = fn(stack, family, r)
+            assert together.shape == stack.shape
+            for i in range(len(stack)):
+                assert np.array_equal(together[i], fn(stack[i], family, r))
+    volumes = _opened_volumes(stack.reshape(2, 2, *shape), family, 6)
+    assert volumes.shape == (2, 2, 7)
+    for i in range(len(stack)):
+        assert np.array_equal(volumes.reshape(4, 7)[i], _opened_volumes(stack[i], family, 6))
 
 
 # --- axioms ------------------------------------------------------------------------

@@ -97,6 +97,28 @@ def test_corpus_regeneration_identical(tmp_path):
         assert (tmp_path / "c1" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("row", ["a-1,a", "a-1,a,a-1.ppm,extra", "a-1"])
+def test_read_manifest_rejects_rows_without_three_cells(tmp_path, row):
+    p = tmp_path / "manifest.csv"
+    p.write_text(f"sample_id,label,path\n\nb-1,b,b-1.ppm\n{row}\n")
+    with pytest.raises(DataError, match="line 4: .* expected 3"):
+        read_manifest(p)
+
+
+@pytest.mark.parametrize("rel", ["../outside.ppm", "sub/../../outside.ppm", "/etc/hostname", ".."])
+def test_read_manifest_rejects_paths_outside_the_corpus(tmp_path, rel):
+    p = tmp_path / "manifest.csv"
+    p.write_text(f"sample_id,label,path\na-1,a,{rel}\n")
+    with pytest.raises(DataError, match="line 2: .*leaves the corpus directory"):
+        read_manifest(p)
+
+
+def test_read_manifest_accepts_paths_inside_the_corpus(tmp_path):
+    p = tmp_path / "manifest.csv"
+    p.write_text("sample_id,label,path\na-1,a,sub/a-1.ppm\na-2,a,sub/../a-2.ppm\n")
+    assert [e.path for e in read_manifest(p)] == ["sub/a-1.ppm", "sub/../a-2.ppm"]
+
+
 def test_corpus_config_roundtrip():
     spec = builtin_corpus_spec("granite14")
     assert parse_corpus_config(format_corpus_config(spec)) == spec
