@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .csvrows import read_csv_rows
 from .errors import DataError
 from .features import Dataset
 
@@ -266,12 +267,5 @@ def export_scatter(rows: Sequence[ScatterRow], path, svg_path=None) -> None:
 
 
 def read_scatter_csv(path) -> list[ScatterRow]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "sample_id,label,x,y":
-        raise DataError("not a scatter CSV")
-    out = []
-    for ln in lines[1:]:
-        sid, lab, xs, ys = ln.split(",")
-        out.append(ScatterRow(sid, lab, float(xs), float(ys)))
-    return out
+    rows = read_csv_rows(path, "sample_id,label,x,y", (str, str, float, float), "scatter")
+    return [ScatterRow(*row) for row in rows]

@@ -222,22 +222,71 @@ def _run_stage(name: str, fn, quiet: bool):
 
 
 def _pipeline_config(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"),
+        converters={"ints": lambda text: [int(k) for k in text.split()]},
+    )
     cp.optionxform = str
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise DataError(f"pipeline config: {' '.join(str(exc).split())}") from None
     if not read:
         raise OSError(f"cannot read pipeline config {path}")
     return cp
 
 
+_KIND_NAMES = {"": "text", "int": "an integer", "float": "a number", "boolean": "a boolean",
+               "ints": "integers separated by spaces"}
+
+
+def _setting(cp: configparser.ConfigParser, section: str, key: str, kind: str, fallback):
+    """cp.get<kind>(section, key); a malformed value is a DataError naming both."""
+    try:
+        return getattr(cp, f"get{kind}")(section, key, fallback=fallback)
+    except (ValueError, configparser.Error):
+        text = cp.get(section, key, raw=True)
+        raise DataError(f"pipeline config [{section}] {key} = {text!r}: "
+                        f"expected {_KIND_NAMES[kind]}") from None
+
+
 def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> None:
-    """Run synth -> extract -> split -> baseline -> GA -> PCA, writing a run dir."""
+    """Run synth -> extract -> split -> baseline -> GA -> PCA, writing a run dir.
+
+    Every config value is read and checked before the first stage runs.
+    """
     cp = _pipeline_config(config_path)
+    spec_name = _setting(cp, "synth", "spec", "", "granite14")
+    corpus_spec = _resolve_corpus_spec(spec_name)
+    recipe_name = _setting(cp, "extract", "recipe", "", "lot117")
+    split_seed = _setting(cp, "split", "seed", "int", 2028)
+    test_count = _setting(cp, "split", "test_count", "int", None)
+    test_fraction = _setting(cp, "split", "test_fraction", "float", 50 / 237)
+    ks = _setting(cp, "baseline", "ks", "ints", [1, 3])
+    ga_enabled = _setting(cp, "ga", "enabled", "boolean", True)
+    ga_settings = dict(
+        population_size=_setting(cp, "ga", "population", "int", 50),
+        generations=_setting(cp, "ga", "generations", "int", 814),
+        crossover_prob=_setting(cp, "ga", "crossover_prob", "float", 1.0),
+        mutation_prob=_setting(cp, "ga", "mutation_prob", "float", 0.9),
+        alpha=_setting(cp, "ga", "alpha", "float", 0.6),
+        beta=_setting(cp, "ga", "beta", "float", 0.4),
+        seed=_setting(cp, "ga", "seed", "int", 12957),
+        stagnation_limit=_setting(cp, "ga", "stagnation_limit", "int", 0) or None,
+        elitism=_setting(cp, "ga", "elitism", "int", 1),
+        enforce_weight_sum=_setting(cp, "ga", "enforce_weight_sum", "boolean", True),
+    )
+    pca_enabled = _setting(cp, "pca", "enabled", "boolean", True)
+    n_comp = _setting(cp, "pca", "components", "int", 2)
+    try:
+        recipe = features.builtin_recipe(recipe_name)
+        knn_configs = [classify.KnnConfig(k) for k in ks]
+        cfg = select.GAConfig(**ga_settings) if ga_enabled else None
+    except GranulomError as exc:
+        raise DataError(f"pipeline config: {exc}") from None
+
     os.makedirs(out_dir, exist_ok=True)
     summary: list[tuple[str, object]] = []
-
-    spec_name = cp.get("synth", "spec", fallback="granite14")
-    corpus_spec = _resolve_corpus_spec(spec_name)
     corpus_dir = os.path.join(out_dir, "corpus")
     _run_stage("synth", lambda: synthkit.generate_corpus(corpus_spec, corpus_dir), quiet)
     summary += [
@@ -248,8 +297,6 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
         ("image_size", corpus_spec.image_size),
     ]
 
-    recipe_name = cp.get("extract", "recipe", fallback="lot117")
-    recipe = features.builtin_recipe(recipe_name)
     ds = _run_stage(
         "extract", lambda: features.extract_corpus(corpus_dir, recipe, threads=threads), quiet
     )
@@ -257,11 +304,7 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
                quiet)
     summary += [("recipe", recipe_name), ("n_original_features", recipe.total_features)]
 
-    split_seed = cp.getint("split", "seed", fallback=2028)
-    if cp.has_option("split", "test_count"):
-        fraction = cp.getint("split", "test_count") / ds.n_samples
-    else:
-        fraction = cp.getfloat("split", "test_fraction", fallback=50 / 237)
+    fraction = test_fraction if test_count is None else test_count / ds.n_samples
     result = _run_stage("split", lambda: features.split(ds, fraction, split_seed), quiet)
     train, test = result.train, result.test
     _run_stage("split", lambda: features.save_dataset(train, os.path.join(out_dir, "train.csv")),
@@ -275,35 +318,17 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
         ("stratified", result.stratified),
     ]
 
-    ks = [int(k) for k in cp.get("baseline", "ks", fallback="1 3").split()]
-    baseline_rates: dict[int, float] = {}
-    for k in ks:
-        rep = _run_stage(
-            f"baseline-{k}nn",
-            lambda k=k: classify.evaluate(train, test, classify.KnnConfig(k)),
-            quiet,
-        )
+    for knn in knn_configs:
+        k = knn.k
+        rep = _run_stage(f"baseline-{k}nn", lambda knn=knn: classify.evaluate(train, test, knn),
+                         quiet)
         rep.to_csv(os.path.join(out_dir, f"baseline_k{k}.csv"))
-        baseline_rates[k] = rep.recognition_rate
         summary += [
             (f"baseline_{k}nn_hits", rep.hits),
             (f"baseline_{k}nn_rate", f"{rep.recognition_rate:.12g}"),
         ]
 
-    ga_enabled = cp.getboolean("ga", "enabled", fallback=True)
-    if ga_enabled:
-        cfg = select.GAConfig(
-            population_size=cp.getint("ga", "population", fallback=50),
-            generations=cp.getint("ga", "generations", fallback=814),
-            crossover_prob=cp.getfloat("ga", "crossover_prob", fallback=1.0),
-            mutation_prob=cp.getfloat("ga", "mutation_prob", fallback=0.9),
-            alpha=cp.getfloat("ga", "alpha", fallback=0.6),
-            beta=cp.getfloat("ga", "beta", fallback=0.4),
-            seed=cp.getint("ga", "seed", fallback=12957),
-            stagnation_limit=cp.getint("ga", "stagnation_limit", fallback=0) or None,
-            elitism=cp.getint("ga", "elitism", fallback=1),
-            enforce_weight_sum=cp.getboolean("ga", "enforce_weight_sum", fallback=True),
-        )
+    if cfg is not None:
         ga_report = _run_stage("select", lambda: select.run_ga(train, test, cfg), quiet)
         select.write_mask(ga_report.best_mask, os.path.join(out_dir, "mask.txt"))
         ga_report.to_csv(os.path.join(out_dir, "ga.csv"))
@@ -341,8 +366,7 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
                         svg_path=os.path.join(out_dir, f"scatter_f{i}_f{j}.svg"),
                     )
 
-    if cp.getboolean("pca", "enabled", fallback=True):
-        n_comp = cp.getint("pca", "components", fallback=2)
+    if pca_enabled:
         model = _run_stage("pca", lambda: analyze.fit_pca(train, n_components=n_comp), quiet)
         rows = analyze.project(model, train)
         analyze.export_scatter(

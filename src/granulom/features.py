@@ -24,7 +24,7 @@ from .errors import (
     NonNumericValueError,
     RaggedRowError,
 )
-from .granulometry import STACK_CHUNK, closing_curves, opening_curves
+from .granulometry import closing_curves, opening_curves
 from .imagecore import ColorImage, histogram, intensity, to_hls
 from .morphology import se_family
 
@@ -206,6 +206,10 @@ def builtin_recipe(name: str) -> FeatureRecipe:
             ),
         )
     raise DataError(f"unknown recipe {name!r}")
+
+
+# Images per batched extraction; bounds the memory of a stack.
+STACK_CHUNK = 16
 
 
 def _extract_images(recipe: FeatureRecipe, images: Sequence[ColorImage]) -> np.ndarray:

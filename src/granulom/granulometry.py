@@ -1,19 +1,27 @@
-"""Granulometric curves and size-intensity diagrams.
+"""Granulometric curves and size-intensity diagrams from one opening sequence.
 
-The opening curve value at size r is the normalized volume removed by an
-opening of that size; it is a cumulative size distribution: zero at r=0,
-non-decreasing, at most 1. The closing curve mirrors it, normalized by
-the grey-level headroom above the image.
+Every output here is read off the flat openings g_r of an image, for
+r = 0..r_max, taken smallest first from one generator (`_openings`).
+
+The opening curve value at size r is the normalized volume removed by
+g_r; it is a cumulative size distribution: zero at r=0, non-decreasing,
+at most 1. The closing curve mirrors it, normalized by the grey-level
+headroom above the image: it is the opening curve of 255 - f.
 
 The size-intensity diagram couples size and grey level: cell (r, k) is
-the pixel count of the binary opening of size r applied to the threshold
-set {f >= k}. Column r=0 is therefore the survival count of the grey
-histogram, and each fixed-k row is the binary granulometric area sequence
-of that threshold set.
+the pixel count of the binary opening of size r of the threshold set
+{f >= k}. Flat openings commute with thresholding, so that set is
+{g_r(f) >= k} and
+
+    SI(r, k) = #{g_r(f) >= k},
+
+the survival count of the grey histogram of g_r. Column r=0 is the
+survival count of f itself, and each fixed-k row is the binary
+granulometric area sequence of {f >= k}.
 
 The curves are computed for a stack of equal-size images at once
 (`opening_curves`, `closing_curves`); the single-image functions pass a
-stack of one. Size-intensity stacks the threshold sets of one image.
+stack of one.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvrows import read_csv_rows
 from .errors import DataError
 from .imagecore import GreyImage
 from .morphology import dilate_raw, erode_raw, se_family
@@ -66,24 +75,27 @@ class SizeIntensityDiagram:
         return int(self.cells[r, self.levels.index(k)])
 
 
-# Images (or threshold sets) per batched pass; bounds the memory of a stack.
-STACK_CHUNK = 16
-
-
-def _opened_volumes(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
-    """Volumes of openings of size 0..r_max of each image in a (..., H, W) stack.
+def _openings(stack: np.ndarray, family: str, r_max: int):
+    """Flat openings g_0, g_1, .., g_r_max of a (..., H, W) stack, smallest first.
 
     The erosion grows by one unit step per size; each dilation is a single
-    size-r pass. Returns int64 of shape (..., r_max + 1).
+    size-r pass. Stops early once every erosion is empty, since every later
+    opening is all zero; callers leave those sizes at zero.
     """
-    vols = np.zeros(stack.shape[:-2] + (r_max + 1,), dtype=np.int64)
-    vols[..., 0] = stack.sum(axis=(-2, -1), dtype=np.int64)
+    yield stack
     eroded = stack
     for r in range(1, r_max + 1):
         eroded = erode_raw(eroded, family, 1)
         if not eroded.any():
-            break  # every later opening is empty too
-        vols[..., r] = dilate_raw(eroded, family, r).sum(axis=(-2, -1), dtype=np.int64)
+            return
+        yield dilate_raw(eroded, family, r)
+
+
+def _opened_volumes(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
+    """Volumes of openings of size 0..r_max of each image in a stack, int64 (..., r_max + 1)."""
+    vols = np.zeros(stack.shape[:-2] + (r_max + 1,), dtype=np.int64)
+    for r, opened in enumerate(_openings(stack, family, r_max)):
+        vols[..., r] = opened.sum(axis=(-2, -1), dtype=np.int64)
     return vols
 
 
@@ -134,7 +146,7 @@ def granulometry_closings(f: GreyImage, family: str, r_max: int) -> Granulometry
 def size_intensity(
     f: GreyImage, family: str, r_max: int, k_max: int = 255, k_step: int = 1
 ) -> SizeIntensityDiagram:
-    """Areas of binary openings of every threshold set {f >= k}."""
+    """Areas of binary openings of every threshold set {f >= k}: #{g_r(f) >= k}."""
     family = se_family(family)
     _check_r_max(r_max)
     if not 1 <= k_max <= 255:
@@ -142,18 +154,10 @@ def size_intensity(
     if k_step < 1:
         raise DataError("k_step must be >= 1")
     levels = tuple(range(1, k_max + 1, k_step))
-
-    # {f >= k} equals {f >= present[pos]} for pos = searchsorted(present, k),
-    # so levels with one pos share one column; pos == len(present) is empty.
-    present = np.unique(f.pixels)
-    pos = np.searchsorted(present, levels)
-    areas = np.zeros((len(present) + 1, r_max + 1), dtype=np.int64)
-    needed = np.unique(pos[pos < len(present)])
-    for i in range(0, len(needed), STACK_CHUNK):
-        idx = needed[i : i + STACK_CHUNK]
-        masks = (f.pixels >= present[idx][:, None, None]).astype(np.uint8)
-        areas[idx] = _opened_volumes(masks, family, r_max)
-    cells = np.ascontiguousarray(areas[pos].T)
+    cells = np.zeros((r_max + 1, len(levels)), dtype=np.int64)
+    for r, opened in enumerate(_openings(f.pixels, family, r_max)):
+        survival = np.bincount(opened.ravel(), minlength=256)[::-1].cumsum()[::-1]
+        cells[r] = survival[list(levels)]
     return SizeIntensityDiagram(family, r_max, k_max, levels, cells)
 
 
@@ -175,26 +179,10 @@ def export_curve(obj, path) -> None:
 
 def read_curve_csv(path) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Parse an exported curve back into (sizes, values)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "r,value":
-        raise DataError("not a granulometry curve CSV")
-    sizes, values = [], []
-    for ln in lines[1:]:
-        r_txt, v_txt = ln.split(",")
-        sizes.append(int(r_txt))
-        values.append(float(v_txt))
-    return tuple(sizes), tuple(values)
+    rows = read_csv_rows(path, "r,value", (int, float), "granulometry curve")
+    return tuple(r for r, _ in rows), tuple(v for _, v in rows)
 
 
 def read_diagram_csv(path) -> tuple[tuple[int, int, int], ...]:
     """Parse an exported diagram back into (r, k, count) triples."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "r,k,count":
-        raise DataError("not a size-intensity CSV")
-    out = []
-    for ln in lines[1:]:
-        r_txt, k_txt, c_txt = ln.split(",")
-        out.append((int(r_txt), int(k_txt), int(c_txt)))
-    return tuple(out)
+    return tuple(read_csv_rows(path, "r,k,count", (int, int, int), "size-intensity"))

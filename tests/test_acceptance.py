@@ -22,8 +22,8 @@ from granulom import cli
 from granulom.analyze import fit_pca, transform
 from granulom.classify import FeatureMask, KnnConfig, classify_knn, distance, evaluate
 from granulom.features import Dataset, builtin_recipe, extract_corpus, split
-from granulom.granulometry import granulometry_openings, size_intensity
-from granulom.imagecore import GreyImage
+from granulom.granulometry import export_curve, granulometry_openings, size_intensity
+from granulom.imagecore import GreyImage, intensity, read_ppm
 from granulom.morphology import FAMILIES, StructuringElement, closing, opening
 from granulom.select import GAConfig, run_ga, write_mask
 from granulom.synthkit import builtin_corpus_spec, generate_corpus
@@ -334,6 +334,24 @@ def test_extraction_golden_bytes(granite14_run, tmp_path):
         save_dataset(ds, tmp_path / name)
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == GOLDEN_ALL_CSV_SHA256, name
+
+
+# --- golden size-intensity record ---------------------------------------------------
+# sha256 of the exported hexagon r=30 diagram of two granite14 intensity images,
+# recorded while size-intensity still opened each threshold set separately.
+
+GOLDEN_SI_CSV_SHA256 = {
+    "ALM-1": "7dec59ee70d5db6873bfbef7b7f7a9df83e5ca00dcac960100d8b7f28f78986f",
+    "VIM-1": "4f493af1b59be869670c41a48518f3e29ab099d4bc389c854d4cb0cee4ea98ec",
+}
+
+
+@pytest.mark.parametrize("sample_id", sorted(GOLDEN_SI_CSV_SHA256))
+def test_size_intensity_golden_bytes(granite14_run, tmp_path, sample_id):
+    grey = intensity(read_ppm(granite14_run["corpus_dir"] / f"{sample_id}.ppm"))
+    export_curve(size_intensity(grey, "hex", 30), tmp_path / "si.csv")
+    digest = hashlib.sha256((tmp_path / "si.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SI_CSV_SHA256[sample_id]
 
 
 # --- golden GA record ------------------------------------------------------------------

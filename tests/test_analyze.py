@@ -157,6 +157,15 @@ def test_export_scatter_empty_and_svg(tmp_path):
     assert svg.read_text().startswith("<svg ")
 
 
+@pytest.mark.parametrize("row", ["b,y,2.0", "b,y,2.0,1.0,0.5", "b,y,2.0,x"],
+                         ids=["short", "long", "text"])
+def test_read_scatter_csv_rejects_malformed_rows(tmp_path, row):
+    p = tmp_path / "s.csv"
+    p.write_text(f"sample_id,label,x,y\na,x,0.5,1.0\n\n{row}\n")
+    with pytest.raises(DataError, match="line 4: (. cells, expected 4|non-numeric cell)"):
+        read_scatter_csv(p)
+
+
 def test_svg_deterministic(tmp_path, rng):
     rows = [
         ScatterRow(f"s{i}", f"c{i % 4}", float(rng.normal()), float(rng.normal()))

@@ -229,3 +229,24 @@ def test_pipeline_ga_disabled(tmp_path, corpus_cfg):
     assert not (run / "mask.txt").exists()
     assert (run / "baseline_k1.csv").exists()
     assert (run / "run.txt").exists()
+
+
+@pytest.mark.parametrize("section,old,new", [
+    ("ga", "population = 10", "population = lots"),
+    ("baseline", "ks = 1", "ks = 1 x"),
+    ("split", "test_fraction = 0.34", "test_fraction = half"),
+    ("ga", "enabled = true", "enabled = maybe"),
+])
+def test_malformed_pipeline_config_fails_before_any_stage(tmp_path, corpus_cfg, capsys,
+                                                         section, old, new):
+    text = PIPELINE_CFG.format(corpus_cfg=corpus_cfg)
+    assert old in text
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(text.replace(old, new, 1))
+    run = tmp_path / "run"
+    code = main(["pipeline", "--config", str(cfg), "--out", str(run)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: pipeline config [{section}] {new.split(' = ')[0]} = ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (run / "corpus").exists()

@@ -11,6 +11,7 @@ from granulom.errors import (
     RaggedRowError,
 )
 from granulom.features import (
+    STACK_CHUNK,
     ChannelHistogram,
     ClosingGranulometry,
     Dataset,
@@ -26,7 +27,6 @@ from granulom.features import (
     save_dataset,
     split,
 )
-from granulom.granulometry import STACK_CHUNK
 from granulom.imagecore import ColorImage, write_ppm
 from granulom.synthkit import ManifestEntry, TextureSpec, generate_texture, write_manifest
 

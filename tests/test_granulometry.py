@@ -106,15 +106,24 @@ def test_si_constant_image():
 
 
 def test_si_rows_match_binary_opening_oracle(rng):
-    for i in range(4):
+    frames = [rng.integers(0, 8, (8, 8)) for _ in range(4)]
+    # erosions that empty before r_max: all zero, one row, odd height
+    frames.append(np.zeros((8, 8), dtype=int))
+    row = rng.integers(1, 8, (1, 9))
+    row[0, 0] = 0
+    frames.append(row)
+    odd = rng.integers(1, 8, (3, 5))
+    odd[2, 4] = 0
+    frames.append(odd)
+    for i, px in enumerate(frames):
         family = ("hexagon", "square", "diamond")[i % 3]
-        px = rng.integers(0, 8, (8, 8))
-        si = size_intensity(GreyImage(px), family, 3, k_max=7)
+        r_max = 3 if i < 4 else 10
+        si = size_intensity(GreyImage(px), family, r_max, k_max=7)
         for k in range(1, 8):
             mask = px >= k
-            for r in range(4):
+            for r in range(r_max + 1):
                 oracle = int(translate_opening_binary(mask, family, r).sum())
-                assert si.value(r, k) == oracle
+                assert si.value(r, k) == oracle, (i, family, r, k)
 
 
 def test_si_matches_umbra_oracle(rng):
@@ -167,3 +176,19 @@ def test_export_diagram_shape(tmp_path):
     rows = read_diagram_csv(path)
     assert len(rows) == 4  # (r_max+1) * k_max
     assert rows[0] == (0, 1, 3)
+
+
+@pytest.mark.parametrize("reader,text", [
+    (read_curve_csv, "r,value\n0,0.0\n\n1\n"),
+    (read_curve_csv, "r,value\n0,0.0\n\n1,0.5,7\n"),
+    (read_curve_csv, "r,value\n0,0.0\n\n1,x\n"),
+    (read_diagram_csv, "r,k,count\n0,1,3\n\n1,2\n"),
+    (read_diagram_csv, "r,k,count\n0,1,3\n\n1,2,3,4\n"),
+    (read_diagram_csv, "r,k,count\n0,1,3\n\n1,2.5,3\n"),
+], ids=["curve-short", "curve-long", "curve-text", "diagram-short", "diagram-long",
+        "diagram-text"])
+def test_exported_csv_readers_reject_malformed_rows(tmp_path, reader, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match="line 4: (. cells, expected|non-numeric cell)"):
+        reader(path)
