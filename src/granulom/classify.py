@@ -2,9 +2,16 @@
 
 Distances are Euclidean over the coordinates a FeatureMask enables;
 comparisons happen on squared values, reported distances are the roots.
-Neighbour order is ascending distance with ties broken by sample id, and
-a split vote falls to the class of the nearest neighbour among the tied
-classes, so reports are fully deterministic.
+
+All four entry points (`classify_knn`, `classify_template`, `evaluate`,
+`evaluate_template`) rank through one path: reference rows in tie-break
+order, a stable sort of each query's squared distances, and a plurality
+vote over the k nearest that a split falls to the nearest tied class.
+k-NN ranks the training rows sorted by sample id, so equal distances are
+ordered by sample id. The template (minimum-distance) rule is exactly 1-NN
+over the class means, each named by its label and sorted by it, so a
+query equidistant from two means goes to the smaller label. Reports are
+fully deterministic.
 
 Every squared distance comes from one engine. `squared_difference_table`
 lays out (q_f - t_f)**2 feature-major, as (features, queries, train), and
@@ -16,6 +23,7 @@ or incremental update may replace it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -92,13 +100,10 @@ class FeatureMask:
 @dataclass(frozen=True)
 class KnnConfig:
     k: int = 1
-    metric: str = "euclidean"
 
     def __post_init__(self):
         if self.k < 1:
             raise DataError(f"k must be >= 1, got {self.k}")
-        if self.metric != "euclidean":
-            raise DataError("only the euclidean metric is supported")
 
 
 @dataclass(frozen=True)
@@ -163,12 +168,23 @@ def distance(x, m, mask: FeatureMask | None = None) -> float:
     return sqrt(float(_squared_distances(xv[None, sel], mv[None, sel])[0, 0]))
 
 
-def _ordered_training(train: Dataset) -> tuple[list[int], list[str], list[str], np.ndarray]:
-    """Training rows reindexed by ascending sample id (the tie-break order)."""
+# Reference rows (ids, labels, matrix) in tie-break order.
+_Rows = tuple[list[str], list[str], np.ndarray]
+
+
+def _training_rows(train: Dataset) -> _Rows:
+    """Training rows by ascending sample id."""
     order = sorted(range(train.n_samples), key=lambda i: train.sample_ids[i])
-    ids = [train.sample_ids[i] for i in order]
-    labels = [train.labels[i] for i in order]
-    return order, ids, labels, train.matrix[order]
+    return [train.sample_ids[i] for i in order], [train.labels[i] for i in order], train.matrix[order]
+
+
+def _mean_rows(train: Dataset) -> _Rows:
+    """Per-class mean vectors, each named by its label, in label order."""
+    labels = train.class_labels
+    means = np.zeros((len(labels), train.n_features))
+    for row, lab in enumerate(labels):
+        means[row] = train.matrix[[i for i, l in enumerate(train.labels) if l == lab]].mean(axis=0)
+    return labels, labels, means
 
 
 def squared_difference_table(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
@@ -193,126 +209,79 @@ def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
     return summed_rows(sq, range(sq.shape[0]))
 
 
-def _vote(labels: list[str], order: np.ndarray, k: int) -> str:
-    """Plurality among the k nearest; ties fall to the nearest tied class."""
-    top = [labels[int(i)] for i in order[:k]]
-    counts: dict[str, int] = {}
-    for lab in top:
-        counts[lab] = counts.get(lab, 0) + 1
+def _vote(top: list[str]) -> str:
+    """Plurality among the nearest labels; ties fall to the nearest tied class."""
+    counts = Counter(top)
     best = max(counts.values())
-    tied = {lab for lab, c in counts.items() if c == best}
-    for lab in top:
-        if lab in tied:
-            return lab
-    raise AssertionError("unreachable")
+    return next(lab for lab in top if counts[lab] == best)
+
+
+def _rank(
+    refs: _Rows, queries: np.ndarray, k: int, mask: FeatureMask | None
+) -> list[tuple[str, tuple[Neighbour, ...]]]:
+    """Vote and k nearest reference rows of every query row.
+
+    Equal distances keep the reference order (stable sort), so the earlier
+    row ranks first.
+    """
+    ids, labels, matrix = refs
+    if matrix.shape[0] == 0:
+        raise DataError("empty training set")
+    if k > matrix.shape[0]:
+        raise DataError(f"k={k} exceeds training set size {matrix.shape[0]}")
+    sel = _selected_columns(matrix.shape[1], mask)
+    if queries.shape[1:] != matrix.shape[1:]:
+        raise DataError(f"query rows {queries.shape[1:]} do not match {matrix.shape[1]} features")
+    if not np.isfinite(queries).all():
+        raise DataError("query holds a non-finite feature value")
+    ranked = []
+    for d2 in _squared_distances(queries[:, sel], matrix[:, sel]):
+        nearest = tuple(
+            Neighbour(ids[i], labels[i], sqrt(float(d2[i])))
+            for i in np.argsort(d2, kind="stable")[:k].tolist()
+        )
+        ranked.append((_vote([n.label for n in nearest]), nearest))
+    return ranked
+
+
+def _report(
+    refs: _Rows, test: Dataset, k: int, mask: FeatureMask | None, listed: int
+) -> EvalReport:
+    """Classify every test sample; rows sorted by sample id, `listed` neighbours each."""
+    order = sorted(range(test.n_samples), key=lambda i: test.sample_ids[i])
+    per_sample = [
+        SampleOutcome(test.sample_ids[i], test.labels[i], predicted, nearest[:listed])
+        for i, (predicted, nearest) in zip(order, _rank(refs, test.matrix[order], k, mask))
+    ]
+    confusion = Counter((s.true_label, s.predicted) for s in per_sample)
+    hits = sum(s.predicted == s.true_label for s in per_sample)
+    return EvalReport(hits, test.n_samples, per_sample, dict(confusion))
 
 
 def classify_knn(
     train: Dataset, query, cfg: KnnConfig, mask: FeatureMask | None = None
 ) -> tuple[str, list[Neighbour]]:
     """Label the query by plurality vote over its k nearest training samples."""
-    if train.n_samples == 0:
-        raise DataError("empty training set")
-    if cfg.k > train.n_samples:
-        raise DataError(f"k={cfg.k} exceeds training set size {train.n_samples}")
-    sel = _selected_columns(train.n_features, mask)
-    qv = np.asarray(query, dtype=np.float64)
-    if qv.shape != (train.n_features,):
-        raise DataError("query length must match the training feature count")
-    _, ids, labels, matrix = _ordered_training(train)
-    d2 = _squared_distances(qv[None, sel], matrix[:, sel])[0]
-    order = np.argsort(d2, kind="stable")
-    label = _vote(labels, order, cfg.k)
-    neighbours = [
-        Neighbour(ids[int(i)], labels[int(i)], sqrt(float(d2[int(i)]))) for i in order[: cfg.k]
-    ]
-    return label, neighbours
-
-
-def _class_means(train: Dataset) -> tuple[list[str], np.ndarray]:
-    """Per-class template vectors, in sorted label order."""
-    class_labels = train.class_labels
-    means = np.stack(
-        [
-            train.matrix[[i for i, l in enumerate(train.labels) if l == lab]].mean(axis=0)
-            for lab in class_labels
-        ]
-    )
-    return class_labels, means
+    queries = np.asarray(query, dtype=np.float64)[None]
+    [(label, nearest)] = _rank(_training_rows(train), queries, cfg.k, mask)
+    return label, list(nearest)
 
 
 def classify_template(train: Dataset, query, mask: FeatureMask | None = None) -> str:
     """Minimum distance to the per-class mean vectors; ties to the smaller label."""
-    if train.n_samples == 0:
-        raise DataError("empty training set")
-    sel = _selected_columns(train.n_features, mask)
-    qv = np.asarray(query, dtype=np.float64)
-    if qv.shape != (train.n_features,):
-        raise DataError("query length must match the training feature count")
-    class_labels, means = _class_means(train)
-    d2 = _squared_distances(qv[None, sel], means[:, sel])[0]
-    return class_labels[int(np.argmin(d2))]
+    queries = np.asarray(query, dtype=np.float64)[None]
+    return _rank(_mean_rows(train), queries, 1, mask)[0][0]
 
 
 def evaluate_template(
     train: Dataset, test: Dataset, mask: FeatureMask | None = None
 ) -> EvalReport:
     """Minimum-distance evaluation of every test sample (no neighbour lists)."""
-    if train.n_features != test.n_features:
-        raise DataError(
-            f"feature counts differ: train {train.n_features}, test {test.n_features}"
-        )
-    if train.n_samples == 0:
-        raise DataError("empty training set")
-    sel = _selected_columns(train.n_features, mask)
-    class_labels, means = _class_means(train)
-    test_order = sorted(range(test.n_samples), key=lambda i: test.sample_ids[i])
-    d2 = _squared_distances(test.matrix[test_order][:, sel], means[:, sel])
-    hits = 0
-    per_sample: list[SampleOutcome] = []
-    confusion: dict[tuple[str, str], int] = {}
-    for row, ti in enumerate(test_order):
-        predicted = class_labels[int(np.argmin(d2[row]))]
-        truth = test.labels[ti]
-        if predicted == truth:
-            hits += 1
-        confusion[(truth, predicted)] = confusion.get((truth, predicted), 0) + 1
-        per_sample.append(SampleOutcome(test.sample_ids[ti], truth, predicted, ()))
-    return EvalReport(hits, test.n_samples, per_sample, confusion)
+    return _report(_mean_rows(train), test, 1, mask, listed=0)
 
 
 def evaluate(
     train: Dataset, test: Dataset, cfg: KnnConfig, mask: FeatureMask | None = None
 ) -> EvalReport:
     """Classify every test sample; report rows are sorted by sample id."""
-    if train.n_features != test.n_features:
-        raise DataError(
-            f"feature counts differ: train {train.n_features}, test {test.n_features}"
-        )
-    if train.n_samples == 0:
-        raise DataError("empty training set")
-    if cfg.k > train.n_samples:
-        raise DataError(f"k={cfg.k} exceeds training set size {train.n_samples}")
-    sel = _selected_columns(train.n_features, mask)
-    _, train_ids, train_labels, train_matrix = _ordered_training(train)
-
-    test_order = sorted(range(test.n_samples), key=lambda i: test.sample_ids[i])
-    queries = test.matrix[test_order][:, sel]
-    d2 = _squared_distances(queries, train_matrix[:, sel])
-
-    hits = 0
-    per_sample: list[SampleOutcome] = []
-    confusion: dict[tuple[str, str], int] = {}
-    for row, ti in enumerate(test_order):
-        order = np.argsort(d2[row], kind="stable")
-        predicted = _vote(train_labels, order, cfg.k)
-        truth = test.labels[ti]
-        if predicted == truth:
-            hits += 1
-        confusion[(truth, predicted)] = confusion.get((truth, predicted), 0) + 1
-        neighbours = tuple(
-            Neighbour(train_ids[int(i)], train_labels[int(i)], sqrt(float(d2[row, int(i)])))
-            for i in order[: cfg.k]
-        )
-        per_sample.append(SampleOutcome(test.sample_ids[ti], truth, predicted, neighbours))
-    return EvalReport(hits, test.n_samples, per_sample, confusion)
+    return _report(_training_rows(train), test, cfg.k, mask, listed=cfg.k)

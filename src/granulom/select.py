@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import FeatureMask, _ordered_training, squared_difference_table, summed_rows
+from .classify import FeatureMask, _training_rows, squared_difference_table, summed_rows
 from .errors import DataError
 from .features import Dataset
 
@@ -132,7 +132,7 @@ class _WrapperObjective:
         if train.n_samples == 0 or eval_set.n_samples == 0:
             raise DataError("train and eval sets must be non-empty")
         self.cfg = cfg
-        _, _, train_labels, train_matrix = _ordered_training(train)
+        _, train_labels, train_matrix = _training_rows(train)
         codes = {lab: i for i, lab in enumerate(sorted(set(train_labels)))}
         self.train_codes = np.array([codes[lab] for lab in train_labels])
         self.sq = squared_difference_table(eval_set.matrix, train_matrix)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,173 @@ def test_knn_and_template_distances_are_left_to_right(rng, n_features):
         assert np.array_equal(_squared_distances(queries[:, sel], means[:, sel]), expected)
         for q, row in zip(queries, expected):
             assert classify_template(train, q, mask) == train.class_labels[int(np.argmin(row))]
+
+
+# --- golden classify record ------------------------------------------------------
+
+GOLDEN_LABELS = ["VIM", "ALM", "ROS", "GRS"]  # generation order, not label order
+GOLDEN_MASK = "101101011"
+
+
+def _golden_split():
+    """40 train x 12 test x 9 features, 4 classes, with exact ties built in.
+
+    Each class is five +/- offset pairs around an integer centre, so its mean
+    is the centre exactly. VIM's first pair has offset 0 (two equal VIM rows),
+    and ALM's first row equals VIM's third (equal rows of two classes). One
+    test row is the midpoint of the VIM and ROS centres (equidistant from both
+    means, in every mask), and one repeats the row VIM and ALM share.
+    """
+    rng = np.random.default_rng(5)
+    centres = rng.integers(-20, 21, size=(4, 9)).astype(np.float64)
+    rows, labels = [], []
+    for c, centre in enumerate(centres):
+        offsets = rng.integers(-6, 7, size=(5, 9)).astype(np.float64)
+        if c == 0:
+            offsets[0] = 0.0
+            shared = centre + offsets[1]
+        if c == 1:
+            offsets[0] = shared - centre
+        for d in offsets:
+            rows += [centre + d, centre - d]
+            labels += [GOLDEN_LABELS[c]] * 2
+    train = Dataset([f"s{i:02d}" for i in rng.permutation(40)], labels, np.array(rows))
+    queries = [(centres[0] + centres[2]) / 2, shared]
+    truths = ["VIM", "ALM"]
+    for _ in range(10):
+        c = int(rng.integers(0, 4))
+        queries.append(centres[c] + rng.normal(scale=5.0, size=9))
+        truths.append(GOLDEN_LABELS[c])
+    test = Dataset([f"q{i:02d}" for i in rng.permutation(12)], truths, np.array(queries))
+    return train, test, centres
+
+
+# sha256 of EvalReport.to_csv, recorded before the four entry points shared one
+# ranking path.
+GOLDEN_REPORT_SHA256 = {
+    ("template", False): "a9c636d7c451647e780b3b91a9087de134f50e388fe9f4a5fcbdc8452e86cb6b",
+    ("template", True): "a9c636d7c451647e780b3b91a9087de134f50e388fe9f4a5fcbdc8452e86cb6b",
+    (1, False): "a78b9ce0c16ebfe4bb6308d97972e5b6cb55e2c2a258d03e63c5de7a7716d0b7",
+    (1, True): "c8abd4491e366d45c1aa88080a5b3c75161e41318fb91ad4a25d1d637024ce0e",
+    (3, False): "2f11629755a591f17e5e57209adb502d61502f7b499053b5c14fbe9aa8a12804",
+    (3, True): "0385dd8c944253bb5414f7efe39ed69f78ba1455f36e84b532ebc4e4fc8189b8",
+}
+
+
+def test_golden_split_has_its_ties():
+    train, test, centres = _golden_split()
+    for sel in (np.arange(9), FeatureMask.from_string(GOLDEN_MASK).indices()):
+        d2 = ((test.matrix[0, sel] - centres[:, sel]) ** 2).sum(axis=1)
+        assert d2[0] == d2[2] == d2.min() < min(d2[1], d2[3])
+    shared = [i for i, row in enumerate(train.matrix) if np.array_equal(row, test.matrix[1])]
+    assert sorted(train.labels[i] for i in shared) == ["ALM", "VIM"]
+    assert len({train.matrix[i].tobytes() for i in range(40)}) < 40 - 1
+
+
+@pytest.mark.parametrize("kind, masked", sorted(GOLDEN_REPORT_SHA256, key=str))
+def test_classify_golden_bytes(tmp_path, kind, masked):
+    train, test, _ = _golden_split()
+    mask = FeatureMask.from_string(GOLDEN_MASK) if masked else None
+    if kind == "template":
+        report = evaluate_template(train, test, mask)
+    else:
+        report = evaluate(train, test, KnnConfig(kind), mask)
+    report.to_csv(tmp_path / "report.csv")
+    digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[(kind, masked)]
+
+
+# --- one ranking path --------------------------------------------------------------
+
+def _means_dataset(train):
+    """The class means as a dataset whose sample ids are the labels."""
+    labels = train.class_labels
+    means = [train.matrix[[i for i, l in enumerate(train.labels) if l == lab]].mean(axis=0)
+             for lab in labels]
+    return Dataset(labels, labels, np.array(means))
+
+
+def _random_split(rng):
+    n_train, n_feat = int(rng.integers(4, 30)), int(rng.integers(1, 12))
+    labels = [f"c{int(v)}" for v in rng.integers(0, 4, n_train)]
+    train = Dataset([f"s{i:02d}" for i in rng.permutation(n_train)], labels,
+                    rng.normal(size=(n_train, n_feat)))
+    test = Dataset([f"q{i}" for i in range(9)], [f"c{i % 4}" for i in range(9)],
+                   rng.normal(size=(9, n_feat)))
+    return train, test
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_template_is_1nn_over_class_means(rng, masked):
+    splits = [_golden_split()[:2]] + [_random_split(rng) for _ in range(20)]
+    for train, test in splits:
+        mask = None
+        if masked:
+            bits = rng.random(train.n_features) < 0.5
+            bits[0] = True
+            mask = FeatureMask(bits)
+        means = _means_dataset(train)
+        template = evaluate_template(train, test, mask)
+        nearest_mean = evaluate(means, test, KnnConfig(1), mask)
+        assert [s.predicted for s in template.per_sample] == [
+            s.predicted for s in nearest_mean.per_sample]
+        assert template.confusion == nearest_mean.confusion
+        assert template.hits == nearest_mean.hits
+        assert all(s.neighbours == () for s in template.per_sample)
+        for q in test.matrix:
+            assert classify_template(train, q, mask) == classify_knn(means, q, KnnConfig(1), mask)[0]
+    # the query equidistant from the VIM and ROS means goes to the smaller label
+    train, test, _ = _golden_split()
+    assert classify_template(train, test.matrix[0]) == "ROS"
+
+
+def _call_entry_point(name, train, test, k, mask):
+    if name == "classify_knn":
+        return classify_knn(train, test.matrix[0], KnnConfig(k), mask)
+    if name == "classify_template":
+        return classify_template(train, test.matrix[0], mask)
+    if name == "evaluate":
+        return evaluate(train, test, KnnConfig(k), mask)
+    return evaluate_template(train, test, mask)
+
+
+ENTRY_POINTS = ["classify_knn", "classify_template", "evaluate", "evaluate_template"]
+BAD_INPUTS = {  # case -> the start of its message
+    "empty training set": "empty training set",
+    "mask length": "mask length",
+    "all-zero mask": "empty feature mask",
+    "feature count": "query rows",
+    "k too large": "k=4 exceeds",
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in ENTRY_POINTS for bad in BAD_INPUTS
+    if bad != "k too large" or "template" not in name
+])
+def test_entry_points_reject_bad_inputs(name, bad):
+    train = _dataset([[0, 0, 0], [1, 1, 1], [2, 2, 2]], ["a", "b", "b"])
+    test = _dataset([[0, 1, 2]], ["a"], ids=["q"])
+    k, mask = 1, None
+    if bad == "empty training set":
+        train = Dataset([], [], np.zeros((0, 3)))
+    elif bad == "mask length":
+        mask = FeatureMask(np.array([1, 1]))
+    elif bad == "all-zero mask":
+        mask = FeatureMask(np.array([0, 0, 0]))
+    elif bad == "feature count":
+        test = _dataset([[0, 1, 2, 3]], ["a"], ids=["q"])
+    else:
+        k = 4
+    with pytest.raises(DataError, match=f"^{BAD_INPUTS[bad]}"):
+        _call_entry_point(name, train, test, k, mask)
+
+
+@pytest.mark.parametrize("query", [[0.0, np.nan], [np.inf, 0.0], [-np.inf, 0.0],
+                                   0.0, [[0.0, 0.0]], [0.0, 0.0, 0.0]])
+def test_single_queries_reject_malformed_queries(query):
+    train = _dataset([[0, 0], [1, 1]], ["a", "b"])
+    with pytest.raises(DataError):
+        classify_knn(train, query, KnnConfig(1))
+    with pytest.raises(DataError):
+        classify_template(train, query)
