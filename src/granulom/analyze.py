@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .csvrows import read_csv_rows
+from .csvrows import read_csv_rows, write_lines
 from .errors import DataError
 from .features import Dataset
 
@@ -213,7 +213,7 @@ def _glyph_svg(shape: str, x: float, y: float, colour: str) -> str:
     )
 
 
-def _scatter_svg(rows: Sequence[ScatterRow]) -> str:
+def _scatter_svg(rows: Sequence[ScatterRow]) -> list[str]:
     size, margin = 800.0, 70.0
     span = size - 2 * margin
     xs = [r.x for r in rows]
@@ -252,20 +252,17 @@ def _scatter_svg(rows: Sequence[ScatterRow]) -> str:
         parts.append(_glyph_svg(shape, 14.0, ly, colour))
         parts.append(f'<text x="26" y="{ly + 4:.0f}" font-size="12">{lab}</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
 def export_scatter(rows: Sequence[ScatterRow], path, svg_path=None) -> None:
     """Write scatter rows as sample_id,label,x,y CSV (exact float round-trip)."""
-    lines = ["sample_id,label,x,y"]
-    lines += [f"{r.sample_id},{r.label},{float(r.x)!r},{float(r.y)!r}" for r in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, ["sample_id,label,x,y"]
+                + [f"{r.sample_id},{r.label},{float(r.x)!r},{float(r.y)!r}" for r in rows])
     if svg_path is not None:
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_scatter_svg(rows))
+        write_lines(svg_path, _scatter_svg(rows))
 
 
 def read_scatter_csv(path) -> list[ScatterRow]:
-    rows = read_csv_rows(path, "sample_id,label,x,y", (str, str, float, float), "scatter")
+    _, rows = read_csv_rows(path, "sample_id,label,x,y", (str, str, float, float), "scatter")
     return [ScatterRow(*row) for row in rows]

@@ -29,6 +29,7 @@ from math import sqrt
 
 import numpy as np
 
+from .csvrows import write_lines
 from .errors import DataError
 from .features import Dataset
 
@@ -143,11 +144,12 @@ class EvalReport:
             for nb in row.neighbours:
                 cells += [nb.sample_id, nb.label, f"{nb.distance:.12g}"]
             lines.append(",".join(cells))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 def _selected_columns(n_features: int, mask: FeatureMask | None) -> np.ndarray:
+    if n_features == 0:
+        raise DataError("no features to compare")
     if mask is None:
         return np.arange(n_features)
     if len(mask) != n_features:

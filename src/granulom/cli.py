@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
 from . import analyze, classify, features, granulometry, morphology, select, synthkit
+from .csvrows import read_text, write_lines
 from .errors import DataError, GranulomError
 from .imagecore import read_pgm, write_pgm
 
@@ -119,13 +121,17 @@ def _load_mask(args, n_features: int) -> classify.FeatureMask | None:
     return mask
 
 
-def _cmd_knn(args) -> int:
-    train = features.load_dataset(args.train)
-    test = features.load_dataset(args.test)
+def _load_pair(args, first: str, second: str):
+    """Two datasets; with --normalize both are min-max scaled on the first one's ranges."""
+    a, b = features.load_dataset(first), features.load_dataset(second)
     if args.normalize:
-        lo, span = features.minmax_scaler(train)
-        train = features.apply_scaler(train, lo, span)
-        test = features.apply_scaler(test, lo, span)
+        lo, span = features.minmax_scaler(a)
+        a, b = features.apply_scaler(a, lo, span), features.apply_scaler(b, lo, span)
+    return a, b
+
+
+def _cmd_knn(args) -> int:
+    train, test = _load_pair(args, args.train, args.test)
     mask = _load_mask(args, train.n_features)
     if args.template:
         report = classify.evaluate_template(train, test, mask)
@@ -140,12 +146,7 @@ def _cmd_knn(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    train = features.load_dataset(args.train)
-    eval_set = features.load_dataset(args.eval)
-    if args.normalize:
-        lo, span = features.minmax_scaler(train)
-        train = features.apply_scaler(train, lo, span)
-        eval_set = features.apply_scaler(eval_set, lo, span)
+    train, eval_set = _load_pair(args, args.train, args.eval)
     cfg = select.GAConfig(
         population_size=args.pop,
         generations=args.gens,
@@ -221,23 +222,34 @@ def _run_stage(name: str, fn, quiet: bool):
         raise DataError(f"stage {name}: {exc}") from exc
 
 
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+def _finite(text: str) -> float:
+    if not math.isfinite(float(text)):
+        raise ValueError(text)
+    return float(text)
+
+
 def _pipeline_config(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"),
-        converters={"ints": lambda text: [int(k) for k in text.split()]},
+        converters={"ints": lambda text: [int(k) for k in text.split()],
+                    "count": _count, "finite": _finite},
     )
     cp.optionxform = str
     try:
-        read = cp.read(path)
+        cp.read_string(read_text(path), source=os.fspath(path))
     except configparser.Error as exc:
         raise DataError(f"pipeline config: {' '.join(str(exc).split())}") from None
-    if not read:
-        raise OSError(f"cannot read pipeline config {path}")
     return cp
 
 
-_KIND_NAMES = {"": "text", "int": "an integer", "float": "a number", "boolean": "a boolean",
-               "ints": "integers separated by spaces"}
+_KIND_NAMES = {"": "text", "count": "a non-negative integer", "finite": "a finite number",
+               "boolean": "a boolean", "ints": "integers separated by spaces"}
 
 
 def _setting(cp: configparser.ConfigParser, section: str, key: str, kind: str, fallback):
@@ -259,25 +271,25 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     spec_name = _setting(cp, "synth", "spec", "", "granite14")
     corpus_spec = _resolve_corpus_spec(spec_name)
     recipe_name = _setting(cp, "extract", "recipe", "", "lot117")
-    split_seed = _setting(cp, "split", "seed", "int", 2028)
-    test_count = _setting(cp, "split", "test_count", "int", None)
-    test_fraction = _setting(cp, "split", "test_fraction", "float", 50 / 237)
+    split_seed = _setting(cp, "split", "seed", "count", 2028)
+    test_count = _setting(cp, "split", "test_count", "count", None)
+    test_fraction = _setting(cp, "split", "test_fraction", "finite", 50 / 237)
     ks = _setting(cp, "baseline", "ks", "ints", [1, 3])
     ga_enabled = _setting(cp, "ga", "enabled", "boolean", True)
     ga_settings = dict(
-        population_size=_setting(cp, "ga", "population", "int", 50),
-        generations=_setting(cp, "ga", "generations", "int", 814),
-        crossover_prob=_setting(cp, "ga", "crossover_prob", "float", 1.0),
-        mutation_prob=_setting(cp, "ga", "mutation_prob", "float", 0.9),
-        alpha=_setting(cp, "ga", "alpha", "float", 0.6),
-        beta=_setting(cp, "ga", "beta", "float", 0.4),
-        seed=_setting(cp, "ga", "seed", "int", 12957),
-        stagnation_limit=_setting(cp, "ga", "stagnation_limit", "int", 0) or None,
-        elitism=_setting(cp, "ga", "elitism", "int", 1),
+        population_size=_setting(cp, "ga", "population", "count", 50),
+        generations=_setting(cp, "ga", "generations", "count", 814),
+        crossover_prob=_setting(cp, "ga", "crossover_prob", "finite", 1.0),
+        mutation_prob=_setting(cp, "ga", "mutation_prob", "finite", 0.9),
+        alpha=_setting(cp, "ga", "alpha", "finite", 0.6),
+        beta=_setting(cp, "ga", "beta", "finite", 0.4),
+        seed=_setting(cp, "ga", "seed", "count", 12957),
+        stagnation_limit=_setting(cp, "ga", "stagnation_limit", "count", 0) or None,
+        elitism=_setting(cp, "ga", "elitism", "count", 1),
         enforce_weight_sum=_setting(cp, "ga", "enforce_weight_sum", "boolean", True),
     )
     pca_enabled = _setting(cp, "pca", "enabled", "boolean", True)
-    n_comp = _setting(cp, "pca", "components", "int", 2)
+    n_comp = _setting(cp, "pca", "components", "count", 2)
     try:
         recipe = features.builtin_recipe(recipe_name)
         knn_configs = [classify.KnnConfig(k) for k in ks]
@@ -307,10 +319,9 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     fraction = test_fraction if test_count is None else test_count / ds.n_samples
     result = _run_stage("split", lambda: features.split(ds, fraction, split_seed), quiet)
     train, test = result.train, result.test
-    _run_stage("split", lambda: features.save_dataset(train, os.path.join(out_dir, "train.csv")),
-               quiet)
-    _run_stage("split", lambda: features.save_dataset(test, os.path.join(out_dir, "test.csv")),
-               quiet)
+    for name, part in (("train", train), ("test", test)):
+        path = os.path.join(out_dir, f"{name}.csv")
+        _run_stage("split", lambda: features.save_dataset(part, path), quiet)
     summary += [
         ("split_seed", split_seed),
         ("train_samples", train.n_samples),
@@ -379,9 +390,7 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
             ("pca_eigenvalues", " ".join(f"{v:.12g}" for v in model.eigenvalues)),
         ]
 
-    with open(os.path.join(out_dir, "run.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in summary:
-            fh.write(f"{key} = {value}\n")
+    write_lines(os.path.join(out_dir, "run.txt"), [f"{key} = {value}" for key, value in summary])
     if not quiet:
         print(f"run directory complete: {out_dir}", file=sys.stderr)
 
@@ -514,16 +523,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse --help exits 0
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -31,10 +31,10 @@ class UnsupportedMaxvalError(PnmError):
     pass
 
 
-# --- dataset CSV ------------------------------------------------------------
+# --- datasets and CSV files -------------------------------------------------
 
 class DatasetError(DataError):
-    """Base for dataset construction/parsing failures."""
+    """Base for dataset construction and CSV parsing failures."""
 
 
 class RaggedRowError(DatasetError):

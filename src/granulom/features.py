@@ -10,27 +10,23 @@ composition is configurable rather than fixed.
 
 from __future__ import annotations
 
-import re
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DatasetError,
-    DuplicateSampleIdError,
-    NonNumericValueError,
-    RaggedRowError,
-)
+from .csvrows import ID_RE, read_csv_rows, write_lines
+from .errors import DataError, DatasetError, DuplicateSampleIdError
 from .granulometry import closing_curves, opening_curves
-from .imagecore import ColorImage, histogram, intensity, to_hls
+from .imagecore import ColorImage, histogram, intensity, read_ppm, to_hls
 from .morphology import se_family
+from .synthkit import read_manifest
 
 __all__ = [
-    "ChannelHistogram",
-    "HlsHistogram",
+    "PlaneHistogram",
     "OpeningGranulometry",
     "ClosingGranulometry",
     "FeatureRecipe",
@@ -44,19 +40,29 @@ __all__ = [
     "split",
 ]
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-
-
 # --- extractors ---------------------------------------------------------------
 
+# plane -> (name prefix, largest value, _Batch attribute holding the source rasters)
+_PLANES = {
+    "r": ("hist", 255, "images"),
+    "g": ("hist", 255, "images"),
+    "b": ("hist", 255, "images"),
+    "h": ("hls", 359, "hls"),
+    "l": ("hls", 255, "hls"),
+    "s": ("hls", 255, "hls"),
+}
+
+
 @dataclass(frozen=True)
-class ChannelHistogram:
-    channel: str  # "r" | "g" | "b"
+class PlaneHistogram:
+    """Histogram of one RGB channel (r g b) or HLS component (h l s)."""
+
+    plane: str
     bins: int
 
     def __post_init__(self):
-        if self.channel not in ("r", "g", "b"):
-            raise DataError(f"unknown channel {self.channel!r}")
+        if self.plane not in _PLANES:
+            raise DataError(f"unknown histogram plane {self.plane!r}")
         if self.bins < 1:
             raise DataError("bins must be >= 1")
 
@@ -65,35 +71,13 @@ class ChannelHistogram:
         return self.bins
 
     def names(self) -> list[str]:
-        return [f"hist_{self.channel}_b{i:02d}" for i in range(1, self.bins + 1)]
+        prefix = _PLANES[self.plane][0]
+        return [f"{prefix}_{self.plane}_b{i:02d}" for i in range(1, self.bins + 1)]
 
     def extract(self, batch: "_Batch") -> np.ndarray:
-        return np.array([histogram(getattr(img, self.channel), self.bins)
-                         for img in batch.images])
-
-
-@dataclass(frozen=True)
-class HlsHistogram:
-    component: str  # "h" | "l" | "s"
-    bins: int
-
-    def __post_init__(self):
-        if self.component not in ("h", "l", "s"):
-            raise DataError(f"unknown HLS component {self.component!r}")
-        if self.bins < 1:
-            raise DataError("bins must be >= 1")
-
-    @property
-    def n_features(self) -> int:
-        return self.bins
-
-    def names(self) -> list[str]:
-        return [f"hls_{self.component}_b{i:02d}" for i in range(1, self.bins + 1)]
-
-    def extract(self, batch: "_Batch") -> np.ndarray:
-        vmax = 359 if self.component == "h" else 255
-        return np.array([histogram(getattr(hls, self.component), self.bins, vmax=vmax)
-                         for hls in batch.hls])
+        _, vmax, source = _PLANES[self.plane]
+        return np.array([histogram(getattr(src, self.plane), self.bins, vmax=vmax)
+                         for src in getattr(batch, source)])
 
 
 @dataclass(frozen=True)
@@ -140,7 +124,7 @@ class ClosingGranulometry:
         return closing_curves(batch.greys, self.family, self.r_last)[:, self.r_first :]
 
 
-Extractor = Union[ChannelHistogram, HlsHistogram, OpeningGranulometry, ClosingGranulometry]
+Extractor = Union[PlaneHistogram, OpeningGranulometry, ClosingGranulometry]
 
 
 class _Batch:
@@ -193,15 +177,15 @@ def builtin_recipe(name: str) -> FeatureRecipe:
     if name == "rgb27":
         return FeatureRecipe(
             "rgb27",
-            (ChannelHistogram("r", 9), ChannelHistogram("g", 9), ChannelHistogram("b", 9)),
+            (PlaneHistogram("r", 9), PlaneHistogram("g", 9), PlaneHistogram("b", 9)),
         )
     if name == "lot117":
         return FeatureRecipe(
             "lot117",
             (
-                HlsHistogram("h", 32),
-                HlsHistogram("l", 32),
-                HlsHistogram("s", 28),
+                PlaneHistogram("h", 32),
+                PlaneHistogram("l", 32),
+                PlaneHistogram("s", 28),
                 OpeningGranulometry("hexagon", 1, 25),
             ),
         )
@@ -244,12 +228,6 @@ def extract_corpus(manifest_path, recipe: FeatureRecipe, threads: int = 1) -> "D
     take whole chunks. Rows never depend on the chunking or the worker
     count.
     """
-    import os
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .imagecore import read_ppm
-    from .synthkit import read_manifest
-
     manifest_path = os.fspath(manifest_path)
     if os.path.isdir(manifest_path):
         manifest_path = os.path.join(manifest_path, "manifest.csv")
@@ -346,44 +324,25 @@ class Dataset:
 def save_dataset(ds: Dataset, path) -> None:
     """CSV with header sample_id,label,f0001,...; 12 significant digits."""
     for sid in ds.sample_ids:
-        if not _ID_RE.match(sid):
+        if not ID_RE.match(sid):
             raise DatasetError(f"sample id {sid!r} outside [A-Za-z0-9_-]")
     for lab in ds.labels:
-        if not _ID_RE.match(lab):
+        if not ID_RE.match(lab):
             raise DatasetError(f"label {lab!r} outside [A-Za-z0-9_-]")
-    lines = ["sample_id,label," + ",".join(ds.feature_names)]
-    for i in range(ds.n_samples):
-        vals = ",".join(f"{v:.12g}" for v in ds.matrix[i])
-        lines.append(f"{ds.sample_ids[i]},{ds.labels[i]},{vals}" if vals else
-                     f"{ds.sample_ids[i]},{ds.labels[i]}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [",".join(["sample_id", "label", *ds.feature_names])]
+    for sid, lab, row in zip(ds.sample_ids, ds.labels, ds.matrix):
+        lines.append(",".join([sid, lab, *(f"{v:.12g}" for v in row)]))
+    write_lines(path, lines)
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise DatasetError("empty dataset file")
-    header = lines[0].split(",")
-    if header[:2] != ["sample_id", "label"]:
-        raise DatasetError("dataset header must start with sample_id,label")
-    feature_names = header[2:]
-    width = len(header)
-    ids, labels, rows = [], [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != width:
-            raise RaggedRowError(f"line {lineno}: {len(cells)} cells, expected {width}")
-        ids.append(cells[0])
-        labels.append(cells[1])
-        try:
-            rows.append([float(c) for c in cells[2:]])
-        except ValueError:
-            raise NonNumericValueError(f"line {lineno}: non-numeric feature cell") from None
-    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(feature_names)))
-    return Dataset(ids, labels, matrix, feature_names)
+    """Dataset from a CSV whose header, sample_id,label,<feature names>, sets its width."""
+    names, rows = read_csv_rows(path, "sample_id,label", (str, str), "dataset", rest=float)
+    matrix = np.array([row[2:] for row in rows]).reshape(len(rows), len(names) - 2)
+    try:
+        return Dataset([row[0] for row in rows], [row[1] for row in rows], matrix, names[2:])
+    except DatasetError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # --- train/test splitting -------------------------------------------------------
@@ -397,6 +356,8 @@ def minmax_scaler(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_scaler(ds: Dataset, lo: np.ndarray, span: np.ndarray) -> Dataset:
     """Dataset with features rescaled to the scaler's unit box."""
+    if ds.n_features != lo.size:
+        raise DataError(f"dataset has {ds.n_features} features, the scaler {lo.size}")
     return Dataset(
         list(ds.sample_ids),
         list(ds.labels),
@@ -448,6 +409,8 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> SplitResult:
     """Deterministic stratified split; both halves keep the original row order."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if seed < 0:
+        raise DataError(f"split seed must be non-negative, got {seed}")
     n = ds.n_samples
     if n < 2:
         raise DataError("need at least 2 samples to split")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvrows import read_csv_rows
+from .csvrows import read_csv_rows, write_lines
 from .errors import DataError
 from .imagecore import GreyImage
 from .morphology import dilate_raw, erode_raw, se_family
@@ -173,16 +173,15 @@ def export_curve(obj, path) -> None:
                 lines.append(f"{r},{k},{int(obj.cells[r, col])}")
     else:
         raise DataError(f"cannot export object of type {type(obj).__name__}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_curve_csv(path) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Parse an exported curve back into (sizes, values)."""
-    rows = read_csv_rows(path, "r,value", (int, float), "granulometry curve")
+    _, rows = read_csv_rows(path, "r,value", (int, float), "granulometry curve")
     return tuple(r for r, _ in rows), tuple(v for _, v in rows)
 
 
 def read_diagram_csv(path) -> tuple[tuple[int, int, int], ...]:
     """Parse an exported diagram back into (r, k, count) triples."""
-    return tuple(read_csv_rows(path, "r,k,count", (int, int, int), "size-intensity"))
+    return tuple(read_csv_rows(path, "r,k,count", (int, int, int), "size-intensity")[1])

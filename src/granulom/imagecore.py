@@ -36,10 +36,8 @@ __all__ = [
 ]
 
 
-def _as_uint8_plane(data, what: str) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.ndim != 2:
-        raise DataError(f"{what} must be a 2-D raster, got shape {arr.shape}")
+def _as_uint8(arr: np.ndarray, what: str) -> np.ndarray:
+    """Read-only uint8 copy of an integer raster whose values lie in [0, 255]."""
     if not (np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_):
         raise DataError(f"{what} values must be integers, got dtype {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() > 255):
@@ -49,14 +47,8 @@ def _as_uint8_plane(data, what: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class GreyImage:
-    """A grey-level raster: integer values in [0, 255] on a rectangular grid."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", _as_uint8_plane(self.pixels, "GreyImage"))
+class _Raster:
+    """Size, equality and repr shared by the uint8 image types."""
 
     @property
     def width(self) -> int:
@@ -67,18 +59,31 @@ class GreyImage:
         return self.pixels.shape[0]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GreyImage):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.pixels.shape == other.pixels.shape and bool(
             np.array_equal(self.pixels, other.pixels)
         )
 
     def __repr__(self) -> str:
-        return f"GreyImage({self.width}x{self.height})"
+        return f"{type(self).__name__}({self.width}x{self.height})"
 
 
-@dataclass(frozen=True, eq=False)
-class ColorImage:
+@dataclass(frozen=True, eq=False, repr=False)
+class GreyImage(_Raster):
+    """A grey-level raster: integer values in [0, 255] on a rectangular grid."""
+
+    pixels: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.pixels)
+        if arr.ndim != 2:
+            raise DataError(f"GreyImage must be a 2-D raster, got shape {arr.shape}")
+        object.__setattr__(self, "pixels", _as_uint8(arr, "GreyImage"))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ColorImage(_Raster):
     """An RGB raster with three uint8 planes of identical dimensions."""
 
     pixels: np.ndarray  # shape (height, width, 3)
@@ -87,13 +92,7 @@ class ColorImage:
         arr = np.asarray(self.pixels)
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise DataError(f"ColorImage needs shape (h, w, 3), got {arr.shape}")
-        if not (np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_):
-            raise DataError(f"ColorImage values must be integers, got dtype {arr.dtype}")
-        if arr.size and (arr.min() < 0 or arr.max() > 255):
-            raise DataError("ColorImage values must lie in [0, 255]")
-        out = arr.astype(np.uint8, copy=True)
-        out.flags.writeable = False
-        object.__setattr__(self, "pixels", out)
+        object.__setattr__(self, "pixels", _as_uint8(arr, "ColorImage"))
 
     @classmethod
     def from_planes(cls, r, g, b) -> "ColorImage":
@@ -101,14 +100,6 @@ class ColorImage:
         if not (planes[0].shape == planes[1].shape == planes[2].shape):
             raise DataError("r, g, b planes must share dimensions")
         return cls(np.stack(planes, axis=-1))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
 
     @property
     def r(self) -> np.ndarray:
@@ -121,16 +112,6 @@ class ColorImage:
     @property
     def b(self) -> np.ndarray:
         return self.pixels[:, :, 2]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ColorImage):
-            return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.array_equal(self.pixels, other.pixels)
-        )
-
-    def __repr__(self) -> str:
-        return f"ColorImage({self.width}x{self.height})"
 
 
 class HlsPixel(NamedTuple):
@@ -207,7 +188,7 @@ def _parse_header(data: bytes, magics: tuple[bytes, ...]) -> tuple[bytes, int, i
     return magic, width, height, maxval, pos
 
 
-def _read_binary_raster(data: bytes, pos: int, count: int) -> np.ndarray:
+def _read_binary_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     # exactly one whitespace byte separates maxval from the raster
     if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
         raise MalformedHeaderError("missing whitespace after maxval")
@@ -215,7 +196,11 @@ def _read_binary_raster(data: bytes, pos: int, count: int) -> np.ndarray:
     raster = data[pos : pos + count]
     if len(raster) < count:
         raise TruncatedPayloadError(f"raster holds {len(raster)} bytes, expected {count}")
-    return np.frombuffer(raster, dtype=np.uint8)
+    values = np.frombuffer(raster, dtype=np.uint8)
+    over = values[values > maxval]
+    if over.size:
+        raise PnmError(f"sample value {over[0]} exceeds maxval {maxval}")
+    return values
 
 
 def _read_ascii_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
@@ -234,28 +219,25 @@ def _read_ascii_raster(data: bytes, pos: int, count: int, maxval: int) -> np.nda
     return values
 
 
+def _read_pnm(path, channels: int) -> np.ndarray:
+    """Raster of a binary (P5/P6) or ASCII (P2/P3) netpbm file, (h, w) or (h, w, 3)."""
+    binary, ascii_ = (b"P5", b"P2") if channels == 1 else (b"P6", b"P3")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic, width, height, maxval, pos = _parse_header(data, (binary, ascii_))
+    read_raster = _read_binary_raster if magic == binary else _read_ascii_raster
+    flat = read_raster(data, pos, width * height * channels, maxval)
+    return flat.reshape((height, width) if channels == 1 else (height, width, channels))
+
+
 def read_pgm(path) -> GreyImage:
     """Read a P5 (binary) or P2 (ASCII) PGM file with maxval <= 255."""
-    data = open(path, "rb").read()
-    magic, width, height, maxval, pos = _parse_header(data, (b"P5", b"P2"))
-    count = width * height
-    if magic == b"P5":
-        flat = _read_binary_raster(data, pos, count)
-    else:
-        flat = _read_ascii_raster(data, pos, count, maxval)
-    return GreyImage(flat.reshape(height, width))
+    return GreyImage(_read_pnm(path, 1))
 
 
 def read_ppm(path) -> ColorImage:
     """Read a P6 (binary) or P3 (ASCII) PPM file with maxval <= 255."""
-    data = open(path, "rb").read()
-    magic, width, height, maxval, pos = _parse_header(data, (b"P6", b"P3"))
-    count = width * height * 3
-    if magic == b"P6":
-        flat = _read_binary_raster(data, pos, count)
-    else:
-        flat = _read_ascii_raster(data, pos, count, maxval)
-    return ColorImage(flat.reshape(height, width, 3))
+    return ColorImage(_read_pnm(path, 3))
 
 
 def write_pgm(img: GreyImage, path) -> None:

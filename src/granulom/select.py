@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import FeatureMask, _training_rows, squared_difference_table, summed_rows
+from .csvrows import read_text, write_lines
 from .errors import DataError
 from .features import Dataset
 
@@ -55,8 +56,12 @@ class GAConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise DataError(f"{name} must lie in [0, 1], got {p}")
+        if not np.isfinite([self.alpha, self.beta]).all():
+            raise DataError(f"alpha and beta must be finite, got {self.alpha} and {self.beta}")
         if self.alpha < 0 or self.beta < 0:
             raise DataError("alpha and beta must be non-negative")
+        if self.seed < 0:
+            raise DataError(f"GA seed must be non-negative, got {self.seed}")
         if self.enforce_weight_sum and abs(self.alpha + self.beta - 1.0) > 1e-9:
             raise DataError(
                 f"alpha + beta = {self.alpha + self.beta} != 1 "
@@ -106,8 +111,7 @@ class GARunReport:
                 f"{row.generation},{row.best_fitness:.12g},{row.median_fitness:.12g},"
                 f"{row.min_fitness:.12g},{row.best_feature_count}"
             )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 def fitness(hits: int, nf: int, alpha: float, beta: float) -> float:
@@ -131,6 +135,8 @@ class _WrapperObjective:
             raise DataError("train and eval sets must share the feature layout")
         if train.n_samples == 0 or eval_set.n_samples == 0:
             raise DataError("train and eval sets must be non-empty")
+        if train.n_features == 0:
+            raise DataError("no features to select from")
         self.cfg = cfg
         _, train_labels, train_matrix = _training_rows(train)
         codes = {lab: i for i, lab in enumerate(sorted(set(train_labels)))}
@@ -261,10 +267,8 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
 
 def write_mask(mask: FeatureMask, path) -> None:
     """Single line of 0/1 characters."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(mask.to_string() + "\n")
+    write_lines(path, [mask.to_string()])
 
 
 def read_mask(path) -> FeatureMask:
-    with open(path, "r", encoding="utf-8") as fh:
-        return FeatureMask.from_string(fh.read())
+    return FeatureMask.from_string(read_text(path))

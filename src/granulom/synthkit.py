@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvrows import ID_RE, read_csv_rows, read_text, write_lines
 from .errors import DataError
 from .imagecore import ColorImage, write_ppm
 
@@ -48,6 +49,8 @@ class TextureSpec:
     rgb_tint: tuple[float, float, float]
 
     def __post_init__(self):
+        if not ID_RE.match(self.class_label):
+            raise DataError(f"class label {self.class_label!r} outside [A-Za-z0-9_-]")
         rmin, rmax = self.grain_radius
         if rmin < 1 or rmax < rmin:
             raise DataError(f"bad grain radius range {self.grain_radius}")
@@ -56,8 +59,9 @@ class TextureSpec:
         mean, spread = self.grain_intensity
         if spread < 0 or not 0 <= mean <= 255:
             raise DataError(f"bad grain intensity {self.grain_intensity}")
-        if self.grain_density <= 0:
-            raise DataError("grain density must be positive")
+        if not 0 < self.grain_density < float("inf"):
+            raise DataError(f"grain density must be positive and finite, "
+                            f"got {self.grain_density}")
         if len(self.rgb_tint) != 3 or any(not 0.5 <= t <= 1.5 for t in self.rgb_tint):
             raise DataError("tint multipliers must lie in [0.5, 1.5]")
 
@@ -78,6 +82,8 @@ class CorpusSpec:
             raise DataError("every class needs at least one sample")
         if self.image_size < 32:
             raise DataError("image_size must be >= 32")
+        if self.seed < 0:
+            raise DataError(f"corpus seed must be non-negative, got {self.seed}")
         labels = [c.class_label for c in self.classes]
         if len(set(labels)) != len(labels):
             raise DataError("class labels must be unique")
@@ -142,50 +148,44 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> list[ManifestEntry]:
 
 
 def write_manifest(entries, path) -> None:
-    lines = ["sample_id,label,path"]
-    lines += [f"{e.sample_id},{e.label},{e.path}" for e in entries]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, ["sample_id,label,path"]
+                + [f"{e.sample_id},{e.label},{e.path}" for e in entries])
+
+
+def _image_path(rel: str) -> str:
+    """A manifest's image path, which must stay inside the manifest's directory."""
+    norm = os.path.normpath(rel)
+    if os.path.isabs(rel) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
+        raise DataError(f"image path {rel!r} leaves the corpus directory")
+    return rel
 
 
 def read_manifest(path) -> list[ManifestEntry]:
     """Entries of a manifest CSV; every image path must stay inside its directory."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines or lines[0][1] != "sample_id,label,path":
-        raise DataError("not a corpus manifest CSV")
-    out = []
-    for lineno, ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != 3:
-            raise DataError(f"{path}: line {lineno}: {len(cells)} cells, expected 3 "
-                            "(sample_id,label,path)")
-        sid, lab, rel = cells
-        norm = os.path.normpath(rel)
-        if os.path.isabs(rel) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
-            raise DataError(f"{path}: line {lineno}: image path {rel!r} "
-                            "leaves the corpus directory")
-        out.append(ManifestEntry(sid, lab, rel))
-    return out
+    _, rows = read_csv_rows(path, "sample_id,label,path", (str, str, _image_path),
+                            "corpus manifest")
+    return [ManifestEntry(*row) for row in rows]
 
 
 # --- corpus config files ------------------------------------------------------
 
 def parse_corpus_config(text: str) -> CorpusSpec:
     """Corpus spec from INI-style text: one [corpus] section, one [class X] each."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise DataError(f"bad corpus config: {exc}") from None
+        raise DataError(f"bad corpus config: {' '.join(str(exc).split())}") from None
     if "corpus" not in cp:
         raise DataError("corpus config needs a [corpus] section")
     top = cp["corpus"]
     try:
-        image_size = top.getint("image_size")
-        seed = top.getint("seed")
+        image_size = int(top["image_size"])
+        seed = int(top["seed"])
         default_samples = top.getint("samples_per_class", fallback=0)
+    except KeyError as exc:
+        raise DataError(f"[corpus] needs a value for {exc}") from None
     except ValueError as exc:
         raise DataError(f"bad [corpus] value: {exc}") from None
 
@@ -197,13 +197,15 @@ def parse_corpus_config(text: str) -> CorpusSpec:
         label = section.split(" ", 1)[1].strip()
         sec = cp[section]
         try:
-            rmin, rmax = (int(v) for v in sec.get("grain_radius").split())
-            imean, ispread = (int(v) for v in sec.get("grain_intensity").split())
-            background = sec.getint("background")
-            density = sec.getfloat("density")
-            tint = tuple(float(v) for v in sec.get("tint").split())
+            rmin, rmax = (int(v) for v in sec["grain_radius"].split())
+            imean, ispread = (int(v) for v in sec["grain_intensity"].split())
+            background = int(sec["background"])
+            density = float(sec["density"])
+            tint = tuple(float(v) for v in sec["tint"].split())
             samples = sec.getint("samples", fallback=default_samples)
-        except (ValueError, AttributeError) as exc:
+        except KeyError as exc:
+            raise DataError(f"[class {label}] needs a value for {exc}") from None
+        except ValueError as exc:
             raise DataError(f"bad [class {label}] value: {exc}") from None
         if samples < 1:
             raise DataError(f"class {label} needs samples >= 1 (or a corpus default)")
@@ -231,8 +233,7 @@ def format_corpus_config(spec: CorpusSpec) -> str:
 
 
 def load_corpus_spec(path) -> CorpusSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_corpus_config(fh.read())
+    return parse_corpus_config(read_text(path))
 
 
 def builtin_corpus_names() -> tuple[str, ...]:

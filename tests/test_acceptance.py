@@ -336,6 +336,30 @@ def test_extraction_golden_bytes(granite14_run, tmp_path):
         assert digest == GOLDEN_ALL_CSV_SHA256, name
 
 
+# sha256 of the granite14 rgb27 all.csv and of `granulom recipe --name` stdout,
+# recorded while RGB and HLS histograms were still two extractor classes.
+
+GOLDEN_RGB27_CSV_SHA256 = "7b1cbbc2564e40ace6bdb377169c4a808e62537bf361428ec33208677005604f"
+GOLDEN_RECIPE_SHA256 = {
+    "rgb27": "2b21523a23c36d5129e05ae691f73ffdb12128cc70eb5710fbf5b8b77714a92d",
+    "lot117": "18e906111df163bb3e0eacb5e1c93888464f24b2df98b7ff6e2cca0e5424db1b",
+}
+
+
+def test_rgb27_extraction_golden_bytes(granite14_run, tmp_path):
+    out = tmp_path / "all.csv"
+    assert cli.main(["--quiet", "extract", "--recipe", "rgb27",
+                     "--dir", str(granite14_run["corpus_dir"]), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RGB27_CSV_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RECIPE_SHA256))
+def test_recipe_listing_golden_bytes(capsys, name):
+    assert cli.main(["recipe", "--name", name]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_RECIPE_SHA256[name]
+
+
 # --- golden size-intensity record ---------------------------------------------------
 # sha256 of the exported hexagon r=30 diagram of two granite14 intensity images,
 # recorded while size-intensity still opened each threshold set separately.

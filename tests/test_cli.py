@@ -236,6 +236,9 @@ def test_pipeline_ga_disabled(tmp_path, corpus_cfg):
     ("baseline", "ks = 1", "ks = 1 x"),
     ("split", "test_fraction = 0.34", "test_fraction = half"),
     ("ga", "enabled = true", "enabled = maybe"),
+    ("split", "seed = 3", "seed = -1"),
+    ("ga", "seed = 4", "seed = -1"),
+    ("ga", "population = 10", "alpha = nan\npopulation = 10"),
 ])
 def test_malformed_pipeline_config_fails_before_any_stage(tmp_path, corpus_cfg, capsys,
                                                          section, old, new):
@@ -250,3 +253,63 @@ def test_malformed_pipeline_config_fails_before_any_stage(tmp_path, corpus_cfg, 
     assert err.startswith(f"error: pipeline config [{section}] {new.split(' = ')[0]} = ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (run / "corpus").exists()
+
+
+TINY_DATASET = "sample_id,label,f0001,f0002\na-1,a,0,1\na-2,a,1,1\nb-1,b,5,6\nb-2,b,6,5\n"
+
+
+@pytest.mark.parametrize("command", ["split", "select"])
+def test_negative_seed_is_one_line_data_error(tmp_path, capsys, command):
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_DATASET)
+    if command == "split":
+        argv = ["split", "--dataset", str(data), "--train-out", str(tmp_path / "tr.csv"),
+                "--test-out", str(tmp_path / "te.csv"), "--fraction", "0.5", "--seed", "-1"]
+    else:
+        argv = ["select", "--train", str(data), "--eval", str(data), "--pop", "4",
+                "--gens", "2", "--seed", "-1"]
+    assert main(["--quiet", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be non-negative" in err
+    assert err.count("\n") == 1
+
+
+def test_nan_ga_weights_are_one_line_data_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_DATASET)
+    code = main(["--quiet", "select", "--train", str(data), "--eval", str(data), "--pop", "4",
+                 "--gens", "2", "--alpha", "nan", "--beta", "nan", "--out", str(tmp_path / "m")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: alpha and beta must be finite, got nan and nan\n"
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("old,new", [("seed = 5", "seed = -1"),
+                                     ("density = 10", "density = nan"),
+                                     ("density = 10", "density = inf")])
+def test_bad_corpus_seed_or_density_is_one_line_data_error(tmp_path, capsys, old, new):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CORPUS_CFG.replace(old, new, 1))
+    assert main(["--quiet", "synth", "--spec", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("seed" if "seed" in new else "density") in err
+
+
+@pytest.mark.parametrize("header,raster", [(b"P5\n2 1\n15\n", bytes([3, 200])),
+                                           (b"P2\n2 1\n15\n", b"3 200\n")])
+def test_sample_above_maxval_is_one_line_data_error(tmp_path, capsys, header, raster):
+    pgm = tmp_path / "in.pgm"
+    pgm.write_bytes(header + raster)
+    assert main(["granulo", str(pgm), str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == "error: sample value 200 exceeds maxval 15\n"
+
+
+def test_dataset_error_names_the_file_and_its_line(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("sample_id,label,f0001\n\n\na-1,a,1\na-2,a,zap\n")
+    assert main(["--quiet", "pca", "--dataset", str(data), "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: line 5: non-numeric cell (") and "'zap'" in err
+    assert err.count("\n") == 1

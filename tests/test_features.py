@@ -12,12 +12,11 @@ from granulom.errors import (
 )
 from granulom.features import (
     STACK_CHUNK,
-    ChannelHistogram,
     ClosingGranulometry,
     Dataset,
     FeatureRecipe,
-    HlsHistogram,
     OpeningGranulometry,
+    PlaneHistogram,
     apply_scaler,
     builtin_recipe,
     extract,
@@ -46,7 +45,7 @@ def test_lot117_layout():
     assert extractor.family == "hexagon"
     assert extractor.r_first + offset - 1 == 1  # first granulometry feature is r=1
     extractor, offset = lot.locate(92)
-    assert isinstance(extractor, HlsHistogram) and extractor.component == "s"
+    assert isinstance(extractor, PlaneHistogram) and extractor.plane == "s"
     names = lot.feature_names()
     assert len(names) == 117 and names[92] == "gopen_hexagon_r01"
 
@@ -109,8 +108,8 @@ def test_extract_corpus_mixed_shapes_match_per_image_extract(tmp_path):
         images.append(img)
     write_manifest(entries, tmp_path / "manifest.csv")
     for recipe in (builtin_recipe("lot117"), FeatureRecipe("mixed", (
-            HlsHistogram("l", 8), OpeningGranulometry("square", 2, 6),
-            ClosingGranulometry("hexagon", 0, 9), ChannelHistogram("g", 5)))):
+            PlaneHistogram("l", 8), OpeningGranulometry("square", 2, 6),
+            ClosingGranulometry("hexagon", 0, 9), PlaneHistogram("g", 5)))):
         for threads in (1, 3):
             ds = extract_corpus(tmp_path, recipe, threads=threads)
             assert ds.sample_ids == [e.sample_id for e in entries]
@@ -169,6 +168,10 @@ def test_empty_dataset_roundtrip(tmp_path):
     assert p.read_text().count("\n") == 1
     loaded = load_dataset(p)
     assert loaded.n_samples == 0 and loaded.n_features == 3
+    featureless = Dataset(["a", "b"], ["x", "y"], np.empty((2, 0)))
+    save_dataset(featureless, p)
+    assert p.read_text() == "sample_id,label\na,x\nb,y\n"
+    assert load_dataset(p).sample_ids == ["a", "b"]
 
 
 def test_load_errors(tmp_path):
@@ -235,6 +238,24 @@ def test_split_table1_shape():
     # deterministic given the seed
     again = split(ds, 50 / 237, seed=11)
     assert again.test.sample_ids == res.test.sample_ids
+
+
+def test_split_rejects_a_negative_seed():
+    with pytest.raises(DataError, match="seed must be non-negative, got -1"):
+        split(_toy_dataset(n=12), 0.25, -1)
+
+
+def test_load_errors_name_the_file_and_the_file_line(tmp_path):
+    p = tmp_path / "gaps.csv"
+    p.write_text("sample_id,label,f0001\n\n\na,x,1\nb,y,zap\n")
+    with pytest.raises(NonNumericValueError, match=f"^{p}: line 5: non-numeric cell .*'zap'"):
+        load_dataset(p)
+    p.write_text("sample_id,label,f0001\n\n\na,x,1\nb,y\n")
+    with pytest.raises(RaggedRowError, match=f"^{p}: line 5: 2 cells, expected 3$"):
+        load_dataset(p)
+    p.write_bytes(b"sample_id,label,f0001\na,x,1\nb,\xff,2\n")
+    with pytest.raises(DataError, match=f"^{p}: line 3: not UTF-8 text$"):
+        load_dataset(p)
 
 
 def test_split_fallback_for_tiny_class():

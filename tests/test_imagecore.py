@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from granulom.errors import (
     DataError,
     MalformedHeaderError,
+    PnmError,
     TruncatedPayloadError,
     UnsupportedMaxvalError,
 )
@@ -80,6 +81,19 @@ def test_pgm_errors(tmp_path):
     p.write_bytes(b"P5\n2 x\n255\n" + bytes(4))
     with pytest.raises(MalformedHeaderError):
         read_pgm(p)
+
+
+@pytest.mark.parametrize("reader,magic,channels", [(read_pgm, b"P5", 1), (read_pgm, b"P2", 1),
+                                                   (read_ppm, b"P6", 3), (read_ppm, b"P3", 3)])
+def test_samples_above_maxval_are_rejected_in_both_encodings(tmp_path, reader, magic, channels):
+    samples = [3] * (2 * channels - 1) + [200]
+    raster = bytes(samples) if magic in (b"P5", b"P6") else " ".join(map(str, samples)).encode()
+    p = tmp_path / "a.pnm"
+    p.write_bytes(magic + b"\n2 1\n15\n" + raster)
+    with pytest.raises(PnmError, match="sample value 200 exceeds maxval 15"):
+        reader(p)
+    p.write_bytes(magic + b"\n2 1\n200\n" + raster)
+    assert int(reader(p).pixels.max()) == 200
 
 
 def test_read_ppm_p6(tmp_path):

@@ -37,6 +37,17 @@ def test_texture_spec_validation():
         _spec(grain_density=0.0)
     with pytest.raises(DataError):
         _spec(rgb_tint=(2.0, 1.0, 1.0))
+    for label in ("../x", "a,b", ""):
+        with pytest.raises(DataError, match="class label"):
+            _spec(class_label=label)
+    for density in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="grain density"):
+            _spec(grain_density=density)
+
+
+def test_corpus_spec_rejects_a_negative_seed():
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        CorpusSpec((_spec(), _spec(class_label="u")), (1, 1), 32, -1)
 
 
 def test_generate_texture_deterministic():
