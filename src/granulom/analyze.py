@@ -95,6 +95,13 @@ class PcaModel:
         return self.components.shape[0]
 
 
+def check_components(n_components: int, n_samples: int, n_features: int, least: int = 1):
+    """A DataError unless least <= n_components <= min(n_samples - 1, n_features)."""
+    most = min(n_samples - 1, n_features)
+    if not least <= n_components <= most:
+        raise DataError(f"n_components must lie in [{least}, {most}], got {n_components}")
+
+
 def fit_pca(ds: Dataset, n_components: int = 2, correlation: bool = False) -> PcaModel:
     """Top principal components of the dataset's covariance (divisor n-1).
 
@@ -104,10 +111,7 @@ def fit_pca(ds: Dataset, n_components: int = 2, correlation: bool = False) -> Pc
     n, d = ds.n_samples, ds.n_features
     if n < 2:
         raise DataError("PCA needs at least 2 samples")
-    if not 1 <= n_components <= min(n - 1, d):
-        raise DataError(
-            f"n_components must lie in [1, {min(n - 1, d)}], got {n_components}"
-        )
+    check_components(n_components, n, d)
     mean = ds.matrix.mean(axis=0)
     centered = ds.matrix - mean
     scale = None

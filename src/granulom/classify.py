@@ -218,6 +218,14 @@ def _vote(top: list[str]) -> str:
     return next(lab for lab in top if counts[lab] == best)
 
 
+def check_k(k: int, n_train: int) -> None:
+    """A DataError unless a training set of n_train rows holds k neighbours."""
+    if n_train == 0:
+        raise DataError("empty training set")
+    if k > n_train:
+        raise DataError(f"k={k} exceeds training set size {n_train}")
+
+
 def _rank(
     refs: _Rows, queries: np.ndarray, k: int, mask: FeatureMask | None
 ) -> list[tuple[str, tuple[Neighbour, ...]]]:
@@ -227,10 +235,7 @@ def _rank(
     row ranks first.
     """
     ids, labels, matrix = refs
-    if matrix.shape[0] == 0:
-        raise DataError("empty training set")
-    if k > matrix.shape[0]:
-        raise DataError(f"k={k} exceeds training set size {matrix.shape[0]}")
+    check_k(k, matrix.shape[0])
     sel = _selected_columns(matrix.shape[1], mask)
     if queries.shape[1:] != matrix.shape[1:]:
         raise DataError(f"query rows {queries.shape[1:]} do not match {matrix.shape[1]} features")

@@ -10,13 +10,12 @@ echoed in the outputs.
 from __future__ import annotations
 
 import argparse
-import configparser
-import math
+import itertools
 import os
 import sys
 
 from . import analyze, classify, features, granulometry, morphology, select, synthkit
-from .csvrows import read_text, write_lines
+from .csvrows import config_error, parse_config, read_text, reject_unread, setting, write_lines
 from .errors import DataError, GranulomError
 from .imagecore import read_pgm, write_pgm
 
@@ -40,17 +39,10 @@ def _info(args, *parts) -> None:
 # --- subcommand handlers ------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    spec = _resolve_corpus_spec(args.spec)
+    spec = synthkit.load_corpus_spec(args.spec)
     entries = synthkit.generate_corpus(spec, args.out)
     _info(args, f"wrote {len(entries)} images and manifest.csv to {args.out}")
     return 0
-
-
-def _resolve_corpus_spec(name_or_path: str) -> synthkit.CorpusSpec:
-    base = name_or_path[:-4] if name_or_path.endswith(".cfg") else name_or_path
-    if base in synthkit.builtin_corpus_names() and not os.path.exists(name_or_path):
-        return synthkit.builtin_corpus_spec(base)
-    return synthkit.load_corpus_spec(name_or_path)
 
 
 def _cmd_extract(args) -> int:
@@ -65,9 +57,7 @@ def _cmd_split(args) -> int:
     ds = features.load_dataset(args.dataset)
     fraction = args.fraction
     if args.test_count is not None:
-        if not 0 < args.test_count < ds.n_samples:
-            raise DataError(f"test count must lie in (0, {ds.n_samples})")
-        fraction = args.test_count / ds.n_samples
+        fraction = features.holdout_fraction(args.test_count, ds.n_samples)
     if fraction is None:
         raise _UsageError("one of --fraction or --test-count is required")
     result = features.split(ds, fraction, args.seed)
@@ -109,6 +99,20 @@ def _cmd_si(args) -> int:
     return 0
 
 
+# GAConfig field -> (select flag, [ga] key of a pipeline config, kind, default of both)
+_GA_SETTINGS = {
+    "population_size": ("--pop", "population", "count", 50),
+    "generations": ("--gens", "generations", "count", 814),
+    "crossover_prob": ("--pc", "crossover_prob", "number", 1.0),
+    "mutation_prob": ("--pm", "mutation_prob", "number", 0.9),
+    "alpha": ("--alpha", "alpha", "number", 0.6),
+    "beta": ("--beta", "beta", "number", 0.4),
+    "seed": ("--seed", "seed", "count", 12957),
+    "stagnation_limit": ("--stagnation", "stagnation_limit", "count", 0),  # 0: no stop
+    "elitism": ("--elitism", "elitism", "count", 1),
+}
+
+
 def _load_mask(args, n_features: int) -> classify.FeatureMask | None:
     if getattr(args, "mask", None):
         mask = classify.FeatureMask.from_string(args.mask)
@@ -147,18 +151,8 @@ def _cmd_knn(args) -> int:
 
 def _cmd_select(args) -> int:
     train, eval_set = _load_pair(args, args.train, args.eval)
-    cfg = select.GAConfig(
-        population_size=args.pop,
-        generations=args.gens,
-        crossover_prob=args.pc,
-        mutation_prob=args.pm,
-        alpha=args.alpha,
-        beta=args.beta,
-        seed=args.seed,
-        stagnation_limit=args.stagnation if args.stagnation else None,
-        elitism=args.elitism,
-        enforce_weight_sum=not args.no_weight_check,
-    )
+    cfg = select.GAConfig(**{field: getattr(args, field) for field in _GA_SETTINGS},
+                          enforce_weight_sum=not args.no_weight_check)
     report = select.run_ga(train, eval_set, cfg)
     if args.out:
         select.write_mask(report.best_mask, args.out)
@@ -222,106 +216,77 @@ def _run_stage(name: str, fn, quiet: bool):
         raise DataError(f"stage {name}: {exc}") from exc
 
 
-def _count(text: str) -> int:
-    if int(text) < 0:
-        raise ValueError(text)
-    return int(text)
-
-
-def _finite(text: str) -> float:
-    if not math.isfinite(float(text)):
-        raise ValueError(text)
-    return float(text)
-
-
-def _pipeline_config(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(
-        inline_comment_prefixes=(";", "#"),
-        converters={"ints": lambda text: [int(k) for k in text.split()],
-                    "count": _count, "finite": _finite},
-    )
-    cp.optionxform = str
-    try:
-        cp.read_string(read_text(path), source=os.fspath(path))
-    except configparser.Error as exc:
-        raise DataError(f"pipeline config: {' '.join(str(exc).split())}") from None
-    return cp
-
-
-_KIND_NAMES = {"": "text", "count": "a non-negative integer", "finite": "a finite number",
-               "boolean": "a boolean", "ints": "integers separated by spaces"}
-
-
-def _setting(cp: configparser.ConfigParser, section: str, key: str, kind: str, fallback):
-    """cp.get<kind>(section, key); a malformed value is a DataError naming both."""
-    try:
-        return getattr(cp, f"get{kind}")(section, key, fallback=fallback)
-    except (ValueError, configparser.Error):
-        text = cp.get(section, key, raw=True)
-        raise DataError(f"pipeline config [{section}] {key} = {text!r}: "
-                        f"expected {_KIND_NAMES[kind]}") from None
-
-
 def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> None:
     """Run synth -> extract -> split -> baseline -> GA -> PCA, writing a run dir.
 
-    Every config value is read and checked before the first stage runs.
+    Every config value is read and checked before the first stage runs:
+    its kind, an unknown section or key, and each range that the corpus
+    size, the split's test size or the recipe's feature count bounds.
     """
-    cp = _pipeline_config(config_path)
-    spec_name = _setting(cp, "synth", "spec", "", "granite14")
-    corpus_spec = _resolve_corpus_spec(spec_name)
-    recipe_name = _setting(cp, "extract", "recipe", "", "lot117")
-    split_seed = _setting(cp, "split", "seed", "count", 2028)
-    test_count = _setting(cp, "split", "test_count", "count", None)
-    test_fraction = _setting(cp, "split", "test_fraction", "finite", 50 / 237)
-    ks = _setting(cp, "baseline", "ks", "ints", [1, 3])
-    ga_enabled = _setting(cp, "ga", "enabled", "boolean", True)
-    ga_settings = dict(
-        population_size=_setting(cp, "ga", "population", "count", 50),
-        generations=_setting(cp, "ga", "generations", "count", 814),
-        crossover_prob=_setting(cp, "ga", "crossover_prob", "finite", 1.0),
-        mutation_prob=_setting(cp, "ga", "mutation_prob", "finite", 0.9),
-        alpha=_setting(cp, "ga", "alpha", "finite", 0.6),
-        beta=_setting(cp, "ga", "beta", "finite", 0.4),
-        seed=_setting(cp, "ga", "seed", "count", 12957),
-        stagnation_limit=_setting(cp, "ga", "stagnation_limit", "count", 0) or None,
-        elitism=_setting(cp, "ga", "elitism", "count", 1),
-        enforce_weight_sum=_setting(cp, "ga", "enforce_weight_sum", "boolean", True),
-    )
-    pca_enabled = _setting(cp, "pca", "enabled", "boolean", True)
-    n_comp = _setting(cp, "pca", "components", "count", 2)
-    try:
-        recipe = features.builtin_recipe(recipe_name)
-        knn_configs = [classify.KnnConfig(k) for k in ks]
-        cfg = select.GAConfig(**ga_settings) if ga_enabled else None
-    except GranulomError as exc:
-        raise DataError(f"pipeline config: {exc}") from None
+    cp = parse_config(read_text(config_path), "pipeline", config_path)
+    spec_name = setting(cp, "synth", "spec", "text", "granite14")
+    recipe_name = setting(cp, "extract", "recipe", "text", "lot117")
+    split_seed = setting(cp, "split", "seed", "count", 2028)
+    test_count = setting(cp, "split", "test_count", "count", None)
+    test_fraction = setting(cp, "split", "test_fraction", "number", 50 / 237)
+    ks = setting(cp, "baseline", "ks", "counts", (1, 3))
+    ga_enabled = setting(cp, "ga", "enabled", "boolean", True)
+    ga_settings = {field: setting(cp, "ga", key, kind, default)
+                   for field, (_, key, kind, default) in _GA_SETTINGS.items()}
+    ga_settings["enforce_weight_sum"] = setting(cp, "ga", "enforce_weight_sum", "boolean", True)
+    pca_enabled = setting(cp, "pca", "enabled", "boolean", True)
+    n_comp = setting(cp, "pca", "components", "count", 2)
+    reject_unread(cp)
+
+    def checked(section, key, rule, *args, **kwargs):
+        """rule(*args, **kwargs), its DataError naming the config's section and key."""
+        try:
+            return rule(*args, **kwargs)
+        except DataError as exc:
+            raise config_error(cp, section, key, str(exc)) from None
+
+    corpus_spec = synthkit.load_corpus_spec(spec_name)
+    recipe = checked("extract", "recipe", features.builtin_recipe, recipe_name)
+    n_samples = corpus_spec.total_samples
+    split_key = "test_fraction" if test_count is None else "test_count"
+    fraction = test_fraction if test_count is None else checked(
+        "split", split_key, features.holdout_fraction, test_count, n_samples)
+    labels = [c.class_label for c, count in zip(corpus_spec.classes, corpus_spec.samples_per_class)
+              for _ in range(count)]
+    test_rows, _ = checked("split", split_key, features.holdout_rows, labels, fraction, split_seed)
+    n_train = n_samples - len(test_rows)
+    knn_configs = [checked("baseline", "ks", classify.KnnConfig, k) for k in ks]
+    for k in ks:
+        checked("baseline", "ks", classify.check_k, k, n_train)
+    cfg = checked("ga", None, select.GAConfig, **ga_settings) if ga_enabled else None
+    if pca_enabled:  # the stage projects onto the first two components
+        checked("pca", "components", analyze.check_components, n_comp, n_train,
+                recipe.total_features, least=2)
 
     os.makedirs(out_dir, exist_ok=True)
-    summary: list[tuple[str, object]] = []
-    corpus_dir = os.path.join(out_dir, "corpus")
+
+    def out(name: str) -> str:
+        return os.path.join(out_dir, name)
+
+    corpus_dir = out("corpus")
     _run_stage("synth", lambda: synthkit.generate_corpus(corpus_spec, corpus_dir), quiet)
-    summary += [
+    summary: list[tuple[str, object]] = [
         ("corpus_spec", spec_name),
         ("corpus_seed", corpus_spec.seed),
         ("corpus_classes", len(corpus_spec.classes)),
-        ("corpus_samples", corpus_spec.total_samples),
+        ("corpus_samples", n_samples),
         ("image_size", corpus_spec.image_size),
     ]
 
-    ds = _run_stage(
-        "extract", lambda: features.extract_corpus(corpus_dir, recipe, threads=threads), quiet
-    )
-    _run_stage("extract", lambda: features.save_dataset(ds, os.path.join(out_dir, "all.csv")),
-               quiet)
+    ds = _run_stage("extract",
+                    lambda: features.extract_corpus(corpus_dir, recipe, threads=threads), quiet)
+    _run_stage("extract", lambda: features.save_dataset(ds, out("all.csv")), quiet)
     summary += [("recipe", recipe_name), ("n_original_features", recipe.total_features)]
 
-    fraction = test_fraction if test_count is None else test_count / ds.n_samples
     result = _run_stage("split", lambda: features.split(ds, fraction, split_seed), quiet)
     train, test = result.train, result.test
     for name, part in (("train", train), ("test", test)):
-        path = os.path.join(out_dir, f"{name}.csv")
-        _run_stage("split", lambda: features.save_dataset(part, path), quiet)
+        _run_stage("split", lambda: features.save_dataset(part, out(f"{name}.csv")), quiet)
     summary += [
         ("split_seed", split_seed),
         ("train_samples", train.n_samples),
@@ -333,7 +298,7 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
         k = knn.k
         rep = _run_stage(f"baseline-{k}nn", lambda knn=knn: classify.evaluate(train, test, knn),
                          quiet)
-        rep.to_csv(os.path.join(out_dir, f"baseline_k{k}.csv"))
+        rep.to_csv(out(f"baseline_k{k}.csv"))
         summary += [
             (f"baseline_{k}nn_hits", rep.hits),
             (f"baseline_{k}nn_rate", f"{rep.recognition_rate:.12g}"),
@@ -341,14 +306,12 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
 
     if cfg is not None:
         ga_report = _run_stage("select", lambda: select.run_ga(train, test, cfg), quiet)
-        select.write_mask(ga_report.best_mask, os.path.join(out_dir, "mask.txt"))
-        ga_report.to_csv(os.path.join(out_dir, "ga.csv"))
-        masked_rep = _run_stage(
-            "select-eval",
-            lambda: classify.evaluate(train, test, classify.KnnConfig(1), ga_report.best_mask),
-            quiet,
-        )
-        masked_rep.to_csv(os.path.join(out_dir, "ga_eval_k1.csv"))
+        select.write_mask(ga_report.best_mask, out("mask.txt"))
+        ga_report.to_csv(out("ga.csv"))
+        masked_rep = _run_stage("select-eval", lambda: classify.evaluate(
+            train, test, classify.KnnConfig(1), ga_report.best_mask), quiet)
+        masked_rep.to_csv(out("ga_eval_k1.csv"))
+        selected = ga_report.selected_features
         summary += [
             ("ga_population", cfg.population_size),
             ("ga_generations_max", cfg.generations),
@@ -361,36 +324,25 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
             ("ga_seed", cfg.seed),
             ("ga_best_fitness", f"{ga_report.best_fitness:.12g}"),
             ("ga_final_features", ga_report.best_mask.n_selected),
-            ("ga_selected_features",
-             " ".join(str(i) for i in ga_report.selected_features)),
+            ("ga_selected_features", " ".join(str(i) for i in selected)),
             ("ga_recognition_rate", f"{masked_rep.recognition_rate:.12g}"),
         ]
-        selected = ga_report.selected_features
         if 2 <= len(selected) <= 6:
-            for a in range(len(selected)):
-                for b in range(a + 1, len(selected)):
-                    i, j = selected[a], selected[b]
-                    rows = analyze.feature_pair_rows(train, i, j)
-                    analyze.export_scatter(
-                        rows,
-                        os.path.join(out_dir, f"scatter_f{i}_f{j}.csv"),
-                        svg_path=os.path.join(out_dir, f"scatter_f{i}_f{j}.svg"),
-                    )
+            for i, j in itertools.combinations(selected, 2):
+                analyze.export_scatter(analyze.feature_pair_rows(train, i, j),
+                                       out(f"scatter_f{i}_f{j}.csv"),
+                                       svg_path=out(f"scatter_f{i}_f{j}.svg"))
 
     if pca_enabled:
         model = _run_stage("pca", lambda: analyze.fit_pca(train, n_components=n_comp), quiet)
-        rows = analyze.project(model, train)
-        analyze.export_scatter(
-            rows,
-            os.path.join(out_dir, "pca_train.csv"),
-            svg_path=os.path.join(out_dir, "pca_train.svg"),
-        )
+        analyze.export_scatter(analyze.project(model, train), out("pca_train.csv"),
+                               svg_path=out("pca_train.svg"))
         summary += [
             ("pca_components", n_comp),
             ("pca_eigenvalues", " ".join(f"{v:.12g}" for v in model.eigenvalues)),
         ]
 
-    write_lines(os.path.join(out_dir, "run.txt"), [f"{key} = {value}" for key, value in summary])
+    write_lines(out("run.txt"), [f"{key} = {value}" for key, value in summary])
     if not quiet:
         print(f"run directory complete: {out_dir}", file=sys.stderr)
 
@@ -407,58 +359,54 @@ def build_parser() -> _Parser:
                         help="suppress progress messages")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[shared], **kwargs)
+    def add_parser(name, func, **kwargs):
+        p = sub.add_parser(name, parents=[shared], **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = add_parser("synth", help="generate a synthetic texture corpus")
+    p = add_parser("synth", _cmd_synth, help="generate a synthetic texture corpus")
     p.add_argument("--spec", required=True, help="builtin name (granite14) or config path")
     p.add_argument("--out", required=True, help="output corpus directory")
-    p.set_defaults(func=_cmd_synth)
 
-    p = add_parser("extract", help="extract a feature dataset from a corpus")
+    p = add_parser("extract", _cmd_extract, help="extract a feature dataset from a corpus")
     p.add_argument("--recipe", default="lot117", help="rgb27 or lot117")
     p.add_argument("--dir", required=True, help="corpus directory (with manifest.csv)")
     p.add_argument("--out", required=True, help="output dataset CSV")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads, each taking whole chunks of the image batch; "
                         "never changes output bytes")
-    p.set_defaults(func=_cmd_extract)
 
-    p = add_parser("split", help="stratified train/test split of a dataset")
+    p = add_parser("split", _cmd_split, help="stratified train/test split of a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
     p.add_argument("--fraction", type=float, default=None, help="test fraction in (0,1)")
     p.add_argument("--test-count", type=int, default=None, help="absolute test-set size")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_split)
 
-    p = add_parser("morph", help="apply a morphological operator to a PGM image")
+    p = add_parser("morph", _cmd_morph, help="apply a morphological operator to a PGM image")
     p.add_argument("--op", required=True, choices=("erode", "dilate", "open", "close"))
     p.add_argument("--family", default="hex", help="hex, square or diamond")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=_cmd_morph)
 
-    p = add_parser("granulo", help="granulometric curve of a PGM image")
+    p = add_parser("granulo", _cmd_granulo, help="granulometric curve of a PGM image")
     p.add_argument("--kind", default="open", choices=("open", "close"))
     p.add_argument("--family", default="hex")
     p.add_argument("--rmax", type=int, default=30)
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=_cmd_granulo)
 
-    p = add_parser("si", help="size-intensity diagram of a PGM image")
+    p = add_parser("si", _cmd_si, help="size-intensity diagram of a PGM image")
     p.add_argument("--family", default="hex")
     p.add_argument("--rmax", type=int, default=30)
     p.add_argument("--kmax", type=int, default=255)
     p.add_argument("--kstep", type=int, default=1)
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=_cmd_si)
 
-    p = add_parser("knn", help="evaluate a k-NN (or template) classifier")
+    p = add_parser("knn", _cmd_knn, help="evaluate a k-NN (or template) classifier")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--k", type=int, default=1)
@@ -469,55 +417,43 @@ def build_parser() -> _Parser:
     p.add_argument("--normalize", action="store_true",
                    help="min-max scale features using training-set ranges")
     p.add_argument("--report", default=None, help="per-sample report CSV")
-    p.set_defaults(func=_cmd_knn)
 
-    p = add_parser("select", help="GA feature selection over a train/eval pair")
+    p = add_parser("select", _cmd_select, help="GA feature selection over a train/eval pair")
     p.add_argument("--train", required=True)
     p.add_argument("--eval", required=True,
                    help="evaluation set scored by the fitness (watch for leakage)")
-    p.add_argument("--pop", type=int, default=50)
-    p.add_argument("--gens", type=int, default=814)
-    p.add_argument("--pc", type=float, default=1.0)
-    p.add_argument("--pm", type=float, default=0.9)
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--beta", type=float, default=0.4)
-    p.add_argument("--seed", type=int, default=12957)
-    p.add_argument("--stagnation", type=int, default=0, help="0 disables the stagnation stop")
-    p.add_argument("--elitism", type=int, default=1)
+    for field, (flag, key, kind, default) in _GA_SETTINGS.items():
+        p.add_argument(flag, dest=field, type=int if kind == "count" else float,
+                       default=default, help=f"as [ga] {key} in a pipeline config")
     p.add_argument("--no-weight-check", action="store_true",
                    help="allow alpha + beta != 1")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", default=None, help="best mask file")
     p.add_argument("--report", default=None, help="per-generation fitness CSV")
-    p.set_defaults(func=_cmd_select)
 
-    p = add_parser("pca", help="project a dataset on its first principal components")
+    p = add_parser("pca", _cmd_pca, help="project a dataset on its first principal components")
     p.add_argument("--dataset", required=True)
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--correlation", action="store_true",
                    help="decompose the correlation matrix instead of the covariance")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
-    p.set_defaults(func=_cmd_pca)
 
-    p = add_parser("scatter", help="scatter data for a pair of raw features")
+    p = add_parser("scatter", _cmd_scatter, help="scatter data for a pair of raw features")
     p.add_argument("--dataset", required=True)
     p.add_argument("--features", required=True, help="two 1-based indices, e.g. 70,112")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
-    p.set_defaults(func=_cmd_scatter)
 
-    p = add_parser("recipe", help="print a recipe's 1-based feature index map")
+    p = add_parser("recipe", _cmd_recipe, help="print a recipe's 1-based feature index map")
     p.add_argument("--name", required=True)
-    p.set_defaults(func=_cmd_recipe)
 
-    p = add_parser("pipeline", help="run the full workflow from a config file")
+    p = add_parser("pipeline", _cmd_pipeline, help="run the full workflow from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--threads", type=int, default=1,
                    help="extraction worker threads, each taking whole chunks of the image "
                         "batch; never changes output bytes")
-    p.set_defaults(func=_cmd_pipeline)
 
     return parser
 

@@ -3,11 +3,16 @@
 `write_lines` writes every text output: LF line ends, a final newline,
 UTF-8, one write call. `read_csv_rows` reads every CSV and `read_text`
 every other text input; a malformed file is a DataError naming the file
-and the line.
+and the line. `parse_config` parses both INI configs (corpus and
+pipeline) and `setting` reads each of their values; a malformed or
+unknown value is a one-line DataError naming the section and the key.
 """
 
 from __future__ import annotations
 
+import configparser
+import math
+import os
 import re
 
 from .errors import DataError, DatasetError, NonNumericValueError, RaggedRowError
@@ -71,3 +76,74 @@ def read_csv_rows(path, header: str, kinds: tuple, what: str, rest=None):
             raise NonNumericValueError(f"{path}: line {lineno}: non-numeric cell ({exc})") \
                 from None
     return names, rows
+
+
+# --- INI configs ----------------------------------------------------------------
+
+def parse_config(text: str, what: str, source="<string>") -> configparser.ConfigParser:
+    """The `what` ("corpus" or "pipeline") config in `text`; a parse error names `source`.
+
+    '%' is literal, ';' and '#' start inline comments, keys are case-sensitive,
+    and the default section "\n" cannot be named, so every section is ordinary.
+    """
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"),
+                                   default_section="\n")
+    cp.optionxform = str
+    cp.what, cp.read_keys = what, set()
+    try:
+        cp.read_string(text, source=os.fspath(source))
+    except configparser.Error as exc:
+        raise DataError(f"{what} config: {' '.join(str(exc).split())}") from None
+    return cp
+
+
+def config_error(cp, section: str, key: str | None, reason: str) -> DataError:
+    """A DataError naming the config, the section and the key with its value."""
+    text = None if key is None else cp.get(section, key, fallback=None)
+    shown = "" if key is None else f" {key} (not set)" if text is None else f" {key} = {text!r}"
+    return DataError(f"{cp.what} config [{section}]{shown}: {reason}")
+
+
+# kind -> (converter of one word, test of its value, what it expects); a plural
+# kind ("counts", "numbers") is words separated by spaces, "2 counts" exactly two
+_KINDS = {"text": (str, lambda value: True, "text"),
+          "boolean": (lambda word: configparser.ConfigParser.BOOLEAN_STATES[word.lower()],
+                      lambda value: True, "a boolean"),
+          "count": (int, lambda value: value >= 0, "a non-negative integer"),
+          "number": (float, math.isfinite, "a finite number")}
+_REQUIRED = object()
+
+
+def setting(cp, section: str, key: str, kind: str, default=_REQUIRED):
+    """The value of `key` in `section` as `kind`, or `default` if the key is not set.
+
+    A bad value, or a missing key without a default, is a DataError naming
+    the section and the key.
+    """
+    cp.read_keys.add((section, key))
+    size, _, name = kind.rpartition(" ")
+    plural = name not in _KINDS
+    convert, ok, expected = _KINDS[name[:-1] if plural else name]
+    if plural:
+        expected = f"{size or 'zero or more'} words separated by spaces, each {expected}"
+    text = cp.get(section, key, fallback=None)
+    if text is None and default is not _REQUIRED:
+        return default
+    try:
+        if text is not None:
+            values = tuple(map(convert, text.split() if plural else [text]))
+            if all(map(ok, values)) and len(values) == int(size or len(values)):
+                return values if plural else values[0]
+    except (KeyError, ValueError):
+        pass
+    raise config_error(cp, section, key, f"expected {expected}")
+
+
+def reject_unread(cp) -> None:
+    """A DataError for the first section, then key, that no `setting` call read."""
+    for section in cp.sections():
+        if not any(read == section for read, _ in cp.read_keys):
+            raise config_error(cp, section, None, "unknown section")
+        for key in cp[section]:
+            if (section, key) not in cp.read_keys:
+                raise config_error(cp, section, key, "unknown key")

@@ -81,7 +81,9 @@ class PlaneHistogram:
 
 
 @dataclass(frozen=True)
-class OpeningGranulometry:
+class _Granulometry:
+    """Curve values at sizes r_first..r_last; a subclass sets the name prefix and curves."""
+
     family: str
     r_first: int
     r_last: int
@@ -96,32 +98,19 @@ class OpeningGranulometry:
         return self.r_last - self.r_first + 1
 
     def names(self) -> list[str]:
-        return [f"gopen_{self.family}_r{r:02d}" for r in range(self.r_first, self.r_last + 1)]
+        return [f"{self.prefix}_{self.family}_r{r:02d}"
+                for r in range(self.r_first, self.r_last + 1)]
 
     def extract(self, batch: "_Batch") -> np.ndarray:
-        return opening_curves(batch.greys, self.family, self.r_last)[:, self.r_first :]
+        return self.curves(batch.greys, self.family, self.r_last)[:, self.r_first :]
 
 
-@dataclass(frozen=True)
-class ClosingGranulometry:
-    family: str
-    r_first: int
-    r_last: int
+class OpeningGranulometry(_Granulometry):
+    prefix, curves = "gopen", staticmethod(opening_curves)
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", se_family(self.family))
-        if not 0 <= self.r_first <= self.r_last:
-            raise DataError(f"bad size range {self.r_first}..{self.r_last}")
 
-    @property
-    def n_features(self) -> int:
-        return self.r_last - self.r_first + 1
-
-    def names(self) -> list[str]:
-        return [f"gclose_{self.family}_r{r:02d}" for r in range(self.r_first, self.r_last + 1)]
-
-    def extract(self, batch: "_Batch") -> np.ndarray:
-        return closing_curves(batch.greys, self.family, self.r_last)[:, self.r_first :]
+class ClosingGranulometry(_Granulometry):
+    prefix, curves = "gclose", staticmethod(closing_curves)
 
 
 Extractor = Union[PlaneHistogram, OpeningGranulometry, ClosingGranulometry]
@@ -405,36 +394,47 @@ def _apportion(sizes: list[int], fraction: float, target: int) -> list[int]:
     return alloc
 
 
-def split(ds: Dataset, test_fraction: float, seed: int) -> SplitResult:
-    """Deterministic stratified split; both halves keep the original row order."""
+def holdout_fraction(test_count: int, n_samples: int) -> float:
+    """The test fraction whose split aims at `test_count` of `n_samples` samples."""
+    if not 0 < test_count < n_samples:
+        raise DataError(f"test count must lie in (0, {n_samples}), got {test_count}")
+    return test_count / n_samples
+
+
+def holdout_rows(labels: Sequence[str], test_fraction: float, seed: int):
+    """(ascending test-set row indices, stratified?) of a split over rows with these labels."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     if seed < 0:
         raise DataError(f"split seed must be non-negative, got {seed}")
-    n = ds.n_samples
+    n = len(labels)
     if n < 2:
         raise DataError("need at least 2 samples to split")
     target = min(max(int(round(test_fraction * n)), 1), n - 1)
     rng = np.random.default_rng(seed)
 
     by_label: dict[str, list[int]] = {}
-    for i, lab in enumerate(ds.labels):
+    for i, lab in enumerate(labels):
         by_label.setdefault(lab, []).append(i)
     labels_sorted = sorted(by_label)
 
     stratified = all(len(v) >= 2 for v in by_label.values()) and len(by_label) >= 2
     if not stratified:
         perm = rng.permutation(n)
-        test_idx = sorted(int(i) for i in perm[:target])
-    else:
-        sizes = [len(by_label[lab]) for lab in labels_sorted]
-        alloc = _apportion(sizes, test_fraction, target)
-        test_idx = []
-        for lab, k in zip(labels_sorted, alloc):
-            members = by_label[lab]
-            perm = rng.permutation(len(members))
-            test_idx.extend(members[int(j)] for j in perm[:k])
-        test_idx.sort()
+        return sorted(int(i) for i in perm[:target]), False
+    sizes = [len(by_label[lab]) for lab in labels_sorted]
+    alloc = _apportion(sizes, test_fraction, target)
+    test_idx = []
+    for lab, k in zip(labels_sorted, alloc):
+        members = by_label[lab]
+        perm = rng.permutation(len(members))
+        test_idx.extend(members[int(j)] for j in perm[:k])
+    return sorted(test_idx), True
+
+
+def split(ds: Dataset, test_fraction: float, seed: int) -> SplitResult:
+    """Deterministic stratified split; both halves keep the original row order."""
+    test_idx, stratified = holdout_rows(ds.labels, test_fraction, seed)
     test_set = set(test_idx)
-    train_idx = [i for i in range(n) if i not in test_set]
+    train_idx = [i for i in range(ds.n_samples) if i not in test_set]
     return SplitResult(ds.subset(train_idx), ds.subset(test_idx), stratified)

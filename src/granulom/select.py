@@ -43,7 +43,7 @@ class GAConfig:
     alpha: float = 0.6
     beta: float = 0.4
     seed: int = 0
-    stagnation_limit: int | None = None  # generations without improvement; None disables
+    stagnation_limit: int = 0  # generations without improvement before a stop; 0 never stops
     elitism: int = 1
     enforce_weight_sum: bool = True  # require alpha + beta == 1
 
@@ -69,8 +69,10 @@ class GAConfig:
             )
         if not 0 <= self.elitism < self.population_size:
             raise DataError("elitism must lie in [0, population_size)")
-        if self.stagnation_limit is not None and self.stagnation_limit < 1:
-            raise DataError("stagnation_limit must be >= 1 or None")
+        if self.stagnation_limit is None:  # perfbench's traced replay still passes None for 0
+            object.__setattr__(self, "stagnation_limit", 0)
+        if self.stagnation_limit < 0:
+            raise DataError(f"stagnation_limit must be >= 0, got {self.stagnation_limit}")
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
     stop_reason = "max_generations"
 
     for gen in range(1, cfg.generations + 1):
-        if cfg.stagnation_limit is not None and stale >= cfg.stagnation_limit:
+        if cfg.stagnation_limit and stale >= cfg.stagnation_limit:
             stop_reason = "stagnation"
             break
 

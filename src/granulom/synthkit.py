@@ -11,15 +11,14 @@ from the corpus seed and the class/sample indices.
 
 from __future__ import annotations
 
-import configparser
-import io
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .csvrows import ID_RE, read_csv_rows, read_text, write_lines
+from .csvrows import (ID_RE, parse_config, read_csv_rows, read_text, reject_unread, setting,
+                      write_lines)
 from .errors import DataError
 from .imagecore import ColorImage, write_ppm
 
@@ -34,7 +33,6 @@ __all__ = [
     "parse_corpus_config",
     "format_corpus_config",
     "load_corpus_spec",
-    "builtin_corpus_names",
     "builtin_corpus_spec",
 ]
 
@@ -78,8 +76,9 @@ class CorpusSpec:
             raise DataError("a corpus needs at least 2 classes")
         if len(self.samples_per_class) != len(self.classes):
             raise DataError("samples_per_class must align with classes")
-        if any(c < 1 for c in self.samples_per_class):
-            raise DataError("every class needs at least one sample")
+        for ts, count in zip(self.classes, self.samples_per_class):
+            if count < 1:
+                raise DataError(f"class {ts.class_label} needs at least one sample")
         if self.image_size < 32:
             raise DataError("image_size must be >= 32")
         if self.seed < 0:
@@ -169,80 +168,57 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 # --- corpus config files ------------------------------------------------------
 
-def parse_corpus_config(text: str) -> CorpusSpec:
+def parse_corpus_config(text: str, source="<string>") -> CorpusSpec:
     """Corpus spec from INI-style text: one [corpus] section, one [class X] each."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise DataError(f"bad corpus config: {' '.join(str(exc).split())}") from None
-    if "corpus" not in cp:
-        raise DataError("corpus config needs a [corpus] section")
-    top = cp["corpus"]
-    try:
-        image_size = int(top["image_size"])
-        seed = int(top["seed"])
-        default_samples = top.getint("samples_per_class", fallback=0)
-    except KeyError as exc:
-        raise DataError(f"[corpus] needs a value for {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"bad [corpus] value: {exc}") from None
-
+    cp = parse_config(text, "corpus", source)
+    image_size = setting(cp, "corpus", "image_size", "count")
+    seed = setting(cp, "corpus", "seed", "count")
+    default_samples = setting(cp, "corpus", "samples_per_class", "count", 0)
     classes: list[TextureSpec] = []
     counts: list[int] = []
     for section in cp.sections():
         if not section.startswith("class "):
             continue
-        label = section.split(" ", 1)[1].strip()
-        sec = cp[section]
-        try:
-            rmin, rmax = (int(v) for v in sec["grain_radius"].split())
-            imean, ispread = (int(v) for v in sec["grain_intensity"].split())
-            background = int(sec["background"])
-            density = float(sec["density"])
-            tint = tuple(float(v) for v in sec["tint"].split())
-            samples = sec.getint("samples", fallback=default_samples)
-        except KeyError as exc:
-            raise DataError(f"[class {label}] needs a value for {exc}") from None
-        except ValueError as exc:
-            raise DataError(f"bad [class {label}] value: {exc}") from None
-        if samples < 1:
-            raise DataError(f"class {label} needs samples >= 1 (or a corpus default)")
-        classes.append(
-            TextureSpec(label, (rmin, rmax), (imean, ispread), background, density, tint)
-        )
-        counts.append(samples)
+        counts.append(setting(cp, section, "samples", "count", default_samples))
+        classes.append(TextureSpec(
+            section.split(" ", 1)[1].strip(),
+            setting(cp, section, "grain_radius", "2 counts"),
+            setting(cp, section, "grain_intensity", "2 counts"),
+            setting(cp, section, "background", "count"),
+            setting(cp, section, "density", "number"),
+            setting(cp, section, "tint", "3 numbers"),
+        ))
+    reject_unread(cp)
     return CorpusSpec(tuple(classes), tuple(counts), image_size, seed)
 
 
 def format_corpus_config(spec: CorpusSpec) -> str:
-    out = io.StringIO()
-    out.write("[corpus]\n")
-    out.write(f"image_size = {spec.image_size}\n")
-    out.write(f"seed = {spec.seed}\n")
+    lines = ["[corpus]", f"image_size = {spec.image_size}", f"seed = {spec.seed}"]
     for ts, count in zip(spec.classes, spec.samples_per_class):
-        out.write(f"\n[class {ts.class_label}]\n")
-        out.write(f"samples = {count}\n")
-        out.write(f"grain_radius = {ts.grain_radius[0]} {ts.grain_radius[1]}\n")
-        out.write(f"grain_intensity = {ts.grain_intensity[0]} {ts.grain_intensity[1]}\n")
-        out.write(f"background = {ts.background_intensity}\n")
-        out.write(f"density = {ts.grain_density:g}\n")
-        out.write(f"tint = {ts.rgb_tint[0]:g} {ts.rgb_tint[1]:g} {ts.rgb_tint[2]:g}\n")
-    return out.getvalue()
+        lines += ["", f"[class {ts.class_label}]", f"samples = {count}",
+                  f"grain_radius = {ts.grain_radius[0]} {ts.grain_radius[1]}",
+                  f"grain_intensity = {ts.grain_intensity[0]} {ts.grain_intensity[1]}",
+                  f"background = {ts.background_intensity}",
+                  f"density = {ts.grain_density:g}",
+                  f"tint = {ts.rgb_tint[0]:g} {ts.rgb_tint[1]:g} {ts.rgb_tint[2]:g}"]
+    return "\n".join(lines) + "\n"
 
 
-def load_corpus_spec(path) -> CorpusSpec:
-    return parse_corpus_config(read_text(path))
+_BUILTIN_CORPORA = ("granite14",)
 
 
-def builtin_corpus_names() -> tuple[str, ...]:
-    return ("granite14",)
+def load_corpus_spec(name_or_path) -> CorpusSpec:
+    """Corpus spec of a config file, or of the builtin it names (granite14[.cfg]) if none."""
+    path = os.fspath(name_or_path)
+    name = path[:-4] if path.endswith(".cfg") else path
+    if name in _BUILTIN_CORPORA and not os.path.exists(path):
+        return builtin_corpus_spec(name)
+    return parse_corpus_config(read_text(path), path)
 
 
 def builtin_corpus_spec(name: str) -> CorpusSpec:
     """Load a corpus spec that ships with the package (currently granite14)."""
-    if name not in builtin_corpus_names():
+    if name not in _BUILTIN_CORPORA:
         raise DataError(f"unknown builtin corpus {name!r}")
     from importlib.resources import files
 

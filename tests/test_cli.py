@@ -5,6 +5,7 @@ from granulom.cli import main
 from granulom.features import load_dataset
 from granulom.granulometry import read_curve_csv
 from granulom.imagecore import GreyImage, read_pgm, write_pgm
+from granulom.synthkit import load_corpus_spec, parse_corpus_config
 
 SMALL_CORPUS_CFG = """\
 [corpus]
@@ -56,6 +57,7 @@ seed = 4
 
 [pca]
 enabled = true
+components = 2
 """
 
 
@@ -239,6 +241,12 @@ def test_pipeline_ga_disabled(tmp_path, corpus_cfg):
     ("split", "seed = 3", "seed = -1"),
     ("ga", "seed = 4", "seed = -1"),
     ("ga", "population = 10", "alpha = nan\npopulation = 10"),
+    ("split", "test_fraction = 0.34", "test_count = 0"),
+    ("split", "test_fraction = 0.34", "test_count = 500"),
+    ("pca", "components = 2", "components = 0"),
+    ("pca", "components = 2", "components = 1"),
+    ("baseline", "ks = 1", "ks = 1 50"),
+    ("ga", "population = 10", "populaton = 10"),
 ])
 def test_malformed_pipeline_config_fails_before_any_stage(tmp_path, corpus_cfg, capsys,
                                                          section, old, new):
@@ -253,6 +261,33 @@ def test_malformed_pipeline_config_fails_before_any_stage(tmp_path, corpus_cfg, 
     assert err.startswith(f"error: pipeline config [{section}] {new.split(' = ')[0]} = ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (run / "corpus").exists()
+
+
+@pytest.mark.parametrize("old,new,named", [
+    ("grain_radius = 2 3", "grain_radius = 2", "[class aa] grain_radius = '2': expected 2 "),
+    ("tint = 1 0.9 1", "tint = 1 0.9", "[class cc] tint = '1 0.9': expected 3 "),
+    ("background = 80", "background = x", "[class aa] background = 'x': expected "),
+    ("density = 10\n", "", "[class aa] density (not set): expected "),
+    ("image_size = 32", "image_size = big", "[corpus] image_size = 'big': expected "),
+    ("density = 10", "density = 10 ; grains per 1000 px^2", None),
+    ("density = 10", "density = 10\ndensity = 12", "option 'density' in section 'class aa'"),
+])
+def test_malformed_corpus_config_is_one_line_data_error(tmp_path, capsys, old, new, named):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CORPUS_CFG.replace(old, new, 1))
+    out = tmp_path / "corpus"
+    code = main(["--quiet", "synth", "--spec", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if named is None:  # an inline comment is not part of the value
+        assert code == 0 and err == ""
+        assert load_corpus_spec(cfg) == parse_corpus_config(SMALL_CORPUS_CFG)
+        return
+    assert code == 2
+    assert err.startswith("error: corpus config") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    if "option" in named:  # a parse error names the file
+        assert str(cfg) in err
 
 
 TINY_DATASET = "sample_id,label,f0001,f0002\na-1,a,0,1\na-2,a,1,1\nb-1,b,5,6\nb-2,b,6,5\n"

@@ -164,16 +164,17 @@ def test_mutated_corpus_configs(base, capsys, ops):
 PIPELINE_KEYS = {
     "synth": {"spec": ["", "x.cfg"]},
     "extract": {"recipe": ["", "x", "rgb"]},
-    "split": {"test_count": ["x", "1.5", ""], "test_fraction": ["x", "nan", "inf", "1e400"],
-              "seed": ["-1", "x", "1.5"]},
-    "baseline": {"ks": ["x", "1 y", "1.5", "0", "-1"]},
+    "split": {"test_count": ["x", "1.5", "", "0", "500"],
+              "test_fraction": ["x", "nan", "inf", "1e400"], "seed": ["-1", "x", "1.5"]},
+    "baseline": {"ks": ["x", "1 y", "1.5", "0", "-1", "1 50"]},
     "ga": {"enabled": ["x", "2", ""], "population": ["x", "-1", "1e3", "%(nothing)s"],
+           "populaton": ["3"],
            "generations": ["x", "-1"], "crossover_prob": ["nan", "1.5", "x"],
            "mutation_prob": ["inf", "-0.5"], "alpha": ["nan", "-inf", "x"],
            "beta": ["nan", "1e400", "1 %"], "seed": ["-1", "x"],
            "stagnation_limit": ["-1", "x"],
            "elitism": ["-1", "10"], "enforce_weight_sum": ["x"]},
-    "pca": {"enabled": ["x"], "components": ["x", "2.5"]},
+    "pca": {"enabled": ["x"], "components": ["x", "2.5", "0", "1"]},
 }
 BAD_SETTINGS = [(s, k, v) for s, keys in PIPELINE_KEYS.items()
                 for k, values in keys.items() for v in values]

@@ -50,6 +50,17 @@ def test_lot117_layout():
     assert len(names) == 117 and names[92] == "gopen_hexagon_r01"
 
 
+def test_granulometry_kinds_share_one_implementation_and_stay_distinct():
+    opening, closing = OpeningGranulometry("hex", 2, 3), ClosingGranulometry("hex", 2, 3)
+    assert opening.names() == ["gopen_hexagon_r02", "gopen_hexagon_r03"]
+    assert closing.names() == ["gclose_hexagon_r02", "gclose_hexagon_r03"]
+    assert not isinstance(closing, OpeningGranulometry)
+    assert not isinstance(opening, ClosingGranulometry)
+    assert opening != closing and opening == OpeningGranulometry("hexagon", 2, 3)
+    with pytest.raises(DataError, match="bad size range"):
+        ClosingGranulometry("hex", 3, 2)
+
+
 def test_extract_constant_image_rgb27():
     img = ColorImage(np.full((8, 8, 3), 128))
     vec = extract(builtin_recipe("rgb27"), img)

@@ -45,6 +45,9 @@ def test_config_validation():
         GAConfig(alpha=float("inf"), beta=0.0, enforce_weight_sum=False)
     with pytest.raises(DataError, match="seed must be non-negative"):
         GAConfig(seed=-1)
+    assert GAConfig().stagnation_limit == 0  # 0: no stagnation stop
+    with pytest.raises(DataError, match="stagnation_limit must be >= 0"):
+        GAConfig(stagnation_limit=-1)
 
 
 def _separable_pair(n_eval=6):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from granulom.csvrows import parse_config, reject_unread, setting
 from granulom.errors import DataError
 from granulom.features import builtin_recipe, extract_corpus, split
 from granulom.granulometry import granulometry_openings
@@ -133,6 +134,26 @@ def test_read_manifest_accepts_paths_inside_the_corpus(tmp_path):
 def test_corpus_config_roundtrip():
     spec = builtin_corpus_spec("granite14")
     assert parse_corpus_config(format_corpus_config(spec)) == spec
+
+
+def test_config_reader_kinds_and_errors():
+    cp = parse_config("[s]\npath = 50%.cfg\nsizes = 2 3  ; inline comment\nTint = 1 0.9 1\n"
+                      "on = yes\n", "pipeline", "p.cfg")
+    assert setting(cp, "s", "path", "text") == "50%.cfg"  # no interpolation
+    assert setting(cp, "s", "sizes", "2 counts") == (2, 3)
+    assert setting(cp, "s", "on", "boolean") is True
+    assert setting(cp, "s", "missing", "count", 7) == 7
+    with pytest.raises(DataError, match=r"^pipeline config \[s\] sizes = '2 3': expected 3 "):
+        setting(cp, "s", "sizes", "3 counts")
+    with pytest.raises(DataError, match=r"^pipeline config \[s\] tint \(not set\): expected"):
+        setting(cp, "s", "tint", "3 numbers")  # keys are case-sensitive
+    with pytest.raises(DataError, match=r"\[s\] Tint = '1 0.9 1': unknown key$"):
+        reject_unread(cp)
+    with pytest.raises(DataError, match=r"^pipeline config: .*'p.cfg' \[line 2\]"):
+        parse_config("[s]\nno equals sign\n", "pipeline", "p.cfg")
+    with pytest.raises(DataError, match=r"^corpus config \[extra\]: unknown section$"):
+        parse_corpus_config(format_corpus_config(builtin_corpus_spec("granite14"))
+                            + "[extra]\n")
 
 
 def test_granite14_shape():
