@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import analyze, classify, features, granulometry, morphology, select, synthkit
-from .csvrows import config_error, parse_config, read_text, reject_unread, setting, write_lines
+from .csvrows import checked, parse_config, read_text, reject_unread, setting, write_lines
 from .errors import DataError, GranulomError
 from .imagecore import read_pgm, write_pgm
 
@@ -238,29 +238,23 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     n_comp = setting(cp, "pca", "components", "count", 2)
     reject_unread(cp)
 
-    def checked(section, key, rule, *args, **kwargs):
-        """rule(*args, **kwargs), its DataError naming the config's section and key."""
-        try:
-            return rule(*args, **kwargs)
-        except DataError as exc:
-            raise config_error(cp, section, key, str(exc)) from None
-
     corpus_spec = synthkit.load_corpus_spec(spec_name)
-    recipe = checked("extract", "recipe", features.builtin_recipe, recipe_name)
+    recipe = checked(cp, "extract", "recipe", features.builtin_recipe, recipe_name)
     n_samples = corpus_spec.total_samples
     split_key = "test_fraction" if test_count is None else "test_count"
     fraction = test_fraction if test_count is None else checked(
-        "split", split_key, features.holdout_fraction, test_count, n_samples)
+        cp, "split", split_key, features.holdout_fraction, test_count, n_samples)
     labels = [c.class_label for c, count in zip(corpus_spec.classes, corpus_spec.samples_per_class)
               for _ in range(count)]
-    test_rows, _ = checked("split", split_key, features.holdout_rows, labels, fraction, split_seed)
+    test_rows, _ = checked(cp, "split", split_key, features.holdout_rows, labels, fraction,
+                           split_seed)
     n_train = n_samples - len(test_rows)
-    knn_configs = [checked("baseline", "ks", classify.KnnConfig, k) for k in ks]
+    knn_configs = [checked(cp, "baseline", "ks", classify.KnnConfig, k) for k in ks]
     for k in ks:
-        checked("baseline", "ks", classify.check_k, k, n_train)
-    cfg = checked("ga", None, select.GAConfig, **ga_settings) if ga_enabled else None
+        checked(cp, "baseline", "ks", classify.check_k, k, n_train)
+    cfg = checked(cp, "ga", None, select.GAConfig, **ga_settings) if ga_enabled else None
     if pca_enabled:  # the stage projects onto the first two components
-        checked("pca", "components", analyze.check_components, n_comp, n_train,
+        checked(cp, "pca", "components", analyze.check_components, n_comp, n_train,
                 recipe.total_features, least=2)
 
     os.makedirs(out_dir, exist_ok=True)

@@ -6,6 +6,8 @@ every other text input; a malformed file is a DataError naming the file
 and the line. `parse_config` parses both INI configs (corpus and
 pipeline) and `setting` reads each of their values; a malformed or
 unknown value is a one-line DataError naming the section and the key.
+`checked` runs a range check on values already read and gives its
+DataError the same prefix.
 """
 
 from __future__ import annotations
@@ -102,6 +104,14 @@ def config_error(cp, section: str, key: str | None, reason: str) -> DataError:
     text = None if key is None else cp.get(section, key, fallback=None)
     shown = "" if key is None else f" {key} (not set)" if text is None else f" {key} = {text!r}"
     return DataError(f"{cp.what} config [{section}]{shown}: {reason}")
+
+
+def checked(cp, section: str, key: str | None, rule, *args, **kwargs):
+    """rule(*args, **kwargs), its DataError naming the config's section and key."""
+    try:
+        return rule(*args, **kwargs)
+    except DataError as exc:
+        raise config_error(cp, section, key, str(exc)) from None
 
 
 # kind -> (converter of one word, test of its value, what it expects); a plural

@@ -78,9 +78,9 @@ class SizeIntensityDiagram:
 def _openings(stack: np.ndarray, family: str, r_max: int):
     """Flat openings g_0, g_1, .., g_r_max of a (..., H, W) stack, smallest first.
 
-    The erosion grows by one unit step per size; each dilation is a single
-    size-r pass. Stops early once every erosion is empty, since every later
-    opening is all zero; callers leave those sizes at zero.
+    The erosion grows by one size-1 erosion per size; each dilation is a
+    single size-r pass. Stops early once every erosion is empty, since
+    every later opening is all zero; callers leave those sizes at zero.
     """
     yield stack
     eroded = stack

@@ -10,20 +10,25 @@ Border rule: the neighbourhood is clamped to the image domain; pixels
 outside the frame are ignored.
 
 Every operator works on one raster or on a stack of equal-size rasters,
-shape (..., H, W). Size 1 and the diamond family apply the unit
-neighbourhood r times. A larger hexagon or square is computed in one
-pass, as a Minkowski sum of segments:
+shape (..., H, W). Every size r >= 1 of every family is computed in one
+pass, as a Minkowski sum of segments or a union of two such sums:
 
 - Hexagon. Shearing the odd-row grid, q = x - y//2, gives axial
   coordinates in which the size-r hexagon is the set of offsets (dr, dq)
   with |dr|, |dq|, |dr + dq| <= r. That set is the sum of the three
   segments {0..r}.e for e = (0, 1), (1, -1) and (-1, 0).
 - Square. The sum of the segments {-r..r}.(0, 1) and {-r..r}.(1, 0).
+- Diamond. S_s = {0..s}.(1, 1) + {0..s}.(1, -1), moved up s rows, is the
+  set of offsets (dy, dx) with |dy| + |dx| <= s and dy + dx of the parity
+  of s; S_0 is the origin. The size-r diamond {|dy| + |dx| <= r} is
+  S_r | S_(r-1): an offset of the other parity within distance r lies
+  within distance r - 1.
 
 The frames are written into flat padded buffers, sheared for the
 hexagon. There each direction is one constant offset, and a segment is a
 running min/max over r+1 (or 2r+1) shifted copies, built by doubling in
-about log2(r) passes. References: van Herk, Pattern Recognition Letters
+about log2(r) passes. The min (max) over a union is the min (max) of the
+terms' mins (maxes). References: van Herk, Pattern Recognition Letters
 13 (1992), and Gil & Werman, IEEE PAMI 15(5) (1993), on running max/min
 along a segment; Soille, Morphological Image Analysis (2003), on
 decomposing structuring elements into segments.
@@ -35,7 +40,10 @@ the frame. The segments then give the extremum over the whole size-r
 element, padding included. A neutral cell never decides a min or a
 max, and the centre pixel is always inside the frame. So the result is
 the extremum over the element clipped to the frame, which is the
-clamped rule exactly.
+clamped rule exactly. A diamond term gives the extremum over its offsets
+clipped to the frame, or the neutral value if none is left (S_s holds
+the centre only for even s). The extremum of the two terms is then the
+one over the clipped union, which holds the centre.
 """
 
 from __future__ import annotations
@@ -68,13 +76,6 @@ _ALIASES = {
     "diamond": "diamond",
 }
 
-# (dy, dx) neighbour offsets, origin excluded (it is applied implicitly).
-_SQUARE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-_DIAMOND = ((-1, 0), (0, -1), (0, 1), (1, 0))
-_HEX_COMMON = ((-1, 0), (0, -1), (0, 1), (1, 0))
-_HEX_EVEN = ((-1, -1), (1, -1))  # extra diagonals when the centre row is even
-_HEX_ODD = ((-1, 1), (1, 1))
-
 
 def se_family(name: str) -> str:
     """Canonicalize a family name, accepting the 'hex' shorthand."""
@@ -96,38 +97,6 @@ class StructuringElement:
         if not isinstance(self.size, (int, np.integer)) or self.size < 0:
             raise DataError(f"size must be a non-negative integer, got {self.size!r}")
         object.__setattr__(self, "size", int(self.size))
-
-
-def _fold_offset(acc: np.ndarray, src: np.ndarray, dy: int, dx: int, op, parity=None) -> None:
-    """acc[..., y, x] = op(acc[..., y, x], src[..., y+dy, x+dx]) where the shift stays in frame."""
-    h, w = src.shape[-2:]
-    y0, y1 = max(0, -dy), min(h, h - dy)
-    x0, x1 = max(0, -dx), min(w, w - dx)
-    if parity is not None and y0 % 2 != parity:
-        y0 += 1
-    if y0 >= y1 or x0 >= x1:
-        return
-    step = 1 if parity is None else 2
-    dst = acc[..., y0:y1:step, x0:x1]
-    op(dst, src[..., y0 + dy : y1 + dy : step, x0 + dx : x1 + dx], out=dst)
-
-
-def _unit_step(arr: np.ndarray, family: str, op) -> np.ndarray:
-    acc = arr.copy()
-    if family == "square":
-        offsets = _SQUARE
-    elif family == "diamond":
-        offsets = _DIAMOND
-    else:
-        offsets = _HEX_COMMON
-    for dy, dx in offsets:
-        _fold_offset(acc, arr, dy, dx, op)
-    if family == "hexagon":
-        for dy, dx in _HEX_EVEN:
-            _fold_offset(acc, arr, dy, dx, op, parity=0)
-        for dy, dx in _HEX_ODD:
-            _fold_offset(acc, arr, dy, dx, op, parity=1)
-    return acc
 
 
 def _window(src: np.ndarray, spare: np.ndarray, step: int, count: int, op):
@@ -158,77 +127,83 @@ def _frame(buf: np.ndarray, start: int, width: int, shear: int, h: int, w: int):
     return rows[:, :, :w], rows[:, : h // 2, width : width + w]
 
 
-def _segment_extremum(arr: np.ndarray, family: str, r: int, op) -> np.ndarray:
-    """Size-r hexagon or square extremum in one pass over padded flat images."""
+def _segment_sums(family: str, r: int, width: int):
+    """(segments, lag) terms whose union is the size-r element in a buffer of row pitch width.
+
+    Each segment is (flat step, count); a term's extremum at frame pixel p
+    sits lag cells before p.
+    """
+    if family == "hexagon":
+        # the third segment runs down, (1, 0), so the sum sits r rows low
+        return [(((1, r + 1), (width - 1, r + 1), (width, r + 1)), r * width)]
+    if family == "square":
+        return [(((1, 2 * r + 1), (width, 2 * r + 1)), r * width + r)]
+    # S_s = {0..s}.(1, 1) + {0..s}.(1, -1), s rows low; B_r = S_r | S_(r-1)
+    return [(((width + 1, s + 1), (width - 1, s + 1)), s * width) for s in (r - 1, r)]
+
+
+def _extremum(arr: np.ndarray, se: StructuringElement, op) -> np.ndarray:
+    """op over the element at every pixel of a raster or a stack, via padded flat images."""
+    r = se.size
+    if r == 0:
+        return arr.copy()
     h, w = arr.shape[-2:]
     stack = arr.reshape(-1, h, w)
     info = np.iinfo(arr.dtype)
     neutral = info.max if op is np.minimum else info.min
-    if family == "hexagon":
-        shear, left, rows = 1, r + (h - 1) // 2, r + h + 2
-        width = left + w
-        steps = ((1, r + 1), (width - 1, r + 1), (width, r + 1))
-        # the third segment runs down, (1, 0), so the sum sits r rows low
-        lag = r * width
-    else:
-        shear, left, rows = 0, r, h + 2 * r
-        width = left + w + r
-        steps = ((1, 2 * r + 1), (width, 2 * r + 1))
-        lag = r * width + r
+    shear = int(se.family == "hexagon")
+    left = r + shear * ((h - 1) // 2)
+    width = left + w + (1 - shear) * r
     put = r * width + left
-    buf = np.full((len(stack), rows * width), neutral, dtype=arr.dtype)
+    buf = np.full((len(stack), (r + h + 2) * width), neutral, dtype=arr.dtype)
     even, odd = _frame(buf, put, width, shear, h, w)
     even[...] = stack[:, 0::2]
     odd[...] = stack[:, 1::2]
-    flat, spare = buf.reshape(-1), np.empty(buf.size, dtype=arr.dtype)
-    for step, count in steps:
-        flat, spare = _window(flat, spare, step, count, op)
-    even, odd = _frame(flat.reshape(buf.shape), put - lag, width, shear, h, w)
+    terms = _segment_sums(se.family, r, width)
+    spare = np.empty(buf.size, dtype=arr.dtype)
     out = np.empty_like(stack)
-    out[:, 0::2] = even
-    out[:, 1::2] = odd
+    for i, (segments, lag) in enumerate(terms):
+        # the last term may overwrite buf; an earlier one works on a copy
+        flat = buf.reshape(-1) if i == len(terms) - 1 else buf.reshape(-1).copy()
+        for step, count in segments:
+            flat, spare = _window(flat, spare, step, count, op)
+        views = _frame(flat.reshape(buf.shape), put - lag, width, shear, h, w)
+        for rows, view in zip((out[:, 0::2], out[:, 1::2]), views):
+            if i:
+                op(rows, view, out=rows)
+            else:
+                rows[...] = view
     return out.reshape(arr.shape)
-
-
-def _extremum(arr: np.ndarray, family: str, size: int, op) -> np.ndarray:
-    if size == 0:
-        return arr.copy()
-    if size == 1 or family == "diamond":
-        out = arr
-        for _ in range(size):
-            out = _unit_step(out, family, op)
-        return out
-    return _segment_extremum(arr, family, size, op)
 
 
 def erode_raw(arr: np.ndarray, family: str, size: int) -> np.ndarray:
     """Erosion of an integer raster or a stack of them, shape (..., H, W)."""
-    return _extremum(arr, family, size, np.minimum)
+    return _extremum(arr, StructuringElement(family, size), np.minimum)
 
 
 def dilate_raw(arr: np.ndarray, family: str, size: int) -> np.ndarray:
     """Dilation of an integer raster or a stack of them, shape (..., H, W)."""
-    return _extremum(arr, family, size, np.maximum)
+    return _extremum(arr, StructuringElement(family, size), np.maximum)
 
 
 def erode(f: GreyImage, se: StructuringElement) -> GreyImage:
     """Minimum of f over the size-r neighbourhood of each pixel."""
-    return GreyImage(erode_raw(f.pixels, se.family, se.size))
+    return GreyImage(_extremum(f.pixels, se, np.minimum))
 
 
 def dilate(f: GreyImage, se: StructuringElement) -> GreyImage:
     """Maximum of f over the size-r neighbourhood (all families are symmetric)."""
-    return GreyImage(dilate_raw(f.pixels, se.family, se.size))
+    return GreyImage(_extremum(f.pixels, se, np.maximum))
 
 
 def opening(f: GreyImage, se: StructuringElement) -> GreyImage:
     """Erosion followed by dilation: anti-extensive, increasing, idempotent."""
-    return GreyImage(dilate_raw(erode_raw(f.pixels, se.family, se.size), se.family, se.size))
+    return GreyImage(_extremum(_extremum(f.pixels, se, np.minimum), se, np.maximum))
 
 
 def closing(f: GreyImage, se: StructuringElement) -> GreyImage:
     """Dilation followed by erosion: extensive, increasing, idempotent."""
-    return GreyImage(erode_raw(dilate_raw(f.pixels, se.family, se.size), se.family, se.size))
+    return GreyImage(_extremum(_extremum(f.pixels, se, np.maximum), se, np.minimum))
 
 
 def volume(f: GreyImage) -> int:

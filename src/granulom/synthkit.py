@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvrows import (ID_RE, parse_config, read_csv_rows, read_text, reject_unread, setting,
-                      write_lines)
+from .csvrows import (ID_RE, checked, parse_config, read_csv_rows, read_text, reject_unread,
+                      setting, write_lines)
 from .errors import DataError
 from .imagecore import ColorImage, write_ppm
 
@@ -180,7 +180,8 @@ def parse_corpus_config(text: str, source="<string>") -> CorpusSpec:
         if not section.startswith("class "):
             continue
         counts.append(setting(cp, section, "samples", "count", default_samples))
-        classes.append(TextureSpec(
+        classes.append(checked(
+            cp, section, None, TextureSpec,
             section.split(" ", 1)[1].strip(),
             setting(cp, section, "grain_radius", "2 counts"),
             setting(cp, section, "grain_intensity", "2 counts"),
@@ -189,7 +190,7 @@ def parse_corpus_config(text: str, source="<string>") -> CorpusSpec:
             setting(cp, section, "tint", "3 numbers"),
         ))
     reject_unread(cp)
-    return CorpusSpec(tuple(classes), tuple(counts), image_size, seed)
+    return checked(cp, "corpus", None, CorpusSpec, tuple(classes), tuple(counts), image_size, seed)
 
 
 def format_corpus_config(spec: CorpusSpec) -> str:

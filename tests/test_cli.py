@@ -269,6 +269,10 @@ def test_malformed_pipeline_config_fails_before_any_stage(tmp_path, corpus_cfg, 
     ("background = 80", "background = x", "[class aa] background = 'x': expected "),
     ("density = 10\n", "", "[class aa] density (not set): expected "),
     ("image_size = 32", "image_size = big", "[corpus] image_size = 'big': expected "),
+    ("grain_radius = 2 3", "grain_radius = 3 2", "[class aa]: bad grain radius range (3, 2)"),
+    ("tint = 1 0.9 1", "tint = 1 2 1", "[class cc]: tint multipliers must lie in [0.5, 1.5]"),
+    ("image_size = 32", "image_size = 16", "[corpus]: image_size must be >= 32"),
+    ("background = 80", "background = 300", "[class aa]: background intensity must lie in "),
     ("density = 10", "density = 10 ; grains per 1000 px^2", None),
     ("density = 10", "density = 10\ndensity = 12", "option 'density' in section 'class aa'"),
 ])

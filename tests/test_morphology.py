@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import naive_dilate, naive_erode
 from granulom.errors import DataError
 from granulom.granulometry import _opened_volumes
-from granulom.imagecore import GreyImage
+from granulom.imagecore import GreyImage, intensity
 from granulom.morphology import (
     FAMILIES,
     StructuringElement,
@@ -18,6 +20,7 @@ from granulom.morphology import (
     se_family,
     volume,
 )
+from granulom.synthkit import _image_seed, builtin_corpus_spec, generate_texture
 
 
 def test_structuring_element_validation():
@@ -27,6 +30,21 @@ def test_structuring_element_validation():
     with pytest.raises(DataError):
         StructuringElement("square", -1)
     assert se_family("Hex") == "hexagon"
+
+
+@pytest.mark.parametrize("fn", (erode_raw, dilate_raw))
+def test_raw_operators_canonicalise_the_alias(fn, rng):
+    px = rng.integers(0, 256, (9, 8)).astype(np.uint8)
+    naive = naive_erode if fn is erode_raw else naive_dilate
+    for r in (1, 2, 3):
+        assert np.array_equal(fn(px, "hex", r), naive(px, "hexagon", r))
+
+
+@pytest.mark.parametrize("fn", (erode_raw, dilate_raw))
+@pytest.mark.parametrize("family,size", [("bogus", 2), ("hexagon", -1), ("square", 1.5)])
+def test_raw_operators_reject_a_bad_element(fn, family, size):
+    with pytest.raises(DataError):
+        fn(np.zeros((9, 8), dtype=np.uint8), family, size)
 
 
 def test_erode_examples():
@@ -95,7 +113,7 @@ def test_iterated_equals_direct_definition(family, rng):
             assert np.array_equal(dilate(img, se).pixels, naive_dilate(px, family, r))
 
 
-@pytest.mark.parametrize("family", ("hexagon", "square"))
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("shape", [(7, 6), (6, 9), (1, 9), (8, 1), (5, 1)])
 def test_segment_form_equals_direct_definition_past_the_frame(family, shape, rng):
     # sizes up to and beyond the frame, odd and even heights, 1xN and Nx1 frames
@@ -122,6 +140,29 @@ def test_stack_equals_separate_images(family, shape, rng):
     assert volumes.shape == (2, 2, 7)
     for i in range(len(stack)):
         assert np.array_equal(volumes.reshape(4, 7)[i], _opened_volumes(stack[i], family, 6))
+
+
+# sha256 of erode_raw then dilate_raw of two granite14 intensity images (classes
+# 0 and 7, sample 0, 96x96) for each family in FAMILIES order at each size in
+# _GOLDEN_SIZES, recorded before the unit step was folded into the segment path.
+_GOLDEN_SIZES = (1, 2, 5, 13, 25)
+_MORPHOLOGY_SHA256 = "dd45d88771a0cfdfeaefb971c81edbb46cae1758154803ade438ba55f20c7434"
+
+
+def test_granite_images_golden_bytes():
+    spec = builtin_corpus_spec("granite14")
+    stack = np.stack([
+        intensity(generate_texture(spec.classes[ci], spec.image_size,
+                                   _image_seed(spec.seed, ci, 0))).pixels
+        for ci in (0, 7)
+    ])
+    assert stack.shape == (2, 96, 96)
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        for r in _GOLDEN_SIZES:
+            for fn in (erode_raw, dilate_raw):
+                digest.update(fn(stack, family, r).tobytes())
+    assert digest.hexdigest() == _MORPHOLOGY_SHA256
 
 
 # --- axioms ------------------------------------------------------------------------
