@@ -7,6 +7,13 @@ separates classes in colour space, which makes generated corpora usable
 as ground truth for the feature extractors. Generation is a pure
 function of (spec, size, seed); corpora derive one child seed per image
 from the corpus seed and the class/sample indices.
+
+Each grain is drawn by scalar generator calls in a fixed order (centre
+x, centre y, radius, grey value); batched draws would change the stream.
+All grains of an image are then painted in one vectorised pass, in
+chunks of bounded size: each pixel takes the grain of highest index whose
+disc covers it, which is the same as later discs overwriting earlier
+ones.
 """
 
 from __future__ import annotations
@@ -57,8 +64,9 @@ class TextureSpec:
         mean, spread = self.grain_intensity
         if spread < 0 or not 0 <= mean <= 255:
             raise DataError(f"bad grain intensity {self.grain_intensity}")
-        if not 0 < self.grain_density < float("inf"):
-            raise DataError(f"grain density must be positive and finite, "
+        # 1000 per 1000 px^2 is one grain centre per pixel on average
+        if not 0 < self.grain_density <= 1000:
+            raise DataError(f"grain density must lie in (0, 1000] grains per 1000 px^2, "
                             f"got {self.grain_density}")
         if len(self.rgb_tint) != 3 or any(not 0.5 <= t <= 1.5 for t in self.rgb_tint):
             raise DataError("tint multipliers must lie in [0.5, 1.5]")
@@ -98,33 +106,73 @@ class ManifestEntry(NamedTuple):
     path: str  # relative to the manifest's directory
 
 
+# Patch pixels painted per chunk of grains, so temporaries stay a few MB
+# whatever the grain count.
+_CHUNK_PIXELS = 1 << 18
+
+
 def generate_texture(spec: TextureSpec, size: int, seed) -> ColorImage:
     """One synthetic texture; identical bytes for identical (spec, size, seed)."""
     if size < 1:
         raise DataError("size must be positive")
     rng = np.random.default_rng(seed)
-    grey = np.full((size, size), spec.background_intensity, dtype=np.int32)
     count = int(rng.poisson(spec.grain_density * size * size / 1000.0))
     rmin, rmax = spec.grain_radius
     mean, spread = spec.grain_intensity
-    for _ in range(count):
-        cx = rng.uniform(0.0, size)
-        cy = rng.uniform(0.0, size)
-        rad = int(rng.integers(rmin, rmax + 1))
-        val = int(np.clip(rng.integers(mean - spread, mean + spread + 1), 0, 255))
-        y0 = max(0, int(np.floor(cy - rad)))
-        y1 = min(size, int(np.ceil(cy + rad)) + 1)
-        x0 = max(0, int(np.floor(cx - rad)))
-        x1 = min(size, int(np.ceil(cx + rad)) + 1)
-        if y0 >= y1 or x0 >= x1:
-            continue
-        yy, xx = np.mgrid[y0:y1, x0:x1]
-        inside = (xx - cx) ** 2 + (yy - cy) ** 2 <= rad * rad
-        grey[y0:y1, x0:x1][inside] = val
+    cx = np.empty(count)
+    cy = np.empty(count)
+    rad = np.empty(count, dtype=np.int64)
+    val = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        cx[i] = rng.uniform(0.0, size)
+        cy[i] = rng.uniform(0.0, size)
+        rad[i] = rng.integers(rmin, rmax + 1)
+        val[i] = rng.integers(mean - spread, mean + spread + 1)
+    owner = _paint(cx, cy, rad, size, min(2 * rmax + 2, size))
+    # owner -1 (no grain) picks the background at the end of the table
+    table = np.append(np.clip(val, 0, 255), spec.background_intensity).astype(np.int32)
+    grey = table[owner].reshape(size, size)
     planes = [
         np.clip(np.floor(grey * t + 0.5), 0, 255).astype(np.uint8) for t in spec.rgb_tint
     ]
     return ColorImage(np.stack(planes, axis=-1))
+
+
+def _paint(cx, cy, rad, size: int, side: int) -> np.ndarray:
+    """Index of the last grain covering each pixel (row-major), or -1.
+
+    Grain i covers pixel (y, x) when it lies in its box [y0, y1) x [x0, x1),
+    y0 = max(0, floor(cy - rad)) and y1 = min(size, ceil(cy + rad) + 1), and
+    (x - cx)^2 + (y - cy)^2 <= rad^2 in float64. A box is at most
+    min(2 * rad + 2, size) wide, so a side-long patch from (y0, x0) holds it.
+    """
+    owner = np.full(size * size, -1, dtype=np.int64)
+    step = max(1, _CHUNK_PIXELS // (side * side))
+    offsets = np.arange(side)
+    for start in range(0, len(rad), step):
+        chunk = slice(start, start + step)
+        r2 = np.square(rad[chunk].astype(np.float64))[:, None, None]
+        ys, dy2 = _axis(cy[chunk], rad[chunk], size, offsets)
+        xs, dx2 = _axis(cx[chunk], rad[chunk], size, offsets)
+        inside = dx2[:, None, :] + dy2[:, :, None] <= r2
+        pixel = (ys * size)[:, :, None] + xs[:, None, :]
+        grain = np.broadcast_to(np.arange(start, start + len(ys))[:, None, None], inside.shape)
+        np.maximum.at(owner, pixel[inside], grain[inside])
+    return owner
+
+
+def _axis(centre, rad, size: int, offsets):
+    """Patch coordinates along one axis and their squared distances to the centre.
+
+    Coordinates at or past the box end get an infinite distance, so no
+    inside test passes there.
+    """
+    lo = np.maximum(0, np.floor(centre - rad)).astype(np.int64)
+    hi = np.minimum(size, np.ceil(centre + rad).astype(np.int64) + 1)
+    coords = lo[:, None] + offsets
+    d2 = (coords - centre[:, None]) ** 2
+    d2[coords >= hi[:, None]] = np.inf
+    return coords, d2
 
 
 def _image_seed(corpus_seed: int, class_index: int, sample_index: int) -> np.random.SeedSequence:

@@ -2,8 +2,8 @@
 
 The neighbour tables and brute-force operators here are re-derived from
 first principles (explicit offset literals, BFS composition, set
-translation, full scans) so they can act as ground truth for the fast
-implementations.
+translation, full scans, one grain painted at a time) so they can act as
+ground truth for the fast implementations.
 """
 
 import numpy as np
@@ -204,6 +204,35 @@ def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         coeffs.append(c)
     roots = np.roots(coeffs)
     return np.sort(roots.real)
+
+
+# --- texture synthesis -------------------------------------------------------------
+
+def scalar_texture(spec, size: int, seed) -> np.ndarray:
+    """RGB pixels of a Boolean disc texture, painted one grain at a time."""
+    rng = np.random.default_rng(seed)
+    grey = np.full((size, size), spec.background_intensity, dtype=np.int32)
+    count = int(rng.poisson(spec.grain_density * size * size / 1000.0))
+    rmin, rmax = spec.grain_radius
+    mean, spread = spec.grain_intensity
+    for _ in range(count):
+        cx = rng.uniform(0.0, size)
+        cy = rng.uniform(0.0, size)
+        rad = int(rng.integers(rmin, rmax + 1))
+        val = int(np.clip(rng.integers(mean - spread, mean + spread + 1), 0, 255))
+        y0 = max(0, int(np.floor(cy - rad)))
+        y1 = min(size, int(np.ceil(cy + rad)) + 1)
+        x0 = max(0, int(np.floor(cx - rad)))
+        x1 = min(size, int(np.ceil(cx + rad)) + 1)
+        if y0 >= y1 or x0 >= x1:
+            continue
+        yy, xx = np.mgrid[y0:y1, x0:x1]
+        inside = (xx - cx) ** 2 + (yy - cy) ** 2 <= rad * rad
+        grey[y0:y1, x0:x1][inside] = val
+    planes = [
+        np.clip(np.floor(grey * t + 0.5), 0, 255).astype(np.uint8) for t in spec.rgb_tint
+    ]
+    return np.stack(planes, axis=-1)
 
 
 # --- fixtures --------------------------------------------------------------------

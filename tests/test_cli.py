@@ -326,7 +326,9 @@ def test_nan_ga_weights_are_one_line_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("old,new", [("seed = 5", "seed = -1"),
                                      ("density = 10", "density = nan"),
-                                     ("density = 10", "density = inf")])
+                                     ("density = 10", "density = inf"),
+                                     ("density = 10", "density = 1e9"),
+                                     ("density = 10", "density = 1e30")])
 def test_bad_corpus_seed_or_density_is_one_line_data_error(tmp_path, capsys, old, new):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SMALL_CORPUS_CFG.replace(old, new, 1))
