@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -238,7 +238,6 @@ def extract_corpus(manifest_path, recipe: FeatureRecipe, threads: int = 1) -> "D
         [e.sample_id for e in entries],
         [e.label for e in entries],
         matrix,
-        recipe_name=recipe.name,
     )
 
 
@@ -257,7 +256,6 @@ class Dataset:
     labels: list[str]
     matrix: np.ndarray  # (n_samples, n_features) float64
     feature_names: list[str] = field(default_factory=list)
-    recipe_name: str = ""
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -295,10 +293,6 @@ class Dataset:
     def class_labels(self) -> list[str]:
         return sorted(set(self.labels))
 
-    def samples(self) -> Iterable[tuple[str, str, np.ndarray]]:
-        for i, (sid, lab) in enumerate(zip(self.sample_ids, self.labels)):
-            yield sid, lab, self.matrix[i]
-
     def subset(self, indices: Sequence[int]) -> "Dataset":
         idx = list(indices)
         return Dataset(
@@ -306,7 +300,6 @@ class Dataset:
             [self.labels[i] for i in idx],
             self.matrix[idx].copy() if idx else self.matrix[:0].copy(),
             list(self.feature_names),
-            self.recipe_name,
         )
 
 
@@ -352,7 +345,6 @@ def apply_scaler(ds: Dataset, lo: np.ndarray, span: np.ndarray) -> Dataset:
         list(ds.labels),
         (ds.matrix - lo) / span,
         list(ds.feature_names),
-        ds.recipe_name,
     )
 
 

@@ -1,11 +1,21 @@
 """Genetic-algorithm feature selection wrapping a 1-NN classifier.
 
-Individuals are binary feature masks. Fitness rewards test-set hits and
+Individuals are binary feature masks. Fitness rewards eval-set hits and
 penalizes mask size linearly: alpha*hits - beta*nf. The loop is a
 canonical generational GA: binary tournament selection, single-point
 crossover, per-chromosome single-bit mutation, elitism, optional
 stagnation stop. Everything is driven by one seeded generator, so runs
 are reproducible bit for bit.
+
+The generator's draws are a contract: the GA golden tests pin them. The
+first population is one `random((population_size, n))` matrix. Then each
+pair of children draws, in this order: `integers(0, size, size=2)` for
+tournament A and then for tournament B; `random()` for crossover and,
+when it crosses over and n > 1, `integers(1, n)` for the point; then
+`random()` for child A's mutation and, when it mutates, `integers(0, n)`
+for the bit; then the same for child B. Child B draws even when only one
+slot is left for it. No draw is batched, since numpy's bounded integers
+come from a buffered path and a batched call changes the stream.
 """
 
 from __future__ import annotations
@@ -176,79 +186,53 @@ def evaluate_individual(
     return _WrapperObjective(train, eval_set, cfg)(mask.bits)
 
 
-def _population_stats(generation: int, fits: np.ndarray, nfs: np.ndarray) -> GenerationStats:
-    best = int(np.argmax(fits))
-    return GenerationStats(
-        generation,
-        float(fits[best]),
-        float(np.median(fits)),
-        float(fits.min()),
-        int(nfs[best]),
-    )
+def _breed(population: np.ndarray, fits: np.ndarray, cfg: GAConfig, rng) -> np.ndarray:
+    """The next population: the elites by rank, then children in pairs."""
+    size, n = population.shape
+    children = np.empty_like(population)
+    # stable: equal fitnesses keep population order, so ties go to the lower row
+    children[: cfg.elitism] = population[np.argsort(-fits, kind="stable")[: cfg.elitism]]
+    for row in range(cfg.elitism, size, 2):
+        winners = []
+        for _ in range(2):
+            i, j = rng.integers(0, size, size=2)
+            winners.append(i if fits[i] >= fits[j] else j)
+        pair = population[winners]
+        if rng.random() < cfg.crossover_prob and n > 1:
+            point = int(rng.integers(1, n))
+            pair[:, point:] = pair[::-1, point:]  # numpy buffers the overlapping source
+        for child in pair:
+            if rng.random() < cfg.mutation_prob:
+                bit = int(rng.integers(0, n))
+                child[bit] = ~child[bit]
+        children[row : row + 2] = pair[: size - row]  # child B is dropped if one slot is left
+    return children
 
 
 def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
     """Evolve feature masks; deterministic given cfg.seed."""
     objective = _WrapperObjective(train, eval_set, cfg)
-    n = train.n_features
     rng = np.random.default_rng(cfg.seed)
-
-    population = rng.random((cfg.population_size, n)) < 0.5
-
-    def assess(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        triples = [objective(ind) for ind in pop]
-        hits = np.array([t[0] for t in triples])
-        nfs = np.array([t[1] for t in triples])
-        fits = np.array([t[2] for t in triples])
-        return hits, nfs, fits
-
-    hits, nfs, fits = assess(population)
-    history = [_population_stats(0, fits, nfs)]
-
-    best_i = int(np.argmax(fits))
-    best_bits = population[best_i].copy()
-    best_fit = float(fits[best_i])
-    best_hits = int(hits[best_i])
+    population = rng.random((cfg.population_size, train.n_features)) < 0.5
+    history = []
     stale = 0
     stop_reason = "max_generations"
 
-    for gen in range(1, cfg.generations + 1):
-        if cfg.stagnation_limit and stale >= cfg.stagnation_limit:
-            stop_reason = "stagnation"
-            break
-
-        ranked = sorted(range(cfg.population_size), key=lambda i: (-fits[i], i))
-        next_pop = [population[i].copy() for i in ranked[: cfg.elitism]]
-        while len(next_pop) < cfg.population_size:
-            pair = []
-            for _ in range(2):
-                i, j = rng.integers(0, cfg.population_size, size=2)
-                winner = i if fits[i] >= fits[j] else j
-                pair.append(population[winner].copy())
-            child_a, child_b = pair
-            if rng.random() < cfg.crossover_prob and n > 1:
-                point = int(rng.integers(1, n))
-                child_a, child_b = (
-                    np.concatenate([pair[0][:point], pair[1][point:]]),
-                    np.concatenate([pair[1][:point], pair[0][point:]]),
-                )
-            for child in (child_a, child_b):
-                if rng.random() < cfg.mutation_prob:
-                    bit = int(rng.integers(0, n))
-                    child[bit] = ~child[bit]
-            next_pop.append(child_a)
-            if len(next_pop) < cfg.population_size:
-                next_pop.append(child_b)
-
-        population = np.array(next_pop)
-        hits, nfs, fits = assess(population)
-        history.append(_population_stats(gen, fits, nfs))
-
-        gen_best = int(np.argmax(fits))
-        if fits[gen_best] > best_fit:
-            best_fit = float(fits[gen_best])
-            best_bits = population[gen_best].copy()
-            best_hits = int(hits[gen_best])
+    for gen in range(cfg.generations + 1):
+        if gen:
+            if cfg.stagnation_limit and stale >= cfg.stagnation_limit:
+                stop_reason = "stagnation"
+                break
+            population = _breed(population, fits, cfg, rng)
+        hits, nfs, fits = np.array([objective(ind) for ind in population]).T
+        best = int(np.argmax(fits))
+        history.append(
+            GenerationStats(
+                gen, float(fits[best]), float(np.median(fits)), float(fits.min()), int(nfs[best])
+            )
+        )
+        if gen == 0 or fits[best] > best_fit:
+            best_bits, best_fit, best_hits = population[best], float(fits[best]), int(hits[best])
             stale = 0
         else:
             stale += 1

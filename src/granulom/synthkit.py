@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+# Largest grain radius and intensity spread: far past any frame or grey level,
+# and well inside the int64 bounds of the generator's integer draws.
+_MAX_DRAW_BOUND = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class TextureSpec:
     class_label: str
@@ -59,11 +64,15 @@ class TextureSpec:
         rmin, rmax = self.grain_radius
         if rmin < 1 or rmax < rmin:
             raise DataError(f"bad grain radius range {self.grain_radius}")
+        if rmax > _MAX_DRAW_BOUND:
+            raise DataError(f"grain radius maximum {rmax} exceeds {_MAX_DRAW_BOUND}")
         if not 0 <= self.background_intensity <= 255:
             raise DataError("background intensity must lie in [0, 255]")
         mean, spread = self.grain_intensity
         if spread < 0 or not 0 <= mean <= 255:
             raise DataError(f"bad grain intensity {self.grain_intensity}")
+        if spread > _MAX_DRAW_BOUND:
+            raise DataError(f"grain intensity spread {spread} exceeds {_MAX_DRAW_BOUND}")
         # 1000 per 1000 px^2 is one grain centre per pixel on average
         if not 0 < self.grain_density <= 1000:
             raise DataError(f"grain density must lie in (0, 1000] grains per 1000 px^2, "

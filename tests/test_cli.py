@@ -273,6 +273,11 @@ def test_malformed_pipeline_config_fails_before_any_stage(tmp_path, corpus_cfg, 
     ("tint = 1 0.9 1", "tint = 1 2 1", "[class cc]: tint multipliers must lie in [0.5, 1.5]"),
     ("image_size = 32", "image_size = 16", "[corpus]: image_size must be >= 32"),
     ("background = 80", "background = 300", "[class aa]: background intensity must lie in "),
+    ("grain_radius = 2 3", "grain_radius = 2 10000000000000000000",
+     "[class aa]: grain radius maximum 10000000000000000000 exceeds 2147483647"),
+    ("grain_radius = 2 3", f"grain_radius = 2 {2**62}", "[class aa]: grain radius maximum "),
+    ("grain_intensity = 200 15", "grain_intensity = 200 10000000000000000000",
+     "[class aa]: grain intensity spread 10000000000000000000 exceeds 2147483647"),
     ("density = 10", "density = 10 ; grains per 1000 px^2", None),
     ("density = 10", "density = 10\ndensity = 12", "option 'density' in section 'class aa'"),
 ])

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -213,3 +214,46 @@ def test_evaluate_individual_matches_evaluate_lot117_shape(rng):
         hits, nf, _ = evaluate_individual(mask, train, eval_set, cfg)
         assert hits == evaluate(train, eval_set, KnnConfig(1), mask).hits
         assert nf == mask.n_selected
+
+
+# --- golden GA edge-config record ---------------------------------------------------
+# sha256 over every run of a grid of small configs, recorded before the
+# generation loop was rewritten. The grid covers what the shipped run never
+# reaches: n = 1 (no crossover point), elitism 0, an even and an odd number of
+# offspring slots, crossover and mutation branches that draw nothing, and a
+# stagnation stop. Each run hashes its history rows, mask, best hits, stop
+# reason and work counts, so any change to the RNG draws shows up here.
+
+GOLDEN_GA_GRID_SHA256 = "b61038c412c92523de12a4bc19629a2a7f4fd49130eaead57cde505ba1c47938"
+
+
+def _grid_pair(n):
+    rng = np.random.default_rng(100 + n)
+    def block(count, tag):
+        labels = [f"c{i % 3}" for i in range(count)]
+        rows = rng.normal(size=(count, n)) + np.arange(count)[:, None] % 3
+        return Dataset([f"{tag}{i:02d}" for i in range(count)], labels, rows)
+    return block(10, "tr"), block(7, "ev")
+
+
+def test_ga_edge_config_golden():
+    digest = hashlib.sha256()
+    grid = product((1, 2, 9), (2, 7, 8), (0, 1), (1.0, 0.5), (0.9, 0.0), (0, 3))
+    for seed, (n, size, elitism, p_cross, p_mut, stagnation) in enumerate(grid):
+        train, eval_set = _grid_pair(n)
+        cfg = GAConfig(
+            population_size=size, generations=12, crossover_prob=p_cross,
+            mutation_prob=p_mut, seed=seed, stagnation_limit=stagnation, elitism=elitism,
+        )
+        rep = run_ga(train, eval_set, cfg)
+        lines = [
+            f"{g.generation} {g.best_fitness!r} {g.median_fitness!r} "
+            f"{g.min_fitness!r} {g.best_feature_count}"
+            for g in rep.history
+        ]
+        lines.append(
+            f"{rep.best_mask.to_string()} {rep.best_hits} {rep.stop_reason} "
+            f"{rep.cache_hits} {rep.evaluations}"
+        )
+        digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_GA_GRID_SHA256

@@ -50,6 +50,12 @@ def test_texture_spec_validation():
         with pytest.raises(DataError, match="grain density"):
             _spec(grain_density=density)
     assert _spec(grain_density=1000.0).grain_density == 1000.0  # one centre per pixel
+    for rmax in (2**31, 2**62, 10**19):  # 10**19 is past int64
+        with pytest.raises(DataError, match="grain radius maximum"):
+            _spec(grain_radius=(2, rmax))
+        with pytest.raises(DataError, match="grain intensity spread"):
+            _spec(grain_intensity=(200, rmax))
+    _spec(grain_radius=(2, 2**31 - 1), grain_intensity=(200, 2**31 - 1))  # the bound is accepted
 
 
 def test_corpus_spec_rejects_a_negative_seed():
