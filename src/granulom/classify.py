@@ -197,12 +197,19 @@ def squared_difference_table(queries: np.ndarray, training: np.ndarray) -> np.nd
     return sq
 
 
-def summed_rows(sq: np.ndarray, rows) -> np.ndarray:
-    """Squared distances over the table rows `rows` (ascending), added left to right."""
-    d2 = sq[rows[0]].copy()
+def summed_rows(sq, rows, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances over the table rows `rows` (ascending), added left to right.
+
+    `sq` is the table or a list of its rows. The sum goes into `out` when
+    it is given, else into a new array.
+    """
+    if out is None:
+        out = sq[rows[0]].copy()
+    else:
+        out[...] = sq[rows[0]]
     for f in rows[1:]:
-        d2 += sq[f]
-    return d2
+        out += sq[f]
+    return out
 
 
 def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ variants (P2/P3) are accepted on read only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import (
 __all__ = [
     "GreyImage",
     "ColorImage",
-    "HlsPixel",
     "HlsImage",
     "read_pgm",
     "read_ppm",
@@ -31,7 +29,6 @@ __all__ = [
     "write_ppm",
     "intensity",
     "to_hls",
-    "hls_pixel",
     "histogram",
 ]
 
@@ -112,14 +109,6 @@ class ColorImage(_Raster):
     @property
     def b(self) -> np.ndarray:
         return self.pixels[:, :, 2]
-
-
-class HlsPixel(NamedTuple):
-    """Hue in [0, 359], luminance and saturation in [0, 255]."""
-
-    h: int
-    l: int
-    s: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,26 +255,6 @@ def intensity(img: ColorImage) -> GreyImage:
     """
     s = img.pixels.astype(np.int32).sum(axis=2)
     return GreyImage(((2 * s + 3) // 6).astype(np.uint8))
-
-
-def hls_pixel(r: int, g: int, b: int) -> HlsPixel:
-    """Double-hexcone HLS of one RGB pixel, integer channels in [0, 255]."""
-    mx = max(r, g, b)
-    mn = min(r, g, b)
-    l_out = (mx + mn + 1) // 2  # round-half-up of 255*(max+min)/2 on unit scale
-    if mx == mn:
-        return HlsPixel(0, l_out, 0)
-    d = mx - mn
-    denom = (mx + mn) if (mx + mn) <= 255 else (510 - mx - mn)
-    s_out = int(255.0 * d / denom + 0.5)
-    if mx == r:
-        hue = (60.0 * (g - b) / d) % 360.0
-    elif mx == g:
-        hue = 60.0 * (b - r) / d + 120.0
-    else:
-        hue = 60.0 * (r - g) / d + 240.0
-    h_out = int(hue + 0.5) % 360
-    return HlsPixel(h_out, l_out, s_out)
 
 
 def to_hls(img: ColorImage) -> HlsImage:

@@ -14,13 +14,29 @@ tournament A and then for tournament B; `random()` for crossover and,
 when it crosses over and n > 1, `integers(1, n)` for the point; then
 `random()` for child A's mutation and, when it mutates, `integers(0, n)`
 for the bit; then the same for child B. Child B draws even when only one
-slot is left for it. No draw is batched, since numpy's bounded integers
-come from a buffered path and a batched call changes the stream.
+slot is left for it.
+
+After the first population these draws are not numpy calls: `_DrawReplay`
+computes the values numpy's PCG64 `Generator` would return from raw
+64-bit words fetched in bulk with `bit_generator.random_raw`. It follows
+numpy's rules exactly. `random()` is `(word >> 11) * 2**-53`. A bounded
+draw over r values takes 32-bit halves through PCG64's one-half buffer
+(`has_uint32`/`uinteger`, seeded from `bit_generator.state`): a fresh
+word gives its low half and keeps its high half for the next bounded
+draw. Lemire's multiply-shift maps a half u to `(u * r) >> 32` and
+rejects it while `(u * r) mod 2**32 < (2**32 - r) % r`. A range of one
+value (`integers(lo, lo + 1)`) returns lo and draws nothing. Fetching
+words ahead cannot be observed, since the generator belongs to `run_ga`
+and nothing else draws from it. No draw depends on a mask, only on the
+fitnesses, so one Python pass gives a generation's tournament winners,
+crossover points and mutation bits, and the children are then built in
+a fixed number of array operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,9 +55,14 @@ __all__ = [
     "write_mask",
     "read_mask",
     "EMPTY_MASK_FITNESS",
+    "MAX_POPULATION",
 ]
 
 EMPTY_MASK_FITNESS = float("-inf")
+# The largest population a GAConfig accepts: the first population's float
+# draws for 117 features take about 1 GB at this size.
+MAX_POPULATION = 2**20
+WORDS_PER_FETCH = 1024  # raw generator words fetched by one random_raw call
 
 
 @dataclass(frozen=True)
@@ -58,8 +79,10 @@ class GAConfig:
     enforce_weight_sum: bool = True  # require alpha + beta == 1
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise DataError("population_size must be >= 2")
+        if not 2 <= self.population_size <= MAX_POPULATION:
+            raise DataError(
+                f"population_size must lie in [2, {MAX_POPULATION}], got {self.population_size}"
+            )
         if self.generations < 0:
             raise DataError("generations must be >= 0")
         for name in ("crossover_prob", "mutation_prob"):
@@ -139,7 +162,7 @@ class _WrapperObjective:
     """1-NN hit counting for masks over a fixed train/eval pair, memoized.
 
     The squared-difference table over all features is built once; a mask's
-    distances are the sum of its rows.
+    distances are the sum of its rows, added into one reused buffer.
     """
 
     def __init__(self, train: Dataset, eval_set: Dataset, cfg: GAConfig):
@@ -153,7 +176,9 @@ class _WrapperObjective:
         _, train_labels, train_matrix = _training_rows(train)
         codes = {lab: i for i, lab in enumerate(sorted(set(train_labels)))}
         self.train_codes = np.array([codes[lab] for lab in train_labels])
-        self.sq = squared_difference_table(eval_set.matrix, train_matrix)
+        # one (eval, train) view per feature: a list indexes faster than the table
+        self.sq = list(squared_difference_table(eval_set.matrix, train_matrix))
+        self.d2 = np.empty(self.sq[0].shape)
         self.eval_codes = np.array([codes.get(lab, -1) for lab in eval_set.labels])
         self.eval_total = eval_set.n_samples
         self.cache: dict[bytes, tuple[int, int, float]] = {}
@@ -165,13 +190,14 @@ class _WrapperObjective:
         if hit is not None:
             self.cache_hits += 1
             return hit
-        nf = int(bits.sum())
+        rows = bits.nonzero()[0].tolist()  # Python ints index the table fastest
+        nf = len(rows)
         if nf == 0:
             result = (0, 0, EMPTY_MASK_FITNESS)
         else:
-            d2 = summed_rows(self.sq, np.flatnonzero(bits))
-            nearest = np.argmin(d2, axis=1)  # first occurrence = smallest sample id
-            hits = int((self.train_codes[nearest] == self.eval_codes).sum())
+            d2 = summed_rows(self.sq, rows, out=self.d2)
+            nearest = d2.argmin(axis=1)  # first occurrence = smallest sample id
+            hits = int(np.count_nonzero(self.train_codes[nearest] == self.eval_codes))
             result = (hits, nf, fitness(hits, nf, self.cfg.alpha, self.cfg.beta))
         self.cache[key] = result
         return result
@@ -186,27 +212,81 @@ def evaluate_individual(
     return _WrapperObjective(train, eval_set, cfg)(mask.bits)
 
 
-def _breed(population: np.ndarray, fits: np.ndarray, cfg: GAConfig, rng) -> np.ndarray:
+class _DrawReplay:
+    """The draws of a numpy PCG64 Generator, computed from its raw words.
+
+    `random` and `integers` return what the generator's own `random()` and
+    `integers(low, high)` calls would return next, in the same order; a
+    `size=k` call of `integers` is k calls of `integers` here. The words
+    come from `random_raw` in bulk, so the generator runs ahead of the
+    draws, and must not be used for anything else afterwards.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        state = rng.bit_generator.state
+        assert state["bit_generator"] == "PCG64", state["bit_generator"]
+        fetch = rng.bit_generator.random_raw
+        # an endless stream: iter(f, None) calls f for ever, since f never returns None
+        self._words = chain.from_iterable(iter(lambda: fetch(WORDS_PER_FETCH).tolist(), None))
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def random(self) -> float:
+        """A double in [0, 1) from the top 53 bits of one word."""
+        return (next(self._words) >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        """An integer in [low, high) by Lemire's multiply-shift over 32-bit halves."""
+        span = high - low
+        assert 1 <= span <= 2**32, span  # numpy's 64-bit path never occurs in the GA
+        if span == 1:
+            return low  # numpy draws nothing for a single value
+        reject_below = (2**32 - span) % span
+        while True:
+            if self._half is None:
+                word = next(self._words)
+                half, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                half, self._half = self._half, None
+            m = half * span
+            if m & 0xFFFFFFFF >= reject_below:
+                return low + (m >> 32)
+
+
+def _pair_draws(draws: _DrawReplay, fits: list[float], pairs: int, n: int, cfg: GAConfig):
+    """Winners (2 per pair), crossover points and mutation bits (2 per pair) of a generation.
+
+    A pair that does not cross over gets point n and a child that does not
+    mutate gets bit -1, so neither changes anything.
+    """
+    size = len(fits)
+    winners, points, bits = [], [], []
+    for _ in range(pairs):
+        for _ in range(2):
+            i, j = draws.integers(0, size), draws.integers(0, size)
+            winners.append(i if fits[i] >= fits[j] else j)
+        crosses = draws.random() < cfg.crossover_prob and n > 1
+        points.append(draws.integers(1, n) if crosses else n)
+        for _ in range(2):
+            bits.append(draws.integers(0, n) if draws.random() < cfg.mutation_prob else -1)
+    return winners, points, bits
+
+
+def _breed(
+    population: np.ndarray, fits: np.ndarray, cfg: GAConfig, draws: _DrawReplay
+) -> np.ndarray:
     """The next population: the elites by rank, then children in pairs."""
     size, n = population.shape
-    children = np.empty_like(population)
+    pairs = (size - cfg.elitism + 1) // 2
+    winners, points, bits = _pair_draws(draws, fits.tolist(), pairs, n, cfg)
+    parents = population[np.reshape(winners, (pairs, 2))]
+    cols = np.arange(n)
+    # child A takes B's genes from the point on and child B takes A's
+    offspring = np.where(cols >= np.reshape(points, (pairs, 1, 1)), parents[:, ::-1], parents)
+    offspring ^= cols == np.reshape(bits, (pairs, 2, 1))
     # stable: equal fitnesses keep population order, so ties go to the lower row
-    children[: cfg.elitism] = population[np.argsort(-fits, kind="stable")[: cfg.elitism]]
-    for row in range(cfg.elitism, size, 2):
-        winners = []
-        for _ in range(2):
-            i, j = rng.integers(0, size, size=2)
-            winners.append(i if fits[i] >= fits[j] else j)
-        pair = population[winners]
-        if rng.random() < cfg.crossover_prob and n > 1:
-            point = int(rng.integers(1, n))
-            pair[:, point:] = pair[::-1, point:]  # numpy buffers the overlapping source
-        for child in pair:
-            if rng.random() < cfg.mutation_prob:
-                bit = int(rng.integers(0, n))
-                child[bit] = ~child[bit]
-        children[row : row + 2] = pair[: size - row]  # child B is dropped if one slot is left
-    return children
+    elites = population[np.argsort(-fits, kind="stable")[: cfg.elitism]]
+    # child B of the last pair is dropped when only one slot is left for it
+    return np.concatenate([elites, offspring.reshape(2 * pairs, n)[: size - cfg.elitism]])
 
 
 def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
@@ -214,6 +294,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
     objective = _WrapperObjective(train, eval_set, cfg)
     rng = np.random.default_rng(cfg.seed)
     population = rng.random((cfg.population_size, train.n_features)) < 0.5
+    draws = _DrawReplay(rng)
     history = []
     stale = 0
     stop_reason = "max_generations"
@@ -223,7 +304,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
             if cfg.stagnation_limit and stale >= cfg.stagnation_limit:
                 stop_reason = "stagnation"
                 break
-            population = _breed(population, fits, cfg, rng)
+            population = _breed(population, fits, cfg, draws)
         hits, nfs, fits = np.array([objective(ind) for ind in population]).T
         best = int(np.argmax(fits))
         history.append(

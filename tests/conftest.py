@@ -2,9 +2,12 @@
 
 The neighbour tables and brute-force operators here are re-derived from
 first principles (explicit offset literals, BFS composition, set
-translation, full scans, one grain painted at a time) so they can act as
-ground truth for the fast implementations.
+translation, full scans, one grain painted at a time, one pixel converted
+to HLS at a time) so they can act as ground truth for the fast
+implementations.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -233,6 +236,36 @@ def scalar_texture(spec, size: int, seed) -> np.ndarray:
         np.clip(np.floor(grey * t + 0.5), 0, 255).astype(np.uint8) for t in spec.rgb_tint
     ]
     return np.stack(planes, axis=-1)
+
+
+# --- colour conversion -------------------------------------------------------------
+
+class HlsPixel(NamedTuple):
+    """Hue in [0, 359], luminance and saturation in [0, 255]."""
+
+    h: int
+    l: int
+    s: int
+
+
+def hls_pixel(r: int, g: int, b: int) -> HlsPixel:
+    """Double-hexcone HLS of one RGB pixel, integer channels in [0, 255]."""
+    mx = max(r, g, b)
+    mn = min(r, g, b)
+    l_out = (mx + mn + 1) // 2  # round-half-up of 255*(max+min)/2 on unit scale
+    if mx == mn:
+        return HlsPixel(0, l_out, 0)
+    d = mx - mn
+    denom = (mx + mn) if (mx + mn) <= 255 else (510 - mx - mn)
+    s_out = int(255.0 * d / denom + 0.5)
+    if mx == r:
+        hue = (60.0 * (g - b) / d) % 360.0
+    elif mx == g:
+        hue = 60.0 * (b - r) / d + 120.0
+    else:
+        hue = 60.0 * (r - g) / d + 240.0
+    h_out = int(hue + 0.5) % 360
+    return HlsPixel(h_out, l_out, s_out)
 
 
 # --- fixtures --------------------------------------------------------------------

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole module finishes in a few minutes on a desktop.
 """
 
+import dataclasses
 import hashlib
 import time
 from itertools import product
@@ -26,7 +27,7 @@ from granulom.granulometry import export_curve, granulometry_openings, size_inte
 from granulom.imagecore import GreyImage, intensity, read_ppm
 from granulom.morphology import FAMILIES, StructuringElement, closing, opening
 from granulom.select import GAConfig, run_ga, write_mask
-from granulom.synthkit import builtin_corpus_spec, generate_corpus
+from granulom.synthkit import builtin_corpus_spec, format_corpus_config, generate_corpus
 
 
 def _verdict(criterion: int, name: str, ok: bool, detail: str = "") -> None:
@@ -401,6 +402,32 @@ def test_ga_golden_work_counts(granite14_run):
     ga = granite14_run["ga"]
     assert (ga.cache_hits, ga.evaluations) == (5235, 35515)
     assert ga.cache_hits + ga.evaluations == 50 * (ga.generations_run + 1)
+
+
+# sha256 of ga.csv and mask.txt of `granulom pipeline` on granite14 at corpus
+# seed 7919, the held-out seed, recorded on the commit before the GA's draws
+# were replayed from raw generator words. Its fitness values drive a
+# different tournament path from the shipped seed's.
+
+GOLDEN_HELD_OUT_GA_SHA256 = {
+    "ga.csv": "17bbad150f041cd0778374f250bc1b9a0c5bcbe05a622ad3c3aefbd1cbe37fad",
+    "mask.txt": "49b0e94a3e632c10d7397817a4f127b46ac253da481b195c188f31385f8edbbf",
+}
+
+
+def test_ga_golden_bytes_held_out_corpus_seed(tmp_path):
+    from importlib.resources import files
+
+    spec = dataclasses.replace(builtin_corpus_spec("granite14"), seed=7919)
+    (tmp_path / "corpus.cfg").write_text(format_corpus_config(spec))
+    cfg_text = files("granulom.data").joinpath("pipeline.cfg").read_text()
+    cfg_path = tmp_path / "pipeline.cfg"
+    cfg_path.write_text(cfg_text.replace("spec = granite14", f"spec = {tmp_path / 'corpus.cfg'}"))
+    run_dir = tmp_path / "run"
+    assert cli.main(["--quiet", "pipeline", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    assert "corpus_seed = 7919\n" in (run_dir / "run.txt").read_text()
+    for name, digest in GOLDEN_HELD_OUT_GA_SHA256.items():
+        assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 # --- criterion 10: end-to-end pipeline -----------------------------------------------------

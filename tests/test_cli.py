@@ -318,6 +318,17 @@ def test_negative_seed_is_one_line_data_error(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+def test_huge_ga_population_is_one_line_data_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_DATASET)
+    code = main(["--quiet", "select", "--train", str(data), "--eval", str(data),
+                 "--pop", "1000000000000", "--gens", "2", "--out", str(tmp_path / "m")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: population_size must lie in [2, 1048576], got 1000000000000\n"
+    assert not (tmp_path / "m").exists()
+
+
 def test_nan_ga_weights_are_one_line_data_error(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text(TINY_DATASET)

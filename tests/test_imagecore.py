@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hls_pixel
 from granulom.errors import (
     DataError,
     MalformedHeaderError,
@@ -14,7 +15,6 @@ from granulom.imagecore import (
     ColorImage,
     GreyImage,
     histogram,
-    hls_pixel,
     intensity,
     read_pgm,
     read_ppm,
