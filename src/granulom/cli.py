@@ -5,17 +5,24 @@ whole workflow from a config file. Exit codes: 0 success, 1 usage error,
 2 data error, 3 I/O error. Diagnostics go to stderr; data goes to files
 or stdout. Every random behaviour is seed-controlled and the seeds are
 echoed in the outputs.
+
+`pipeline` runs one `_stage` block per stage (synth, extract, split,
+baseline-<k>nn, select, select-eval, pca): it prints `[<name>]` once,
+writes the stage's artefacts, and prefixes any error with `stage <name>: `.
+The `select` flags and `[ga]` keys are one table with every GAConfig field.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
 
 from . import analyze, classify, features, granulometry, morphology, select, synthkit
-from .csvrows import checked, parse_config, read_text, reject_unread, setting, write_lines
+from .csvrows import (checked, config_error, parse_config, read_text, reject_unread, setting,
+                      write_lines)
 from .errors import DataError, GranulomError
 from .imagecore import read_pgm, write_pgm
 
@@ -58,8 +65,6 @@ def _cmd_split(args) -> int:
     fraction = args.fraction
     if args.test_count is not None:
         fraction = features.holdout_fraction(args.test_count, ds.n_samples)
-    if fraction is None:
-        raise _UsageError("one of --fraction or --test-count is required")
     result = features.split(ds, fraction, args.seed)
     if not result.stratified:
         _info(args, "warning: a class was too small to stratify; global sampling used")
@@ -113,18 +118,6 @@ _GA_SETTINGS = {
 }
 
 
-def _load_mask(args, n_features: int) -> classify.FeatureMask | None:
-    if getattr(args, "mask", None):
-        mask = classify.FeatureMask.from_string(args.mask)
-    elif getattr(args, "mask_file", None):
-        mask = select.read_mask(args.mask_file)
-    else:
-        return None
-    if len(mask) != n_features:
-        raise DataError(f"mask length {len(mask)} != feature count {n_features}")
-    return mask
-
-
 def _load_pair(args, first: str, second: str):
     """Two datasets; with --normalize both are min-max scaled on the first one's ranges."""
     a, b = features.load_dataset(first), features.load_dataset(second)
@@ -136,7 +129,10 @@ def _load_pair(args, first: str, second: str):
 
 def _cmd_knn(args) -> int:
     train, test = _load_pair(args, args.train, args.test)
-    mask = _load_mask(args, train.n_features)
+    if args.mask:
+        mask = classify.FeatureMask.from_string(args.mask)
+    else:
+        mask = select.read_mask(args.mask_file) if args.mask_file else None
     if args.template:
         report = classify.evaluate_template(train, test, mask)
     else:
@@ -151,8 +147,7 @@ def _cmd_knn(args) -> int:
 
 def _cmd_select(args) -> int:
     train, eval_set = _load_pair(args, args.train, args.eval)
-    cfg = select.GAConfig(**{field: getattr(args, field) for field in _GA_SETTINGS},
-                          enforce_weight_sum=not args.no_weight_check)
+    cfg = select.GAConfig(**{field: getattr(args, field) for field in _GA_SETTINGS})
     report = select.run_ga(train, eval_set, cfg)
     if args.out:
         select.write_mask(report.best_mask, args.out)
@@ -205,11 +200,13 @@ def _cmd_pipeline(args) -> int:
 
 # --- the pipeline -------------------------------------------------------------
 
-def _run_stage(name: str, fn, quiet: bool):
+@contextlib.contextmanager
+def _stage(name: str, quiet: bool):
+    """One pipeline stage: its header, and its errors prefixed with `stage <name>: `."""
     if not quiet:
         print(f"[{name}]", file=sys.stderr)
     try:
-        return fn()
+        yield
     except OSError as exc:
         raise OSError(f"stage {name}: {exc}") from exc
     except GranulomError as exc:
@@ -233,10 +230,12 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     ga_enabled = setting(cp, "ga", "enabled", "boolean", True)
     ga_settings = {field: setting(cp, "ga", key, kind, default)
                    for field, (_, key, kind, default) in _GA_SETTINGS.items()}
-    ga_settings["enforce_weight_sum"] = setting(cp, "ga", "enforce_weight_sum", "boolean", True)
     pca_enabled = setting(cp, "pca", "enabled", "boolean", True)
     n_comp = setting(cp, "pca", "components", "count", 2)
     reject_unread(cp)
+    if test_count is not None and cp.has_option("split", "test_fraction"):
+        raise config_error(cp, "split", "test_count", "test_fraction is set too; set only one")
+    features.check_threads(threads)
 
     corpus_spec = synthkit.load_corpus_spec(spec_name)
     recipe = checked(cp, "extract", "recipe", features.builtin_recipe, recipe_name)
@@ -262,8 +261,8 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     def out(name: str) -> str:
         return os.path.join(out_dir, name)
 
-    corpus_dir = out("corpus")
-    _run_stage("synth", lambda: synthkit.generate_corpus(corpus_spec, corpus_dir), quiet)
+    with _stage("synth", quiet):
+        synthkit.generate_corpus(corpus_spec, out("corpus"))
     summary: list[tuple[str, object]] = [
         ("corpus_spec", spec_name),
         ("corpus_seed", corpus_spec.seed),
@@ -272,15 +271,16 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
         ("image_size", corpus_spec.image_size),
     ]
 
-    ds = _run_stage("extract",
-                    lambda: features.extract_corpus(corpus_dir, recipe, threads=threads), quiet)
-    _run_stage("extract", lambda: features.save_dataset(ds, out("all.csv")), quiet)
+    with _stage("extract", quiet):
+        ds = features.extract_corpus(out("corpus"), recipe, threads=threads)
+        features.save_dataset(ds, out("all.csv"))
     summary += [("recipe", recipe_name), ("n_original_features", recipe.total_features)]
 
-    result = _run_stage("split", lambda: features.split(ds, fraction, split_seed), quiet)
-    train, test = result.train, result.test
-    for name, part in (("train", train), ("test", test)):
-        _run_stage("split", lambda: features.save_dataset(part, out(f"{name}.csv")), quiet)
+    with _stage("split", quiet):
+        result = features.split(ds, fraction, split_seed)
+        train, test = result.train, result.test
+        features.save_dataset(train, out("train.csv"))
+        features.save_dataset(test, out("test.csv"))
     summary += [
         ("split_seed", split_seed),
         ("train_samples", train.n_samples),
@@ -289,23 +289,28 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     ]
 
     for knn in knn_configs:
-        k = knn.k
-        rep = _run_stage(f"baseline-{k}nn", lambda knn=knn: classify.evaluate(train, test, knn),
-                         quiet)
-        rep.to_csv(out(f"baseline_k{k}.csv"))
+        with _stage(f"baseline-{knn.k}nn", quiet):
+            rep = classify.evaluate(train, test, knn)
+            rep.to_csv(out(f"baseline_k{knn.k}.csv"))
         summary += [
-            (f"baseline_{k}nn_hits", rep.hits),
-            (f"baseline_{k}nn_rate", f"{rep.recognition_rate:.12g}"),
+            (f"baseline_{knn.k}nn_hits", rep.hits),
+            (f"baseline_{knn.k}nn_rate", f"{rep.recognition_rate:.12g}"),
         ]
 
     if cfg is not None:
-        ga_report = _run_stage("select", lambda: select.run_ga(train, test, cfg), quiet)
-        select.write_mask(ga_report.best_mask, out("mask.txt"))
-        ga_report.to_csv(out("ga.csv"))
-        masked_rep = _run_stage("select-eval", lambda: classify.evaluate(
-            train, test, classify.KnnConfig(1), ga_report.best_mask), quiet)
-        masked_rep.to_csv(out("ga_eval_k1.csv"))
-        selected = ga_report.selected_features
+        with _stage("select", quiet):
+            ga_report = select.run_ga(train, test, cfg)
+            select.write_mask(ga_report.best_mask, out("mask.txt"))
+            ga_report.to_csv(out("ga.csv"))
+            selected = ga_report.selected_features
+            if 2 <= len(selected) <= 6:
+                for i, j in itertools.combinations(selected, 2):
+                    analyze.export_scatter(analyze.feature_pair_rows(train, i, j),
+                                           out(f"scatter_f{i}_f{j}.csv"),
+                                           svg_path=out(f"scatter_f{i}_f{j}.svg"))
+        with _stage("select-eval", quiet):
+            masked_rep = classify.evaluate(train, test, classify.KnnConfig(1), ga_report.best_mask)
+            masked_rep.to_csv(out("ga_eval_k1.csv"))
         summary += [
             ("ga_population", cfg.population_size),
             ("ga_generations_max", cfg.generations),
@@ -321,16 +326,12 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
             ("ga_selected_features", " ".join(str(i) for i in selected)),
             ("ga_recognition_rate", f"{masked_rep.recognition_rate:.12g}"),
         ]
-        if 2 <= len(selected) <= 6:
-            for i, j in itertools.combinations(selected, 2):
-                analyze.export_scatter(analyze.feature_pair_rows(train, i, j),
-                                       out(f"scatter_f{i}_f{j}.csv"),
-                                       svg_path=out(f"scatter_f{i}_f{j}.svg"))
 
     if pca_enabled:
-        model = _run_stage("pca", lambda: analyze.fit_pca(train, n_components=n_comp), quiet)
-        analyze.export_scatter(analyze.project(model, train), out("pca_train.csv"),
-                               svg_path=out("pca_train.svg"))
+        with _stage("pca", quiet):
+            model = analyze.fit_pca(train, n_components=n_comp)
+            analyze.export_scatter(analyze.project(model, train), out("pca_train.csv"),
+                                   svg_path=out("pca_train.svg"))
         summary += [
             ("pca_components", n_comp),
             ("pca_eigenvalues", " ".join(f"{v:.12g}" for v in model.eigenvalues)),
@@ -374,8 +375,9 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
-    p.add_argument("--fraction", type=float, default=None, help="test fraction in (0,1)")
-    p.add_argument("--test-count", type=int, default=None, help="absolute test-set size")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--fraction", type=float, help="test fraction in (0,1)")
+    size.add_argument("--test-count", type=int, help="absolute test-set size")
     p.add_argument("--seed", type=int, default=0)
 
     p = add_parser("morph", _cmd_morph, help="apply a morphological operator to a PGM image")
@@ -419,8 +421,6 @@ def build_parser() -> _Parser:
     for field, (flag, key, kind, default) in _GA_SETTINGS.items():
         p.add_argument(flag, dest=field, type=int if kind == "count" else float,
                        default=default, help=f"as [ga] {key} in a pipeline config")
-    p.add_argument("--no-weight-check", action="store_true",
-                   help="allow alpha + beta != 1")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", default=None, help="best mask file")
     p.add_argument("--report", default=None, help="per-generation fitness CSV")

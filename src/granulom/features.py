@@ -209,14 +209,21 @@ def extract(recipe: FeatureRecipe, img: ColorImage) -> np.ndarray:
     return _extract_images(recipe, [img])[0]
 
 
+def check_threads(threads: int) -> None:
+    """A DataError unless `threads` is a worker count of at least 1."""
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads}")
+
+
 def extract_corpus(manifest_path, recipe: FeatureRecipe, threads: int = 1) -> "Dataset":
     """Extract every image listed in a corpus manifest into one dataset.
 
     Rows are ordered by sample id. The sorted manifest is read in chunks
     of STACK_CHUNK images, each extracted as one batch; `threads` workers
-    take whole chunks. Rows never depend on the chunking or the worker
-    count.
+    (at least 1) take whole chunks. Rows never depend on the chunking or
+    the worker count.
     """
+    check_threads(threads)
     manifest_path = os.fspath(manifest_path)
     if os.path.isdir(manifest_path):
         manifest_path = os.path.join(manifest_path, "manifest.csv")

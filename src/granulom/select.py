@@ -76,7 +76,6 @@ class GAConfig:
     seed: int = 0
     stagnation_limit: int = 0  # generations without improvement before a stop; 0 never stops
     elitism: int = 1
-    enforce_weight_sum: bool = True  # require alpha + beta == 1
 
     def __post_init__(self):
         if not 2 <= self.population_size <= MAX_POPULATION:
@@ -95,11 +94,8 @@ class GAConfig:
             raise DataError("alpha and beta must be non-negative")
         if self.seed < 0:
             raise DataError(f"GA seed must be non-negative, got {self.seed}")
-        if self.enforce_weight_sum and abs(self.alpha + self.beta - 1.0) > 1e-9:
-            raise DataError(
-                f"alpha + beta = {self.alpha + self.beta} != 1 "
-                "(pass enforce_weight_sum=False to override)"
-            )
+        if abs(self.alpha + self.beta - 1.0) > 1e-9:
+            raise DataError(f"alpha + beta = {self.alpha + self.beta} != 1")
         if not 0 <= self.elitism < self.population_size:
             raise DataError("elitism must lie in [0, population_size)")
         if self.stagnation_limit is None:  # perfbench's traced replay still passes None for 0

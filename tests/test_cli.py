@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from granulom.cli import main
+from granulom.cli import _GA_SETTINGS, main
 from granulom.features import load_dataset
 from granulom.granulometry import read_curve_csv
 from granulom.imagecore import GreyImage, read_pgm, write_pgm
+from granulom.select import GAConfig
 from granulom.synthkit import load_corpus_spec, parse_corpus_config
 
 SMALL_CORPUS_CFG = """\
@@ -247,6 +250,8 @@ def test_pipeline_ga_disabled(tmp_path, corpus_cfg):
     ("pca", "components = 2", "components = 1"),
     ("baseline", "ks = 1", "ks = 1 50"),
     ("ga", "population = 10", "populaton = 10"),
+    ("ga", "population = 10", "enforce_weight_sum = true\npopulation = 10"),
+    ("split", "test_fraction = 0.34", "test_count = 6\ntest_fraction = 0.34"),
 ])
 def test_malformed_pipeline_config_fails_before_any_stage(tmp_path, corpus_cfg, capsys,
                                                          section, old, new):
@@ -370,3 +375,71 @@ def test_dataset_error_names_the_file_and_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data}: line 5: non-numeric cell (") and "'zap'" in err
     assert err.count("\n") == 1
+
+
+def _pipeline_cfg(tmp_path, corpus_cfg, text=PIPELINE_CFG):
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(text.format(corpus_cfg=corpus_cfg))
+    return cfg
+
+
+def test_pipeline_prints_each_stage_header_once_in_order(tmp_path, corpus_cfg, capsys):
+    cfg = _pipeline_cfg(tmp_path, corpus_cfg, PIPELINE_CFG.replace("ks = 1", "ks = 1 3"))
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    headers = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("[")]
+    assert headers == ["[synth]", "[extract]", "[split]", "[baseline-1nn]", "[baseline-3nn]",
+                       "[select]", "[select-eval]", "[pca]"]
+
+
+@pytest.mark.parametrize("artefact,stage", [
+    ("all.csv", "extract"),
+    ("train.csv", "split"),
+    ("baseline_k1.csv", "baseline-1nn"),
+    ("mask.txt", "select"),
+    ("ga.csv", "select"),
+    ("ga_eval_k1.csv", "select-eval"),
+    ("pca_train.csv", "pca"),
+])
+def test_failed_artefact_write_names_its_stage(tmp_path, corpus_cfg, capsys, artefact, stage):
+    cfg = _pipeline_cfg(tmp_path, corpus_cfg)
+    run = tmp_path / "run"
+    (run / artefact).mkdir(parents=True)  # a directory where the stage writes a file
+    code = main(["--quiet", "pipeline", "--config", str(cfg), "--out", str(run)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"i/o error: stage {stage}: ") and err.count("\n") == 1
+    assert not (run / "run.txt").exists()
+
+
+def test_ga_settings_table_holds_every_ga_option():
+    assert set(_GA_SETTINGS) == {f.name for f in dataclasses.fields(GAConfig)}
+
+
+def test_weight_override_flag_is_a_usage_error(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_DATASET)
+    assert main(["--quiet", "select", "--train", str(data), "--eval", str(data), "--pop", "4",
+                 "--gens", "2", "--alpha", "0.6", "--beta", "0.6", "--no-weight-check"]) == 1
+
+
+def test_split_takes_exactly_one_size(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_DATASET)
+    argv = ["--quiet", "split", "--dataset", str(data), "--train-out", str(tmp_path / "tr.csv"),
+            "--test-out", str(tmp_path / "te.csv")]
+    assert main([*argv, "--fraction", "0.5", "--test-count", "2"]) == 1
+    assert main(argv) == 1
+    assert not (tmp_path / "tr.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_one_line_data_error(tmp_path, corpus_cfg, capsys, threads):
+    corpus, dataset, run = tmp_path / "corpus", tmp_path / "a.csv", tmp_path / "run"
+    assert main(["--quiet", "synth", "--spec", str(corpus_cfg), "--out", str(corpus)]) == 0
+    assert main(["--quiet", "extract", "--dir", str(corpus), "--out", str(dataset),
+                 "--threads", threads]) == 2
+    cfg = _pipeline_cfg(tmp_path, corpus_cfg)
+    assert main(["--quiet", "pipeline", "--config", str(cfg), "--out", str(run),
+                 "--threads", threads]) == 2
+    assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n" * 2
+    assert not dataset.exists() and not (run / "corpus").exists()

@@ -40,13 +40,12 @@ def test_config_validation():
         GAConfig(crossover_prob=1.5)
     with pytest.raises(DataError):
         GAConfig(alpha=0.6, beta=0.6)  # weight-sum check on by default
-    GAConfig(alpha=0.6, beta=0.6, enforce_weight_sum=False)
     with pytest.raises(DataError):
         GAConfig(elitism=50, population_size=50)
     with pytest.raises(DataError, match="finite"):
         GAConfig(alpha=float("nan"), beta=float("nan"))
     with pytest.raises(DataError, match="finite"):
-        GAConfig(alpha=float("inf"), beta=0.0, enforce_weight_sum=False)
+        GAConfig(alpha=float("inf"), beta=0.0)
     with pytest.raises(DataError, match="seed must be non-negative"):
         GAConfig(seed=-1)
     assert GAConfig().stagnation_limit == 0  # 0: no stagnation stop
