@@ -1,21 +1,26 @@
 """The granulom command-line tool.
 
 One executable, subcommand per pipeline stage, plus `pipeline` to run the
-whole workflow from a config file. Exit codes: 0 success, 1 usage error,
-2 data error, 3 I/O error. Diagnostics go to stderr; data goes to files
-or stdout. Every random behaviour is seed-controlled and the seeds are
-echoed in the outputs.
+whole workflow from a config file. Exit codes: 0 success, 1 usage error
+(_UsageError), 2 data error (DataError), 3 I/O error (OSError); each is
+one line on stderr. Diagnostics go to stderr; data goes to files or
+stdout. Every random behaviour is seed-controlled and the seeds are echoed
+in the outputs.
 
 `pipeline` runs one `_stage` block per stage (synth, extract, split,
 baseline-<k>nn, select, select-eval, pca): it prints `[<name>]` once,
 writes the stage's artefacts, and prefixes any error with `stage <name>: `.
-The `select` flags and `[ga]` keys are one table with every GAConfig field.
+The `select` flags and `[ga]` keys are one table with every GAConfig field,
+each defaulting to that field's GAConfig default. A pipeline run first
+removes the files an earlier run left in its directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import glob
 import itertools
 import os
 import sys
@@ -23,7 +28,7 @@ import sys
 from . import analyze, classify, features, granulometry, morphology, select, synthkit
 from .csvrows import (checked, config_error, parse_config, read_text, reject_unread, setting,
                       write_lines)
-from .errors import DataError, GranulomError
+from .errors import DataError
 from .imagecore import read_pgm, write_pgm
 
 __all__ = ["main", "pipeline"]
@@ -104,18 +109,20 @@ def _cmd_si(args) -> int:
     return 0
 
 
-# GAConfig field -> (select flag, [ga] key of a pipeline config, kind, default of both)
+# GAConfig field -> (select flag, [ga] key of a pipeline config, kind); both default
+# to the field's GAConfig default
 _GA_SETTINGS = {
-    "population_size": ("--pop", "population", "count", 50),
-    "generations": ("--gens", "generations", "count", 814),
-    "crossover_prob": ("--pc", "crossover_prob", "number", 1.0),
-    "mutation_prob": ("--pm", "mutation_prob", "number", 0.9),
-    "alpha": ("--alpha", "alpha", "number", 0.6),
-    "beta": ("--beta", "beta", "number", 0.4),
-    "seed": ("--seed", "seed", "count", 12957),
-    "stagnation_limit": ("--stagnation", "stagnation_limit", "count", 0),  # 0: no stop
-    "elitism": ("--elitism", "elitism", "count", 1),
+    "population_size": ("--pop", "population", "count"),
+    "generations": ("--gens", "generations", "count"),
+    "crossover_prob": ("--pc", "crossover_prob", "number"),
+    "mutation_prob": ("--pm", "mutation_prob", "number"),
+    "alpha": ("--alpha", "alpha", "number"),
+    "beta": ("--beta", "beta", "number"),
+    "seed": ("--seed", "seed", "count"),
+    "stagnation_limit": ("--stagnation", "stagnation_limit", "count"),  # 0: no stop
+    "elitism": ("--elitism", "elitism", "count"),
 }
+_GA_DEFAULTS = {field.name: field.default for field in dataclasses.fields(select.GAConfig)}
 
 
 def _load_pair(args, first: str, second: str):
@@ -209,8 +216,14 @@ def _stage(name: str, quiet: bool):
         yield
     except OSError as exc:
         raise OSError(f"stage {name}: {exc}") from exc
-    except GranulomError as exc:
+    except DataError as exc:
         raise DataError(f"stage {name}: {exc}") from exc
+
+
+# every file `pipeline` writes, as glob patterns relative to the run directory
+_RUN_ARTEFACTS = ("run.txt", "all.csv", "train.csv", "test.csv", "baseline_k*.csv", "mask.txt",
+                  "ga.csv", "ga_eval_k1.csv", "scatter_f*_f*.csv", "scatter_f*_f*.svg",
+                  "pca_train.csv", "pca_train.svg", "corpus/manifest.csv", "corpus/*.ppm")
 
 
 def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> None:
@@ -228,8 +241,8 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     test_fraction = setting(cp, "split", "test_fraction", "number", 50 / 237)
     ks = setting(cp, "baseline", "ks", "counts", (1, 3))
     ga_enabled = setting(cp, "ga", "enabled", "boolean", True)
-    ga_settings = {field: setting(cp, "ga", key, kind, default)
-                   for field, (_, key, kind, default) in _GA_SETTINGS.items()}
+    ga_settings = {field: setting(cp, "ga", key, kind, _GA_DEFAULTS[field])
+                   for field, (_, key, kind) in _GA_SETTINGS.items()}
     pca_enabled = setting(cp, "pca", "enabled", "boolean", True)
     n_comp = setting(cp, "pca", "components", "count", 2)
     reject_unread(cp)
@@ -257,6 +270,10 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
                 recipe.total_features, least=2)
 
     os.makedirs(out_dir, exist_ok=True)
+    for pattern in _RUN_ARTEFACTS:  # a rerun into the directory leaves only its own files
+        for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            if os.path.isfile(path):
+                os.remove(path)
 
     def out(name: str) -> str:
         return os.path.join(out_dir, name)
@@ -405,11 +422,13 @@ def build_parser() -> _Parser:
     p = add_parser("knn", _cmd_knn, help="evaluate a k-NN (or template) classifier")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--mask", default=None, help="inline 0/1 mask string")
-    p.add_argument("--mask-file", default=None, help="mask file (single 0/1 line)")
-    p.add_argument("--template", action="store_true",
-                   help="minimum-distance-to-class-mean instead of k-NN")
+    rule = p.add_mutually_exclusive_group()
+    rule.add_argument("--k", type=int, default=1)
+    rule.add_argument("--template", action="store_true",
+                      help="minimum-distance-to-class-mean instead of k-NN")
+    mask = p.add_mutually_exclusive_group()
+    mask.add_argument("--mask", default=None, help="inline 0/1 mask string")
+    mask.add_argument("--mask-file", default=None, help="mask file (single 0/1 line)")
     p.add_argument("--normalize", action="store_true",
                    help="min-max scale features using training-set ranges")
     p.add_argument("--report", default=None, help="per-sample report CSV")
@@ -418,9 +437,9 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--eval", required=True,
                    help="evaluation set scored by the fitness (watch for leakage)")
-    for field, (flag, key, kind, default) in _GA_SETTINGS.items():
+    for field, (flag, key, kind) in _GA_SETTINGS.items():
         p.add_argument(flag, dest=field, type=int if kind == "count" else float,
-                       default=default, help=f"as [ga] {key} in a pipeline config")
+                       default=_GA_DEFAULTS[field], help=f"as [ga] {key} in a pipeline config")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", default=None, help="best mask file")
     p.add_argument("--report", default=None, help="per-generation fitness CSV")
@@ -461,7 +480,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except GranulomError as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

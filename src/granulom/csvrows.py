@@ -17,7 +17,7 @@ import math
 import os
 import re
 
-from .errors import DataError, DatasetError, NonNumericValueError, RaggedRowError
+from .errors import DataError
 
 # sample ids and class labels: CSV-safe and usable in file names
 ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -49,34 +49,32 @@ def read_csv_rows(path, header: str, kinds: tuple, what: str, rest=None):
 
     Blank lines are skipped. The header must equal `header`, or with `rest`
     begin with it, each further column converted by `rest`. A missing or
-    wrong header is a DatasetError, a row wider or narrower than the header
-    a RaggedRowError, a cell its kind rejects with ValueError a
-    NonNumericValueError, and a DataError raised by a kind keeps its class
-    and message; each names the file and the line.
+    wrong header, a row wider or narrower than the header, and a cell its
+    kind rejects are each a DataError naming the file and the line; a kind's
+    own DataError keeps its message, any other ValueError is a non-numeric
+    cell.
     """
     lines = [(n, ln.strip()) for n, ln in enumerate(read_text(path).splitlines(), start=1)
              if ln.strip()]
     if not lines:
-        raise DatasetError(f"{path}: empty file, expected a {what} CSV")
+        raise DataError(f"{path}: empty file, expected a {what} CSV")
     lineno, first = lines[0]
     names, expected = first.split(","), header.split(",")
     if (names if rest is None else names[: len(expected)]) != expected:
-        raise DatasetError(f"{path}: line {lineno}: not a {what} CSV header "
-                           f"(expected {header}{'' if rest is None else ',...'})")
+        raise DataError(f"{path}: line {lineno}: not a {what} CSV header "
+                        f"(expected {header}{'' if rest is None else ',...'})")
     kinds = tuple(kinds) + (rest,) * (len(names) - len(kinds))
     rows = []
     for lineno, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(names):
-            raise RaggedRowError(f"{path}: line {lineno}: {len(cells)} cells, "
-                                 f"expected {len(names)}")
+            raise DataError(f"{path}: line {lineno}: {len(cells)} cells, expected {len(names)}")
         try:
             rows.append(tuple([kind(c) for kind, c in zip(kinds, cells)]))
         except DataError as exc:
-            raise type(exc)(f"{path}: line {lineno}: {exc}") from None
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
         except ValueError as exc:
-            raise NonNumericValueError(f"{path}: line {lineno}: non-numeric cell ({exc})") \
-                from None
+            raise DataError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
     return names, rows
 
 

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .csvrows import ID_RE, read_csv_rows, write_lines
-from .errors import DataError, DatasetError, DuplicateSampleIdError
+from .errors import DataError
 from .granulometry import closing_curves, opening_curves
 from .imagecore import ColorImage, histogram, intensity, read_ppm, to_hls
 from .morphology import se_family
@@ -267,25 +267,25 @@ class Dataset:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2:
-            raise DatasetError("feature matrix must be 2-D")
+            raise DataError("feature matrix must be 2-D")
         n = self.matrix.shape[0]
         if len(self.sample_ids) != n or len(self.labels) != n:
-            raise DatasetError("sample_ids, labels and matrix rows must align")
+            raise DataError("sample_ids, labels and matrix rows must align")
         if not self.feature_names:
             self.feature_names = default_feature_names(self.matrix.shape[1])
         if len(self.feature_names) != self.matrix.shape[1]:
-            raise DatasetError("feature_names must match matrix columns")
+            raise DataError("feature_names must match matrix columns")
         bad = np.argwhere(~np.isfinite(self.matrix))
         if bad.size:
             row, col = bad[0]
-            raise DatasetError(
+            raise DataError(
                 f"non-finite feature value {self.matrix[row, col]} "
                 f"(sample {self.sample_ids[row]!r}, feature {self.feature_names[col]!r})"
             )
         seen = set()
         for sid in self.sample_ids:
             if sid in seen:
-                raise DuplicateSampleIdError(f"duplicate sample id {sid!r}")
+                raise DataError(f"duplicate sample id {sid!r}")
             seen.add(sid)
 
     @property
@@ -314,10 +314,10 @@ def save_dataset(ds: Dataset, path) -> None:
     """CSV with header sample_id,label,f0001,...; 12 significant digits."""
     for sid in ds.sample_ids:
         if not ID_RE.match(sid):
-            raise DatasetError(f"sample id {sid!r} outside [A-Za-z0-9_-]")
+            raise DataError(f"sample id {sid!r} outside [A-Za-z0-9_-]")
     for lab in ds.labels:
         if not ID_RE.match(lab):
-            raise DatasetError(f"label {lab!r} outside [A-Za-z0-9_-]")
+            raise DataError(f"label {lab!r} outside [A-Za-z0-9_-]")
     lines = [",".join(["sample_id", "label", *ds.feature_names])]
     for sid, lab, row in zip(ds.sample_ids, ds.labels, ds.matrix):
         lines.append(",".join([sid, lab, *(f"{v:.12g}" for v in row)]))
@@ -330,8 +330,8 @@ def load_dataset(path) -> Dataset:
     matrix = np.array([row[2:] for row in rows]).reshape(len(rows), len(names) - 2)
     try:
         return Dataset([row[0] for row in rows], [row[1] for row in rows], matrix, names[2:])
-    except DatasetError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # --- train/test splitting -------------------------------------------------------

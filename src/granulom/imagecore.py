@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    MalformedHeaderError,
-    PnmError,
-    TruncatedPayloadError,
-    UnsupportedMaxvalError,
-)
+from .errors import DataError
 
 __all__ = [
     "GreyImage",
@@ -150,7 +144,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
         else:
             break
     if pos >= n:
-        raise MalformedHeaderError("unexpected end of file in header")
+        raise DataError("unexpected end of file in header")
     start = pos
     while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
         pos += 1
@@ -160,35 +154,35 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def _parse_header(data: bytes, magics: tuple[bytes, ...]) -> tuple[bytes, int, int, int, int]:
     magic, pos = _next_token(data, 0)
     if magic not in magics:
-        raise MalformedHeaderError(f"bad magic {magic!r}, expected one of {magics}")
+        raise DataError(f"bad magic {magic!r}, expected one of {magics}")
     dims = []
     for _ in range(3):
         tok, pos = _next_token(data, pos)
         if not tok.isdigit():
-            raise MalformedHeaderError(f"non-numeric header field {tok!r}")
+            raise DataError(f"non-numeric header field {tok!r}")
         dims.append(int(tok))
     width, height, maxval = dims
     if width < 1 or height < 1:
-        raise MalformedHeaderError(f"bad dimensions {width}x{height}")
+        raise DataError(f"bad dimensions {width}x{height}")
     if maxval > 255:
-        raise UnsupportedMaxvalError(f"maxval {maxval} exceeds 255")
+        raise DataError(f"maxval {maxval} exceeds 255")
     if maxval < 1:
-        raise MalformedHeaderError(f"bad maxval {maxval}")
+        raise DataError(f"bad maxval {maxval}")
     return magic, width, height, maxval, pos
 
 
 def _read_binary_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     # exactly one whitespace byte separates maxval from the raster
     if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
-        raise MalformedHeaderError("missing whitespace after maxval")
+        raise DataError("missing whitespace after maxval")
     pos += 1
     raster = data[pos : pos + count]
     if len(raster) < count:
-        raise TruncatedPayloadError(f"raster holds {len(raster)} bytes, expected {count}")
+        raise DataError(f"raster holds {len(raster)} bytes, expected {count}")
     values = np.frombuffer(raster, dtype=np.uint8)
     over = values[values > maxval]
     if over.size:
-        raise PnmError(f"sample value {over[0]} exceeds maxval {maxval}")
+        raise DataError(f"sample value {over[0]} exceeds maxval {maxval}")
     return values
 
 
@@ -197,13 +191,13 @@ def _read_ascii_raster(data: bytes, pos: int, count: int, maxval: int) -> np.nda
     for i in range(count):
         try:
             tok, pos = _next_token(data, pos)
-        except MalformedHeaderError:
-            raise TruncatedPayloadError(f"raster holds {i} samples, expected {count}") from None
+        except DataError:  # _next_token's end of file
+            raise DataError(f"raster holds {i} samples, expected {count}") from None
         if not tok.isdigit():
-            raise PnmError(f"non-numeric sample {tok!r}")
+            raise DataError(f"non-numeric sample {tok!r}")
         v = int(tok)
         if v > maxval:
-            raise PnmError(f"sample value {v} exceeds maxval {maxval}")
+            raise DataError(f"sample value {v} exceeds maxval {maxval}")
         values[i] = v
     return values
 

@@ -67,13 +67,15 @@ WORDS_PER_FETCH = 1024  # raw generator words fetched by one random_raw call
 
 @dataclass(frozen=True)
 class GAConfig:
+    """GA settings; the defaults are the [ga] run of the shipped pipeline.cfg."""
+
     population_size: int = 50
-    generations: int = 100
+    generations: int = 814
     crossover_prob: float = 1.0
     mutation_prob: float = 0.9
     alpha: float = 0.6
     beta: float = 0.4
-    seed: int = 0
+    seed: int = 12957
     stagnation_limit: int = 0  # generations without improvement before a stop; 0 never stops
     elitism: int = 1
 

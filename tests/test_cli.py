@@ -1,9 +1,11 @@
 import dataclasses
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from granulom.cli import _GA_SETTINGS, main
+from granulom import errors
+from granulom.cli import _GA_SETTINGS, _RUN_ARTEFACTS, main
 from granulom.features import load_dataset
 from granulom.granulometry import read_curve_csv
 from granulom.imagecore import GreyImage, read_pgm, write_pgm
@@ -443,3 +445,70 @@ def test_threads_below_one_is_one_line_data_error(tmp_path, corpus_cfg, capsys, 
                  "--threads", threads]) == 2
     assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n" * 2
     assert not dataset.exists() and not (run / "corpus").exists()
+
+
+def test_bad_input_has_one_exception_type():
+    classes = [v for v in vars(errors).values() if isinstance(v, type)]
+    assert classes == [errors.DataError] and issubclass(errors.DataError, ValueError)
+
+
+@pytest.mark.parametrize("pgm,message", [
+    (b"P5\n2 2\n65535\n" + bytes(8), "maxval 65535 exceeds 255"),
+    (b"P5\n2 2\n255\n" + bytes(3), "raster holds 3 bytes, expected 4"),
+    (b"P2\n2 2\n255\n0 1 2\n", "raster holds 3 samples, expected 4"),
+])
+def test_unsupported_or_truncated_pgm_is_one_line_data_error(tmp_path, capsys, pgm, message):
+    src = tmp_path / "in.pgm"
+    src.write_bytes(pgm)
+    assert main(["granulo", str(src), str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_rerun_into_a_run_directory_leaves_only_its_own_artefacts(tmp_path, corpus_cfg):
+    no_ga = PIPELINE_CFG.replace("enabled = true", "enabled = false", 1)
+    cfg, run, fresh = _pipeline_cfg(tmp_path, corpus_cfg), tmp_path / "run[1]", tmp_path / "fresh"
+    assert main(["--quiet", "pipeline", "--config", str(cfg), "--out", str(run)]) == 0
+    first = _files(run)
+    assert "mask.txt" in {f.name for f in first}
+    assert {p for pattern in _RUN_ARTEFACTS for p in run.glob(pattern)} == {run / f for f in first}
+    _pipeline_cfg(tmp_path, corpus_cfg, no_ga.replace("seed = 3", "seed = -1"))
+    assert main(["--quiet", "pipeline", "--config", str(cfg), "--out", str(run)]) == 2
+    assert _files(run) == first  # a config error removes nothing
+    _pipeline_cfg(tmp_path, corpus_cfg, no_ga)
+    assert main(["--quiet", "pipeline", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(["--quiet", "pipeline", "--config", str(cfg), "--out", str(fresh)]) == 0
+    assert _files(run) == _files(fresh)
+
+
+@pytest.mark.parametrize("flags", [["--k", "2", "--mask", "10", "--mask-file", "m.txt"],
+                                   ["--template", "--k", "3"]])
+def test_knn_flag_groups_take_one_flag_each(tmp_path, capsys, flags):
+    data, report = tmp_path / "d.csv", tmp_path / "r.csv"
+    data.write_text(TINY_DATASET)
+    (tmp_path / "m.txt").write_text("11\n")
+    flags = [str(tmp_path / f) if f == "m.txt" else f for f in flags]
+    assert main(["--quiet", "knn", "--train", str(data), "--test", str(data),
+                 "--report", str(report), *flags]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not report.exists()
+
+
+def test_ga_defaults_are_the_shipped_run(tmp_path, monkeypatch):
+    built = []
+
+    def record(**settings):  # stops each command once its GA settings are known
+        built.append(GAConfig(**settings))
+        raise errors.DataError("recorded")
+
+    monkeypatch.setattr("granulom.select.GAConfig", record)
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_DATASET)
+    assert main(["--quiet", "select", "--train", str(data), "--eval", str(data)]) == 2
+    shipped = files("granulom.data").joinpath("pipeline.cfg")
+    assert main(["--quiet", "pipeline", "--config", str(shipped),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert built == [GAConfig(), GAConfig()]

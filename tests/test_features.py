@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granulom.errors import (
-    DataError,
-    DatasetError,
-    DuplicateSampleIdError,
-    NonNumericValueError,
-    RaggedRowError,
-)
+from granulom.errors import DataError
 from granulom.features import (
     STACK_CHUNK,
     ClosingGranulometry,
@@ -138,7 +132,7 @@ def _toy_dataset(n=6, d=4, seed=3):
 
 
 def test_dataset_invariants():
-    with pytest.raises(DuplicateSampleIdError):
+    with pytest.raises(DataError, match="^duplicate sample id 'a'$"):
         Dataset(["a", "a"], ["x", "y"], np.zeros((2, 3)))
     ds = _toy_dataset()
     assert ds.feature_names == ["f0001", "f0002", "f0003", "f0004"]
@@ -188,13 +182,13 @@ def test_empty_dataset_roundtrip(tmp_path):
 def test_load_errors(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("sample_id,label,f0001\na,x,1.0,9\n")
-    with pytest.raises(RaggedRowError):
+    with pytest.raises(DataError, match=f"^{p}: line 2: 4 cells, expected 3$"):
         load_dataset(p)
     p.write_text("sample_id,label,f0001\na,x,zap\n")
-    with pytest.raises(NonNumericValueError):
+    with pytest.raises(DataError, match=f"^{p}: line 2: non-numeric cell .*'zap'"):
         load_dataset(p)
     p.write_text("sample_id,label,f0001\na,x,1\na,y,2\n")
-    with pytest.raises(DuplicateSampleIdError):
+    with pytest.raises(DataError, match=f"^{p}: duplicate sample id 'a'$"):
         load_dataset(p)
     p.write_text("id,label,f0001\na,x,1\n")
     with pytest.raises(DataError):
@@ -205,14 +199,14 @@ def test_load_errors(tmp_path):
 def test_dataset_rejects_non_finite_values(value):
     matrix = np.zeros((2, 3))
     matrix[1, 2] = value
-    with pytest.raises(DatasetError, match="non-finite feature value .*'b'.*'f0003'"):
+    with pytest.raises(DataError, match="non-finite feature value .*'b'.*'f0003'"):
         Dataset(["a", "b"], ["x", "y"], matrix)
 
 
 def test_load_rejects_nan_cell(tmp_path):
     p = tmp_path / "nan.csv"
     p.write_text("sample_id,label,f0001,f0002\na,x,1.0,2.0\nb,y,nan,3.0\n")
-    with pytest.raises(DatasetError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite"):
         load_dataset(p)
 
 
@@ -259,10 +253,10 @@ def test_split_rejects_a_negative_seed():
 def test_load_errors_name_the_file_and_the_file_line(tmp_path):
     p = tmp_path / "gaps.csv"
     p.write_text("sample_id,label,f0001\n\n\na,x,1\nb,y,zap\n")
-    with pytest.raises(NonNumericValueError, match=f"^{p}: line 5: non-numeric cell .*'zap'"):
+    with pytest.raises(DataError, match=f"^{p}: line 5: non-numeric cell .*'zap'"):
         load_dataset(p)
     p.write_text("sample_id,label,f0001\n\n\na,x,1\nb,y\n")
-    with pytest.raises(RaggedRowError, match=f"^{p}: line 5: 2 cells, expected 3$"):
+    with pytest.raises(DataError, match=f"^{p}: line 5: 2 cells, expected 3$"):
         load_dataset(p)
     p.write_bytes(b"sample_id,label,f0001\na,x,1\nb,\xff,2\n")
     with pytest.raises(DataError, match=f"^{p}: line 3: not UTF-8 text$"):
