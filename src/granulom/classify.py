@@ -19,6 +19,14 @@ lays out (q_f - t_f)**2 feature-major, as (features, queries, train), and
 index. That summation order is a contract: the GA's history and mask
 bytes depend on it, so no Gram-matrix form, pairwise or reordered sum,
 or incremental update may replace it.
+
+Rows of single-valued columns are left out of the table and of every sum
+(`live_columns`). Where a column holds one finite value v over the
+queries and the training rows, every difference is v - v = +0.0 and so
+is every square. A sum of squares is never -0.0, and adding +0.0 to it
+changes no bit; the kept rows are still added left to right in ascending
+feature index, so every distance is bitwise what the sum over all rows
+gives. With no live column at all, every distance is 0.0.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "Neighbour",
     "SampleOutcome",
     "distance",
+    "live_columns",
     "classify_knn",
     "classify_template",
     "evaluate",
@@ -212,10 +221,24 @@ def summed_rows(sq, rows, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def live_columns(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
+    """Ascending indices of the columns that do not hold one single finite value over both inputs.
+
+    A column left out adds +0.0 to every squared distance (see the module
+    docstring). A non-finite value keeps its column live: inf - inf is NaN.
+    """
+    first = (queries if queries.shape[0] else training)[:1]
+    single = (queries == first).all(axis=0) & (training == first).all(axis=0)
+    return np.flatnonzero(~(single & np.isfinite(first).all(axis=0)))
+
+
 def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
-    """(queries, train) squared distances over every column of both inputs."""
-    sq = squared_difference_table(queries, training)
-    return summed_rows(sq, range(sq.shape[0]))
+    """(queries, train) squared distances over the live columns of both inputs."""
+    live = live_columns(queries, training)
+    if live.size == 0:
+        return np.zeros((queries.shape[0], training.shape[0]))
+    sq = squared_difference_table(queries[:, live], training[:, live])
+    return summed_rows(sq, range(live.size))
 
 
 def _vote(top: list[str]) -> str:

@@ -136,14 +136,15 @@ def _load_pair(args, first: str, second: str):
 
 def _cmd_knn(args) -> int:
     train, test = _load_pair(args, args.train, args.test)
-    if args.mask:
+    if args.mask is not None:
         mask = classify.FeatureMask.from_string(args.mask)
     else:
         mask = select.read_mask(args.mask_file) if args.mask_file else None
     if args.template:
         report = classify.evaluate_template(train, test, mask)
     else:
-        report = classify.evaluate(train, test, classify.KnnConfig(args.k), mask)
+        k = 1 if args.k is None else args.k
+        report = classify.evaluate(train, test, classify.KnnConfig(k), mask)
     if args.report:
         report.to_csv(args.report)
     print(f"hits = {report.hits}")
@@ -423,7 +424,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     rule = p.add_mutually_exclusive_group()
-    rule.add_argument("--k", type=int, default=1)
+    rule.add_argument("--k", type=int, default=None, help="neighbours (default 1)")
     rule.add_argument("--template", action="store_true",
                       help="minimum-distance-to-class-mean instead of k-NN")
     mask = p.add_mutually_exclusive_group()

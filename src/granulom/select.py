@@ -40,7 +40,13 @@ from itertools import chain
 
 import numpy as np
 
-from .classify import FeatureMask, _training_rows, squared_difference_table, summed_rows
+from .classify import (
+    FeatureMask,
+    _training_rows,
+    live_columns,
+    squared_difference_table,
+    summed_rows,
+)
 from .csvrows import read_text, write_lines
 from .errors import DataError
 from .features import Dataset
@@ -127,6 +133,7 @@ class GARunReport:
     seed: int
     cache_hits: int  # objective calls answered from the mask cache
     evaluations: int  # objective calls that scored a mask
+    distance_sums: int  # masks whose distances were summed: one per distinct live projection
 
     @property
     def selected_features(self) -> tuple[int, ...]:
@@ -157,10 +164,16 @@ def fitness(hits: int, nf: int, alpha: float, beta: float) -> float:
 
 
 class _WrapperObjective:
-    """1-NN hit counting for masks over a fixed train/eval pair, memoized.
+    """1-NN hit counting for masks over a fixed train/eval pair, memoized twice.
 
-    The squared-difference table over all features is built once; a mask's
-    distances are the sum of its rows, added into one reused buffer.
+    The squared-difference table is built once, over the live columns only
+    (`classify.live_columns`): a column that holds one value adds +0.0 to
+    every distance, which changes no bit of it. A mask's distances are the
+    sum of its live rows, added into one reused buffer. Two masks with the
+    same live bits therefore have bitwise equal distances, the same nearest
+    neighbours and the same hits, so hits are memoized by the live bits and
+    each live projection is summed once. `nf` still counts every selected
+    bit. The full-mask cache in front keeps `cache_hits` and `evaluations`.
     """
 
     def __init__(self, train: Dataset, eval_set: Dataset, cfg: GAConfig):
@@ -174,13 +187,31 @@ class _WrapperObjective:
         _, train_labels, train_matrix = _training_rows(train)
         codes = {lab: i for i, lab in enumerate(sorted(set(train_labels)))}
         self.train_codes = np.array([codes[lab] for lab in train_labels])
-        # one (eval, train) view per feature: a list indexes faster than the table
-        self.sq = list(squared_difference_table(eval_set.matrix, train_matrix))
-        self.d2 = np.empty(self.sq[0].shape)
+        self.live = live_columns(eval_set.matrix, train_matrix)
+        # one (eval, train) view per live feature: a list indexes faster than the table
+        self.sq = list(
+            squared_difference_table(eval_set.matrix[:, self.live], train_matrix[:, self.live])
+        )
+        self.d2 = np.empty((eval_set.n_samples, train.n_samples))
         self.eval_codes = np.array([codes.get(lab, -1) for lab in eval_set.labels])
         self.eval_total = eval_set.n_samples
         self.cache: dict[bytes, tuple[int, int, float]] = {}
+        self.hits_by_live: dict[bytes, int] = {}
         self.cache_hits = 0
+
+    def _hits(self, live_bits: np.ndarray) -> int:
+        """1-NN hits over the live rows `live_bits` selects, summed once per projection."""
+        key = live_bits.tobytes()
+        hits = self.hits_by_live.get(key)
+        if hits is None:
+            rows = live_bits.nonzero()[0].tolist()  # Python ints index the table fastest
+            if rows:  # argmin takes the first occurrence = the smallest sample id
+                nearest = summed_rows(self.sq, rows, out=self.d2).argmin(axis=1)
+            else:
+                nearest = 0  # every distance is 0.0: the smallest sample id
+            hits = int(np.count_nonzero(self.train_codes[nearest] == self.eval_codes))
+            self.hits_by_live[key] = hits
+        return hits
 
     def __call__(self, bits: np.ndarray) -> tuple[int, int, float]:
         key = bits.tobytes()
@@ -188,14 +219,11 @@ class _WrapperObjective:
         if hit is not None:
             self.cache_hits += 1
             return hit
-        rows = bits.nonzero()[0].tolist()  # Python ints index the table fastest
-        nf = len(rows)
+        nf = int(np.count_nonzero(bits))
         if nf == 0:
             result = (0, 0, EMPTY_MASK_FITNESS)
         else:
-            d2 = summed_rows(self.sq, rows, out=self.d2)
-            nearest = d2.argmin(axis=1)  # first occurrence = smallest sample id
-            hits = int(np.count_nonzero(self.train_codes[nearest] == self.eval_codes))
+            hits = self._hits(bits[self.live])
             result = (hits, nf, fitness(hits, nf, self.cfg.alpha, self.cfg.beta))
         self.cache[key] = result
         return result
@@ -327,6 +355,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         seed=cfg.seed,
         cache_hits=objective.cache_hits,
         evaluations=len(objective.cache),
+        distance_sums=len(objective.hits_by_live),
     )
 
 

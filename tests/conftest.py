@@ -273,3 +273,17 @@ def hls_pixel(r: int, g: int, b: int) -> HlsPixel:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture(scope="session")
+def granite14_corpus(tmp_path_factory):
+    """(directory, manifest entries) of the granite14 corpus at its shipped seed.
+
+    Written once per session and shared by every test that only reads it;
+    a test that writes next to a corpus makes its own.
+    """
+    from granulom.synthkit import builtin_corpus_spec, generate_corpus
+
+    corpus_dir = tmp_path_factory.mktemp("granite14") / "corpus"
+    entries = generate_corpus(builtin_corpus_spec("granite14"), corpus_dir)
+    return corpus_dir, tuple(entries)

@@ -40,12 +40,9 @@ def _verdict(criterion: int, name: str, ok: bool, detail: str = "") -> None:
 # --- shared granite14 artefacts -----------------------------------------------
 
 @pytest.fixture(scope="module")
-def granite14_run(tmp_path_factory):
-    """Corpus, datasets and the GA run for the frozen benchmark, built once."""
-    root = tmp_path_factory.mktemp("granite14")
-    spec = builtin_corpus_spec("granite14")
-    corpus_dir = root / "corpus"
-    generate_corpus(spec, corpus_dir)
+def granite14_run(granite14_corpus):
+    """Datasets and the GA run for the frozen benchmark, built once over the shared corpus."""
+    corpus_dir, _ = granite14_corpus
     dataset = extract_corpus(corpus_dir, builtin_recipe("lot117"), threads=2)
     result = split(dataset, 50 / 237, seed=2028)
     baseline = evaluate(result.train, result.test, KnnConfig(1))
@@ -60,7 +57,6 @@ def granite14_run(tmp_path_factory):
     )
     ga_report = run_ga(result.train, result.test, cfg)
     return {
-        "root": root,
         "corpus_dir": corpus_dir,
         "dataset": dataset,
         "train": result.train,
@@ -402,6 +398,7 @@ def test_ga_golden_work_counts(granite14_run):
     ga = granite14_run["ga"]
     assert (ga.cache_hits, ga.evaluations) == (5235, 35515)
     assert ga.cache_hits + ga.evaluations == 50 * (ga.generations_run + 1)
+    assert ga.distance_sums == 11136  # distinct live projections: each summed once
 
 
 # sha256 of ga.csv and mask.txt of `granulom pipeline` on granite14 at corpus

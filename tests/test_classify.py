@@ -14,6 +14,7 @@ from granulom.classify import (
     distance,
     evaluate,
     evaluate_template,
+    live_columns,
     squared_difference_table,
     summed_rows,
 )
@@ -269,6 +270,84 @@ def test_knn_and_template_distances_are_left_to_right(rng, n_features):
         assert np.array_equal(_squared_distances(queries[:, sel], means[:, sel]), expected)
         for q, row in zip(queries, expected):
             assert classify_template(train, q, mask) == train.class_labels[int(np.argmin(row))]
+
+
+# --- single-valued columns -----------------------------------------------------
+
+def _planted_inputs(rng, n_features, planted):
+    """Engine inputs with single-valued columns planted at `planted`; the dead ones are returned.
+
+    A planted column holds one value over both inputs (signed zeros mixed
+    in some), or one value in only one of them, or one value in each of
+    them but not the same one; only the first two kinds are dead.
+    """
+    queries, training = _engine_inputs(rng, n_features)
+    values = np.array([0.0, -0.0, 1.5, -3e5, 7e-9, 1e150])
+    dead = []
+    for f in planted:
+        v = rng.choice(values)
+        kind = rng.integers(5)
+        if kind == 0:  # one value over both inputs
+            queries[:, f] = training[:, f] = v
+        elif kind == 1:  # +0.0 and -0.0 mixed: one value, since +0.0 == -0.0
+            queries[:, f] = np.where(rng.random(queries.shape[0]) < 0.5, 0.0, -0.0)
+            training[:, f] = np.where(rng.random(training.shape[0]) < 0.5, 0.0, -0.0)
+        elif kind == 2:  # one value in the queries only
+            queries[:, f] = v
+        elif kind == 3:  # one value in the training rows only
+            training[:, f] = v
+        else:  # one value in each input, not the same one
+            queries[:, f], training[:, f] = v, 2.0 * v + 1.0
+        if kind < 2:
+            dead.append(int(f))
+    return queries, training, sorted(dead)
+
+
+def test_live_columns_are_the_columns_not_holding_one_value(rng):
+    for _ in range(20):
+        n_features = int(rng.integers(1, 40))
+        planted = rng.choice(n_features, size=int(rng.integers(0, n_features + 1)), replace=False)
+        queries, training, dead = _planted_inputs(rng, n_features, planted)
+        live = live_columns(queries, training)
+        assert live.tolist() == sorted(set(range(n_features)) - set(dead))
+    # a non-finite value keeps its column live: inf - inf is NaN, not 0.0
+    assert live_columns(np.array([[np.inf, 1.0]]), np.array([[np.inf, 1.0]])).tolist() == [0]
+
+
+def test_skipping_single_valued_rows_is_bitwise_exact(rng):
+    for trial in range(60):
+        n_features = int(rng.integers(1, 40))
+        share = (0.0, 0.5, 1.0)[trial % 3]  # none, some or every column planted
+        planted = rng.choice(n_features, size=int(share * n_features), replace=False)
+        queries, training, dead = _planted_inputs(rng, n_features, planted)
+        every_row = summed_rows(squared_difference_table(queries, training), range(n_features))
+        skipped = _squared_distances(queries, training)
+        assert skipped.shape == every_row.shape
+        assert np.array_equal(skipped.view(np.int64), every_row.view(np.int64))
+    # no live column at all: every distance is +0.0
+    queries, training = np.full((3, 4), 2.5), np.full((5, 4), 2.5)
+    queries[:, 1], training[:, 1] = -0.0, 0.0
+    assert live_columns(queries, training).size == 0
+    d2 = _squared_distances(queries, training)
+    assert d2.shape == (3, 5) and not d2.view(np.int64).any()
+
+
+def test_mask_of_only_constant_features_picks_first_training_sample_by_id(rng):
+    rows = rng.normal(size=(6, 4))
+    rows[:, 1] = 3.25
+    rows[:, 3] = -0.0
+    train = _dataset(rows, ["a", "b", "c", "a", "b", "c"], ids=["t5", "t3", "t9", "t1", "t4", "t2"])
+    test = _dataset(rng.normal(size=(3, 4)), ["b", "a", "c"], ids=["q1", "q2", "q3"])
+    test.matrix[:, 1] = 3.25
+    test.matrix[:, 3] = 0.0
+    mask = FeatureMask(np.array([0, 1, 0, 1]))
+    rep = evaluate(train, test, KnnConfig(6), mask)
+    for outcome in rep.per_sample:
+        assert [n.sample_id for n in outcome.neighbours] == sorted(train.sample_ids)
+        assert all(n.distance == 0.0 for n in outcome.neighbours)
+    one = evaluate(train, test, KnnConfig(1), mask)
+    assert [s.predicted for s in one.per_sample] == ["a", "a", "a"]  # label of t1
+    assert one.hits == 1
 
 
 # --- golden classify record ------------------------------------------------------

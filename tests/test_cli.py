@@ -485,7 +485,8 @@ def test_rerun_into_a_run_directory_leaves_only_its_own_artefacts(tmp_path, corp
 
 
 @pytest.mark.parametrize("flags", [["--k", "2", "--mask", "10", "--mask-file", "m.txt"],
-                                   ["--template", "--k", "3"]])
+                                   ["--template", "--k", "3"],
+                                   ["--template", "--k", "1"]])
 def test_knn_flag_groups_take_one_flag_each(tmp_path, capsys, flags):
     data, report = tmp_path / "d.csv", tmp_path / "r.csv"
     data.write_text(TINY_DATASET)
@@ -494,6 +495,18 @@ def test_knn_flag_groups_take_one_flag_each(tmp_path, capsys, flags):
     assert main(["--quiet", "knn", "--train", str(data), "--test", str(data),
                  "--report", str(report), *flags]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+    assert not report.exists()
+
+
+def test_knn_empty_mask_is_one_line_data_error(tmp_path, capsys):
+    """An empty --mask is a malformed mask, not a request for every feature."""
+    data, report = tmp_path / "d.csv", tmp_path / "r.csv"
+    data.write_text(TINY_DATASET)
+    assert main(["knn", "--train", str(data), "--test", str(data),
+                 "--report", str(report), "--mask", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not report.exists()
 
 

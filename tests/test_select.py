@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import knn_oracle
-from granulom.classify import FeatureMask, KnnConfig, evaluate
+from granulom.classify import (
+    FeatureMask,
+    KnnConfig,
+    evaluate,
+    squared_difference_table,
+    summed_rows,
+)
 from granulom.errors import DataError
 from granulom.features import Dataset
 from granulom.select import (
@@ -263,6 +269,68 @@ def test_ga_edge_config_golden():
         )
         digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_GA_GRID_SHA256
+
+
+# --- live projections -----------------------------------------------------------------
+# Columns holding one value add +0.0 to every distance, so _WrapperObjective
+# sums only live rows and scores each live projection once. A plain scorer
+# over every selected row, dead ones included, must give the same answers.
+
+DEAD = [1, 4, 5, 9]
+
+
+def _pair_with_dead_columns(rng, n=12):
+    """Small-integer features (many distance ties) with the columns DEAD single-valued."""
+    def block(count, tag):
+        rows = rng.integers(0, 3, size=(count, n)).astype(np.float64)
+        rows[:, 1], rows[:, 4], rows[:, 9] = 2.0, -7.5, 1e-3
+        rows[:, 5] = np.where(rng.random(count) < 0.5, 0.0, -0.0)
+        ids = [f"{tag}{i:02d}" for i in rng.permutation(count)]
+        return Dataset(ids, [f"c{i % 3}" for i in range(count)], rows)
+    train, eval_set = block(10, "tr"), block(7, "ev")
+    train.matrix[:, 11] = 4.0  # single-valued in the training rows only: live
+    return train, eval_set
+
+
+def _every_row_score(train, eval_set, bits, cfg):
+    """(hits, nf, fitness) of 1-NN over every selected row of the full table."""
+    order = sorted(range(train.n_samples), key=lambda i: train.sample_ids[i])
+    sq = squared_difference_table(eval_set.matrix, train.matrix[order])
+    nearest = summed_rows(sq, np.flatnonzero(bits)).argmin(axis=1)
+    hits = sum(train.labels[order[j]] == lab for j, lab in zip(nearest, eval_set.labels))
+    nf = int(bits.sum())
+    return hits, nf, fitness(hits, nf, cfg.alpha, cfg.beta)
+
+
+def test_mask_of_only_constant_features_scores_first_training_sample(rng):
+    train, eval_set = _pair_with_dead_columns(rng)
+    cfg = GAConfig(seed=0)
+    bits = np.zeros(train.n_features, dtype=bool)
+    bits[DEAD] = True
+    first = train.labels[train.sample_ids.index(min(train.sample_ids))]
+    hits = eval_set.labels.count(first)
+    assert hits > 0
+    expected = (hits, len(DEAD), fitness(hits, len(DEAD), cfg.alpha, cfg.beta))
+    assert _WrapperObjective(train, eval_set, cfg)(bits) == expected
+    assert _every_row_score(train, eval_set, bits, cfg) == expected
+
+
+def test_masks_differing_in_dead_bits_share_one_distance_sum(rng):
+    train, eval_set = _pair_with_dead_columns(rng)
+    cfg = GAConfig(seed=0)
+    objective = _WrapperObjective(train, eval_set, cfg)
+    assert objective.live.tolist() == [f for f in range(train.n_features) if f not in DEAD]
+    projections = set()
+    for _ in range(150):
+        bits = rng.random(train.n_features) < 0.4
+        for _ in range(3):  # the same live bits under different dead bits
+            bits[DEAD] = rng.random(len(DEAD)) < 0.5
+            if bits.any():
+                assert objective(bits.copy()) == _every_row_score(train, eval_set, bits, cfg)
+                projections.add(bits[objective.live].tobytes())
+    assert len(objective.hits_by_live) == len(projections) < len(objective.cache)
+    rep = run_ga(train, eval_set, GAConfig(population_size=8, generations=15, seed=3))
+    assert 0 < rep.distance_sums < rep.evaluations
 
 
 # --- draw replay against numpy's own Generator calls --------------------------------

@@ -234,31 +234,32 @@ GOLDEN_GRANITE14_SHA256 = {
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_GRANITE14_SHA256))
-def test_granite14_corpus_golden_bytes(tmp_path, seed):
+def test_granite14_corpus_golden_bytes(request, tmp_path, seed):
     spec = dataclasses.replace(builtin_corpus_spec("granite14"), seed=seed)
-    entries = generate_corpus(spec, tmp_path)
+    if seed == builtin_corpus_spec("granite14").seed:
+        corpus_dir, entries = request.getfixturevalue("granite14_corpus")
+    else:
+        corpus_dir, entries = tmp_path, generate_corpus(spec, tmp_path)
     digest = hashlib.sha256()
     for name in ["manifest.csv"] + [e.path for e in entries]:
-        file_digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        file_digest = hashlib.sha256((corpus_dir / name).read_bytes()).hexdigest()
         digest.update(f"{name} {file_digest}\n".encode())
     assert digest.hexdigest() == GOLDEN_GRANITE14_SHA256[seed]
 
 
-def test_granite14_files_match_table1_counts(tmp_path):
-    spec = builtin_corpus_spec("granite14")
-    entries = generate_corpus(spec, tmp_path / "g14")
+def test_granite14_files_match_table1_counts(granite14_corpus):
+    corpus_dir, entries = granite14_corpus
     assert len(entries) == 237
-    assert len(list((tmp_path / "g14").glob("*.ppm"))) == 237
+    assert len(list(corpus_dir.glob("*.ppm"))) == 237
 
 
 @pytest.mark.slow
-def test_granite14_separability_headroom(tmp_path):
+def test_granite14_separability_headroom(granite14_corpus):
     """The frozen benchmark leaves the GA room to improve: 90% <= 1-NN < 100%."""
     from granulom.classify import KnnConfig, evaluate
 
-    spec = builtin_corpus_spec("granite14")
-    generate_corpus(spec, tmp_path / "g14")
-    ds = extract_corpus(tmp_path / "g14", builtin_recipe("lot117"), threads=2)
+    corpus_dir, _ = granite14_corpus
+    ds = extract_corpus(corpus_dir, builtin_recipe("lot117"), threads=2)
     res = split(ds, 50 / 237, seed=2028)
     rep = evaluate(res.train, res.test, KnnConfig(1))
     assert 0.90 <= rep.recognition_rate < 1.0
