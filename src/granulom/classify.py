@@ -15,18 +15,20 @@ fully deterministic.
 
 Every squared distance comes from one engine. `squared_difference_table`
 lays out (q_f - t_f)**2 feature-major, as (features, queries, train), and
-`summed_rows` adds the selected rows left to right in ascending feature
-index. That summation order is a contract: the GA's history and mask
-bytes depend on it, so no Gram-matrix form, pairwise or reordered sum,
-or incremental update may replace it.
+`summed_rows` starts from +0.0 and adds the selected rows left to right
+in ascending feature index. That summation order is a contract: the GA's
+history and mask bytes depend on it, so no Gram-matrix form, pairwise or
+reordered sum, or incremental update may replace it.
 
-Rows of single-valued columns are left out of the table and of every sum
-(`live_columns`). Where a column holds one finite value v over the
+One fact makes both the start and the skipped rows exact: a square is
+never -0.0, and +0.0 + x is x bit for bit for every x but -0.0
+(infinities and NaN payloads included). So a sum started at +0.0 equals
+the sum started at its first row, and a sum of no rows is +0.0. Rows of
+single-valued columns are left out of the table and of every sum
+(`live_columns`): where a column holds one finite value v over the
 queries and the training rows, every difference is v - v = +0.0 and so
-is every square. A sum of squares is never -0.0, and adding +0.0 to it
-changes no bit; the kept rows are still added left to right in ascending
-feature index, so every distance is bitwise what the sum over all rows
-gives. With no live column at all, every distance is 0.0.
+is every square, and adding it changes no bit of a sum of squares. With
+no live column, every distance is +0.0 and the nearest row is the first.
 """
 
 from __future__ import annotations
@@ -169,12 +171,18 @@ def _selected_columns(n_features: int, mask: FeatureMask | None) -> np.ndarray:
     return sel
 
 
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DataError("query holds a non-finite feature value")
+
+
 def distance(x, m, mask: FeatureMask | None = None) -> float:
     """Euclidean distance over the masked coordinates."""
     xv = np.asarray(x, dtype=np.float64)
     mv = np.asarray(m, dtype=np.float64)
     if xv.shape != mv.shape or xv.ndim != 1:
         raise DataError("vectors must be 1-D and of equal length")
+    _check_finite(xv, mv)
     sel = _selected_columns(xv.size, mask)
     return sqrt(float(_squared_distances(xv[None, sel], mv[None, sel])[0, 0]))
 
@@ -207,16 +215,16 @@ def squared_difference_table(queries: np.ndarray, training: np.ndarray) -> np.nd
 
 
 def summed_rows(sq, rows, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances over the table rows `rows` (ascending), added left to right.
+    """Squared distances over the table rows `rows` (ascending): +0.0 plus each row, left to right.
 
-    `sq` is the table or a list of its rows. The sum goes into `out` when
-    it is given, else into a new array.
+    `sq` is the table or a list of its rows; a list needs `out`. The sum
+    overwrites `out` when it is given, else goes into a new array.
     """
     if out is None:
-        out = sq[rows[0]].copy()
+        out = np.zeros(sq.shape[1:])
     else:
-        out[...] = sq[rows[0]]
-    for f in rows[1:]:
+        out.fill(0.0)
+    for f in rows:
         out += sq[f]
     return out
 
@@ -235,8 +243,6 @@ def live_columns(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
 def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
     """(queries, train) squared distances over the live columns of both inputs."""
     live = live_columns(queries, training)
-    if live.size == 0:
-        return np.zeros((queries.shape[0], training.shape[0]))
     sq = squared_difference_table(queries[:, live], training[:, live])
     return summed_rows(sq, range(live.size))
 
@@ -269,8 +275,7 @@ def _rank(
     sel = _selected_columns(matrix.shape[1], mask)
     if queries.shape[1:] != matrix.shape[1:]:
         raise DataError(f"query rows {queries.shape[1:]} do not match {matrix.shape[1]} features")
-    if not np.isfinite(queries).all():
-        raise DataError("query holds a non-finite feature value")
+    _check_finite(queries)
     ranked = []
     for d2 in _squared_distances(queries[:, sel], matrix[:, sel]):
         nearest = tuple(

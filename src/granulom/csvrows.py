@@ -3,11 +3,12 @@
 `write_lines` writes every text output: LF line ends, a final newline,
 UTF-8, one write call. `read_csv_rows` reads every CSV and `read_text`
 every other text input; a malformed file is a DataError naming the file
-and the line. `parse_config` parses both INI configs (corpus and
-pipeline) and `setting` reads each of their values; a malformed or
-unknown value is a one-line DataError naming the section and the key.
-`checked` runs a range check on values already read and gives its
-DataError the same prefix.
+and the line. `identifier` checks every sample id and class label, as a
+CSV cell converter or on its own. `parse_config` parses both INI configs
+(corpus and pipeline) and `setting` reads each of their values; a
+malformed or unknown value is a one-line DataError naming the section
+and the key. `checked` runs a range check on values already read and
+gives its DataError the same prefix.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import re
 
 from .errors import DataError
 
-# sample ids and class labels: CSV-safe and usable in file names
-ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def write_lines(path, lines) -> None:
@@ -42,6 +42,17 @@ def read_text(path) -> str:
             return text
     line = data.count(b"\n", 0, bad) + 1
     raise DataError(f"{path}: line {line}: {fault}")
+
+
+def identifier(cell: str, what: str = "sample id or label") -> str:
+    """`cell` if it is one or more of [A-Za-z0-9_-], else a DataError.
+
+    Every sample id and class label obeys this rule, on read and on write:
+    it keeps them CSV-safe and usable in file names.
+    """
+    if not _ID_RE.fullmatch(cell):
+        raise DataError(f"{what} {cell!r} outside [A-Za-z0-9_-]")
+    return cell
 
 
 def read_csv_rows(path, header: str, kinds: tuple, what: str, rest=None):

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .csvrows import ID_RE, read_csv_rows, write_lines
+from .csvrows import identifier, read_csv_rows, write_lines
 from .errors import DataError
 from .granulometry import closing_curves, opening_curves
 from .imagecore import ColorImage, histogram, intensity, read_ppm, to_hls
@@ -312,12 +312,9 @@ class Dataset:
 
 def save_dataset(ds: Dataset, path) -> None:
     """CSV with header sample_id,label,f0001,...; 12 significant digits."""
-    for sid in ds.sample_ids:
-        if not ID_RE.match(sid):
-            raise DataError(f"sample id {sid!r} outside [A-Za-z0-9_-]")
-    for lab in ds.labels:
-        if not ID_RE.match(lab):
-            raise DataError(f"label {lab!r} outside [A-Za-z0-9_-]")
+    for sid, lab in zip(ds.sample_ids, ds.labels):
+        identifier(sid, "sample id")
+        identifier(lab, "label")
     lines = [",".join(["sample_id", "label", *ds.feature_names])]
     for sid, lab, row in zip(ds.sample_ids, ds.labels, ds.matrix):
         lines.append(",".join([sid, lab, *(f"{v:.12g}" for v in row)]))
@@ -326,7 +323,8 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     """Dataset from a CSV whose header, sample_id,label,<feature names>, sets its width."""
-    names, rows = read_csv_rows(path, "sample_id,label", (str, str), "dataset", rest=float)
+    names, rows = read_csv_rows(path, "sample_id,label", (identifier, identifier), "dataset",
+                                rest=float)
     matrix = np.array([row[2:] for row in rows]).reshape(len(rows), len(names) - 2)
     try:
         return Dataset([row[0] for row in rows], [row[1] for row in rows], matrix, names[2:])

@@ -46,7 +46,13 @@ __all__ = [
     "export_curve",
     "read_curve_csv",
     "read_diagram_csv",
+    "MAX_R_MAX",
 ]
+
+# The largest r_max accepted. Each size costs one opening pass, and every size
+# from h + w on opens an h x w frame as size h + w does (see `morphology`), so
+# this covers every distinct opening of frames up to 2048 x 2048.
+MAX_R_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,8 @@ def _opened_volumes(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
 
 
 def _check_r_max(r_max: int) -> None:
-    if r_max < 0:
-        raise DataError("r_max must be >= 0")
+    if not 0 <= r_max <= MAX_R_MAX:
+        raise DataError(f"r_max must lie in [0, {MAX_R_MAX}], got {r_max}")
 
 
 def opening_curves(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:

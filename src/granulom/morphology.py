@@ -7,7 +7,10 @@ is the r-fold dilation of the unit neighbourhood, so sizes compose
 additively and openings of increasing size form a sieve.
 
 Border rule: the neighbourhood is clamped to the image domain; pixels
-outside the frame are ignored.
+outside the frame are ignored. Every family's size-r element holds every
+offset with |dy| + |dx| <= r, and two pixels of an h x w frame lie at most
+h + w - 2 apart that way. So from r = h + w on, the element at any pixel
+covers the whole frame, and a larger size is computed as size h + w.
 
 Every operator works on one raster or on a stack of equal-size rasters,
 shape (..., H, W). Every size r >= 1 of every family is computed in one
@@ -144,10 +147,10 @@ def _segment_sums(family: str, r: int, width: int):
 
 def _extremum(arr: np.ndarray, se: StructuringElement, op) -> np.ndarray:
     """op over the element at every pixel of a raster or a stack, via padded flat images."""
-    r = se.size
+    h, w = arr.shape[-2:]
+    r = min(se.size, h + w)  # from h + w on, every element covers the whole frame
     if r == 0:
         return arr.copy()
-    h, w = arr.shape[-2:]
     stack = arr.reshape(-1, h, w)
     info = np.iinfo(arr.dtype)
     neutral = info.max if op is np.minimum else info.min

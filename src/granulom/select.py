@@ -169,7 +169,8 @@ class _WrapperObjective:
     The squared-difference table is built once, over the live columns only
     (`classify.live_columns`): a column that holds one value adds +0.0 to
     every distance, which changes no bit of it. A mask's distances are the
-    sum of its live rows, added into one reused buffer. Two masks with the
+    sum of its live rows from +0.0 (none for a mask of dead bits only),
+    added into one reused buffer. Two masks with the
     same live bits therefore have bitwise equal distances, the same nearest
     neighbours and the same hits, so hits are memoized by the live bits and
     each live projection is summed once. `nf` still counts every selected
@@ -205,10 +206,8 @@ class _WrapperObjective:
         hits = self.hits_by_live.get(key)
         if hits is None:
             rows = live_bits.nonzero()[0].tolist()  # Python ints index the table fastest
-            if rows:  # argmin takes the first occurrence = the smallest sample id
-                nearest = summed_rows(self.sq, rows, out=self.d2).argmin(axis=1)
-            else:
-                nearest = 0  # every distance is 0.0: the smallest sample id
+            # argmin takes the first occurrence: the smallest sample id among ties
+            nearest = summed_rows(self.sq, rows, out=self.d2).argmin(axis=1)
             hits = int(np.count_nonzero(self.train_codes[nearest] == self.eval_codes))
             self.hits_by_live[key] = hits
         return hits

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvrows import (ID_RE, checked, parse_config, read_csv_rows, read_text, reject_unread,
+from .csvrows import (checked, identifier, parse_config, read_csv_rows, read_text, reject_unread,
                       setting, write_lines)
 from .errors import DataError
 from .imagecore import ColorImage, write_ppm
@@ -59,8 +59,7 @@ class TextureSpec:
     rgb_tint: tuple[float, float, float]
 
     def __post_init__(self):
-        if not ID_RE.match(self.class_label):
-            raise DataError(f"class label {self.class_label!r} outside [A-Za-z0-9_-]")
+        identifier(self.class_label, "class label")
         rmin, rmax = self.grain_radius
         if rmin < 1 or rmax < rmin:
             raise DataError(f"bad grain radius range {self.grain_radius}")
@@ -218,7 +217,7 @@ def _image_path(rel: str) -> str:
 
 def read_manifest(path) -> list[ManifestEntry]:
     """Entries of a manifest CSV; every image path must stay inside its directory."""
-    _, rows = read_csv_rows(path, "sample_id,label,path", (str, str, _image_path),
+    _, rows = read_csv_rows(path, "sample_id,label,path", (identifier, identifier, _image_path),
                             "corpus manifest")
     return [ManifestEntry(*row) for row in rows]
 

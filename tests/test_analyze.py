@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import charpoly_eigenvalues
+from granulom import analyze
 from granulom.analyze import (
     ScatterRow,
     export_scatter,
@@ -28,6 +29,17 @@ def test_jacobi_small_known_matrix():
     w, v = jacobi_eigh(a)
     assert sorted(w) == pytest.approx([1.0, 3.0], abs=1e-12)
     assert np.abs(a @ v - v @ np.diag(w)).max() < 1e-12
+
+
+def test_jacobi_raises_when_the_sweeps_run_out(monkeypatch):
+    a = np.array([[1.0, 1e-3, 1e-3], [1e-3, 2.0, 1e-3], [1e-3, 1e-3, 3.0]])  # two sweeps
+    w, v = jacobi_eigh(a)
+    monkeypatch.setattr(analyze, "MAX_SWEEPS", 2)
+    w2, v2 = jacobi_eigh(a)
+    assert np.array_equal(w, w2) and np.array_equal(v, v2)
+    monkeypatch.setattr(analyze, "MAX_SWEEPS", 1)
+    with pytest.raises(DataError, match="^jacobi_eigh: off-diagonal norm .* after 1 sweeps$"):
+        jacobi_eigh(a)
 
 
 def test_jacobi_rejects_nonsymmetric():

@@ -44,6 +44,9 @@ def test_distance_errors():
         distance([1.0, 2.0], [1.0, 2.0], FeatureMask(np.array([0, 0])))
     with pytest.raises(DataError):
         distance([1.0, 2.0], [1.0, 2.0], FeatureMask(np.array([1, 1, 1])))
+    for x, m in (([np.nan, 1.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, np.inf]), ([np.inf] * 2,) * 2):
+        with pytest.raises(DataError, match="^query holds a non-finite feature value$"):
+            distance(x, m)
 
 
 def test_distance_metric_properties(rng):
@@ -330,6 +333,19 @@ def test_skipping_single_valued_rows_is_bitwise_exact(rng):
     assert live_columns(queries, training).size == 0
     d2 = _squared_distances(queries, training)
     assert d2.shape == (3, 5) and not d2.view(np.int64).any()
+    # a sum of no rows is +0.0 everywhere, over the table or its row list, and
+    # a reused `out` is overwritten, never added to
+    table = squared_difference_table(queries, training)
+    assert not summed_rows(table, []).view(np.int64).any()
+    for sq in (table, list(table)):
+        for fill in (np.nan, -0.0):
+            out = np.full((3, 5), fill)
+            assert summed_rows(sq, [], out) is out and not out.view(np.int64).any()
+    queries, training = _engine_inputs(rng, 5)
+    table = squared_difference_table(queries, training)
+    for fill in (np.nan, -0.0):
+        out = summed_rows(list(table), [1, 3, 4], np.full((7, 11), fill))
+        assert np.array_equal(out.view(np.int64), summed_rows(table, [1, 3, 4]).view(np.int64))
 
 
 def test_mask_of_only_constant_features_picks_first_training_sample_by_id(rng):

@@ -113,7 +113,7 @@ def test_bad_manifest_row_is_one_line_data_error(tmp_path, capsys, row):
     assert not (tmp_path / "a.csv").exists()
 
 
-def test_morph_and_granulo_and_si(tmp_path):
+def test_morph_and_granulo_and_si(tmp_path, capsys):
     rng = np.random.default_rng(0)
     src = tmp_path / "in.pgm"
     write_pgm(GreyImage(rng.integers(0, 256, (16, 16))), src)
@@ -132,6 +132,28 @@ def test_morph_and_granulo_and_si(tmp_path):
     si_csv = tmp_path / "si.csv"
     assert main(["si", "--rmax", "2", "--kmax", "8", str(src), str(si_csv)]) == 0
     assert si_csv.read_text().splitlines()[0] == "r,k,count"
+
+    # a size far past the frame opens it to its minimum
+    assert main(["morph", "--op", "open", "--size", "1000000000", str(src), str(out)]) == 0
+    assert (read_pgm(out).pixels == read_pgm(src).pixels.min()).all()
+    for cmd in ("granulo", "si"):  # r_max past granulometry.MAX_R_MAX
+        assert main([cmd, "--rmax", "1000000000", str(src), str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: r_max must lie in") and err.count("\n") == 1
+        assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["pca", "--out", "s.csv", "--svg", "s.svg"],
+                                  ["split", "--train-out", "s.csv", "--test-out", "t.csv",
+                                   "--test-count", "1"]])
+def test_dataset_with_a_bad_label_is_one_line_data_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text(
+        "sample_id,label,f0001,f0002\na-1,a,0,1\na-2,a,1,0\nb-1,x<y&z,2,2\n")
+    code = main(["--quiet", argv[0], "--dataset", "d.csv", *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: d.csv: line 4: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
 def test_full_cli_workflow(tmp_path, corpus_cfg, capsys):

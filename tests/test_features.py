@@ -193,6 +193,10 @@ def test_load_errors(tmp_path):
     p.write_text("id,label,f0001\na,x,1\n")
     with pytest.raises(DataError):
         load_dataset(p)
+    for row in ("a 1,x,0.5", "a1,x<y&z,0.5", "a1,,0.5", ",x,0.5"):  # ids and labels save rejects
+        p.write_text(f"sample_id,label,f0001\na-0,x,0.1\n{row}\n")
+        with pytest.raises(DataError, match=f"^{p}: line 3: sample id or label '.*' outside "):
+            load_dataset(p)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

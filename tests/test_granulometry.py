@@ -4,6 +4,7 @@ import pytest
 from conftest import translate_opening_binary, translate_opening_grey, umbra_si_cell
 from granulom.errors import DataError
 from granulom.granulometry import (
+    MAX_R_MAX,
     GranulometryCurve,
     export_curve,
     granulometry_closings,
@@ -42,6 +43,14 @@ def test_errors():
         granulometry_openings(GreyImage(np.zeros((3, 3), dtype=int)), "hex", 2)
     with pytest.raises(DataError):
         granulometry_closings(GreyImage(np.full((3, 3), 255)), "hex", 2)
+    px = np.arange(1, 10).reshape(3, 3)
+    px[1, 1] = 0  # an empty erosion ends the opening sequence early
+    img = GreyImage(px)
+    assert len(granulometry_openings(img, "hex", MAX_R_MAX).values) == MAX_R_MAX + 1
+    for r_max in (-1, MAX_R_MAX + 1, 10**9):
+        for fn in (granulometry_openings, granulometry_closings, size_intensity):
+            with pytest.raises(DataError, match=rf"^r_max must lie in \[0, {MAX_R_MAX}\], got "):
+                fn(img, "hex", r_max)
 
 
 def test_single_pit_closing():

@@ -116,13 +116,18 @@ def test_iterated_equals_direct_definition(family, rng):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("shape", [(7, 6), (6, 9), (1, 9), (8, 1), (5, 1)])
 def test_segment_form_equals_direct_definition_past_the_frame(family, shape, rng):
-    # sizes up to and beyond the frame, odd and even heights, 1xN and Nx1 frames
+    # sizes up to and beyond the frame, odd and even heights, 1xN and Nx1 frames;
+    # from h + w on, a size is computed as size h + w
     px = rng.integers(0, 256, shape)
     img = GreyImage(px)
-    for r in (0, 1, 2, 3, 4, 7, 13):
+    n = sum(shape)
+    for r in (0, 1, 2, 3, 4, 7, 13, n - 1, n, n + 1):
         se = StructuringElement(family, r)
         assert np.array_equal(erode(img, se).pixels, naive_erode(px, family, r)), r
         assert np.array_equal(dilate(img, se).pixels, naive_dilate(px, family, r)), r
+    huge = StructuringElement(family, 10**9)  # as size n: the frame extremum at every pixel
+    assert np.array_equal(erode(img, huge).pixels, np.full(shape, px.min()))
+    assert np.array_equal(dilate(img, huge).pixels, np.full(shape, px.max()))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

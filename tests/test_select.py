@@ -313,6 +313,12 @@ def test_mask_of_only_constant_features_scores_first_training_sample(rng):
     expected = (hits, len(DEAD), fitness(hits, len(DEAD), cfg.alpha, cfg.beta))
     assert _WrapperObjective(train, eval_set, cfg)(bits) == expected
     assert _every_row_score(train, eval_set, bits, cfg) == expected
+    # after a live mask has filled the reused distance buffer
+    objective = _WrapperObjective(train, eval_set, cfg)
+    live_bits = np.zeros(train.n_features, dtype=bool)
+    live_bits[[0, 2, 3]] = True
+    assert objective(live_bits)[0] != hits
+    assert objective(bits) == expected
 
 
 def test_masks_differing_in_dead_bits_share_one_distance_sum(rng):

@@ -176,6 +176,14 @@ def test_read_manifest_rejects_rows_without_three_cells(tmp_path, row):
         read_manifest(p)
 
 
+@pytest.mark.parametrize("row", ["a 1,a,a-1.ppm", "a-1,a&b,a-1.ppm", "a-1,,a-1.ppm"])
+def test_read_manifest_rejects_bad_ids_and_labels(tmp_path, row):
+    p = tmp_path / "manifest.csv"
+    p.write_text(f"sample_id,label,path\nb-1,b,b-1.ppm\n{row}\n")
+    with pytest.raises(DataError, match=f"^{p}: line 3: sample id or label '.*' outside "):
+        read_manifest(p)
+
+
 @pytest.mark.parametrize("rel", ["../outside.ppm", "sub/../../outside.ppm", "/etc/hostname", ".."])
 def test_read_manifest_rejects_paths_outside_the_corpus(tmp_path, rel):
     p = tmp_path / "manifest.csv"
