@@ -20,7 +20,7 @@ from conftest import (
     umbra_si_cell,
 )
 from granulom import cli
-from granulom.analyze import fit_pca, transform
+from granulom.analyze import export_scatter, fit_pca, project, transform
 from granulom.classify import FeatureMask, KnnConfig, classify_knn, distance, evaluate
 from granulom.features import Dataset, builtin_recipe, extract_corpus, split
 from granulom.granulometry import export_curve, granulometry_openings, size_intensity
@@ -412,6 +412,29 @@ GOLDEN_HELD_OUT_GA_SHA256 = {
 }
 
 
+# sha256 of pca_train.csv and pca_train.svg of `granulom pipeline` at the
+# shipped corpus seed and at the held-out seed 7919, recorded on the commit
+# before the Jacobi solver rotated only the live block of the covariance.
+
+GOLDEN_PCA_SHA256 = {
+    "pca_train.csv": "bd3a63b42b9661ac9276e550fbf3e339007b1f9a8376e175e1062a502c22e620",
+    "pca_train.svg": "a8fbf568b90555a667429af759bdb08a65d4066b9c537f811c7675d921a91264",
+}
+GOLDEN_HELD_OUT_PCA_SHA256 = {
+    "pca_train.csv": "5ad5cce5896dbae386ce7920dc4a2a93dd9909af5faaedcb82c93a2edfdf57d4",
+    "pca_train.svg": "a4b2f584757f194239456e12b1e87e9cd296b133c1e85a20e3d921e32ff09535",
+}
+
+
+def test_pca_golden_bytes(granite14_run, tmp_path):
+    train = granite14_run["train"]
+    model = fit_pca(train, n_components=2)
+    export_scatter(project(model, train), tmp_path / "pca_train.csv",
+                   svg_path=tmp_path / "pca_train.svg")
+    for name, digest in GOLDEN_PCA_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_ga_golden_bytes_held_out_corpus_seed(tmp_path):
     from importlib.resources import files
 
@@ -423,7 +446,7 @@ def test_ga_golden_bytes_held_out_corpus_seed(tmp_path):
     run_dir = tmp_path / "run"
     assert cli.main(["--quiet", "pipeline", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
     assert "corpus_seed = 7919\n" in (run_dir / "run.txt").read_text()
-    for name, digest in GOLDEN_HELD_OUT_GA_SHA256.items():
+    for name, digest in (GOLDEN_HELD_OUT_GA_SHA256 | GOLDEN_HELD_OUT_PCA_SHA256).items():
         assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == digest, name
 
 
