@@ -42,9 +42,24 @@ MAX_SWEEPS = 100
 def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Returns (eigenvalues, eigenvectors); eigenvectors are columns. Sweeps
-    run until the off-diagonal Frobenius norm drops below 1e-12 relative
-    to the matrix norm; a DataError if MAX_SWEEPS sweeps do not get there.
+    Returns (eigenvalues, eigenvectors); eigenvectors are columns. The
+    matrix must be symmetric to 1e-10 of its largest entry, and only its
+    upper triangle is read, as LAPACK's UPLO='U': each entry below the
+    diagonal is replaced by a copy of its mirror, so a -0.0 keeps its sign.
+
+    Rotation (p, q) runs in cyclic p < q order when a[p, q] != 0, and it
+    writes only rows and columns p and q. An index whose off-diagonal
+    entries are all zero is therefore never rotated: its diagonal entry is
+    an eigenvalue and its unit vector an eigenvector. The rotations run on
+    the block of the other, live, indices, stacked over its eigenvector
+    block in one (2m, m) array, so one c*x - s*y / s*x + c*y pair updates
+    columns p and q of both (`_sweep`).
+
+    Sweeps run until the off-diagonal Frobenius norm drops below 1e-12
+    relative to the matrix norm; a DataError if MAX_SWEEPS sweeps do not get
+    there. The test reads the full matrix, updated from the block before
+    each sweep: numpy groups the terms of a sum by its shape, so a sum over
+    the block alone could round differently and change the sweep count.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -52,48 +67,62 @@ def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
         raise DataError("jacobi_eigh needs a symmetric matrix")
     n = a.shape[0]
+    a = np.where(np.tri(n, k=-1, dtype=bool), a.T, a)
     v = np.eye(n)
     if n == 1:
         return a.diagonal().copy(), v
     tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
+    live = np.flatnonzero(((a != 0.0) & ~np.eye(n, dtype=bool)).any(axis=0))
+    block = np.ix_(live, live)
+    m = live.size
+    stacked = np.asfortranarray(np.vstack([a[block], v[block]]))
     for _ in range(MAX_SWEEPS):
+        a[block] = stacked[:m]
         off = math.sqrt(max(0.0, float((a * a).sum() - (a.diagonal() ** 2).sum())))
         if off <= tol:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                h = a[q, q] - a[p, p]
-                if abs(h) > 1e150 * abs(apq):
-                    t = apq / h  # limiting tangent; avoids overflow in theta
-                else:
-                    theta = h / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
+        _sweep(stacked, m)
     else:
         # the stop test cancels against the diagonal, so it can miss convergence;
         # the off-diagonal entries themselves decide whether the sweeps ran out
+        a[block] = stacked[:m]
         off = float(np.linalg.norm(a - np.diag(a.diagonal())))
         if off > tol:
             raise DataError(f"jacobi_eigh: off-diagonal norm {off:.3g} still above {tol:.3g} "
                             f"after {MAX_SWEEPS} sweeps")
+    v[block] = stacked[m:]
     return a.diagonal().copy(), v
+
+
+def _sweep(w: np.ndarray, m: int) -> None:
+    """One cyclic sweep over a symmetric (m, m) block stacked over its eigenvectors, in place.
+
+    Each rotation updates columns p and q of the (2m, m) array w. The block
+    is bitwise symmetric before the rotation, so its new rows p and q equal
+    its new columns, except a[p, p] and a[q, q], which take the row
+    update's expressions, and a[p, q] = a[q, p] = 0. It stays symmetric.
+    """
+    for p in range(m - 1):
+        for q in range(p + 1, m):
+            apq = w[p, q]
+            if apq == 0.0:
+                continue
+            h = w[q, q] - w[p, p]
+            if abs(h) > 1e150 * abs(apq):
+                t = apq / h  # limiting tangent; avoids overflow in theta
+            else:
+                theta = h / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            x, y = w[:, p], w[:, q]
+            w[:, p], w[:, q] = c * x - s * y, s * x + c * y
+            app = c * w[p, p] - s * w[q, p]
+            aqq = s * w[p, q] + c * w[q, q]
+            w[p] = w[:m, p]
+            w[q] = w[:m, q]
+            w[p, p], w[q, q] = app, aqq
+            w[p, q] = w[q, p] = 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,7 +49,7 @@ __all__ = [
     "MAX_R_MAX",
 ]
 
-# The largest r_max accepted. Each size costs one opening pass, and every size
+# The largest r_max accepted. Each size costs at most one opening pass, and every size
 # from h + w on opens an h x w frame as size h + w does (see `morphology`), so
 # this covers every distinct opening of frames up to 2048 x 2048.
 MAX_R_MAX = 4096
@@ -85,14 +85,18 @@ def _openings(stack: np.ndarray, family: str, r_max: int):
     """Flat openings g_0, g_1, .., g_r_max of a (..., H, W) stack, smallest first.
 
     The erosion grows by one size-1 erosion per size; each dilation is a
-    single size-r pass. Stops early once every erosion is empty, since
-    every later opening is all zero; callers leave those sizes at zero.
+    single size-r pass. An erosion or dilation of an image of one grey
+    value is that image, so once every image of the erosion is flat, every
+    later erosion and opening equals it: it is yielded for each remaining
+    size and no pass runs. An all-zero erosion is one such case.
     """
     yield stack
     eroded = stack
     for r in range(1, r_max + 1):
         eroded = erode_raw(eroded, family, 1)
-        if not eroded.any():
+        if (eroded == eroded[..., :1, :1]).all():
+            for _ in range(r, r_max + 1):
+                yield eroded
             return
         yield dilate_raw(eroded, family, r)
 

@@ -16,27 +16,19 @@ when it crosses over and n > 1, `integers(1, n)` for the point; then
 for the bit; then the same for child B. Child B draws even when only one
 slot is left for it.
 
-After the first population these draws are not numpy calls: `_DrawReplay`
-computes the values numpy's PCG64 `Generator` would return from raw
-64-bit words fetched in bulk with `bit_generator.random_raw`. It follows
-numpy's rules exactly. `random()` is `(word >> 11) * 2**-53`. A bounded
-draw over r values takes 32-bit halves through PCG64's one-half buffer
-(`has_uint32`/`uinteger`, seeded from `bit_generator.state`): a fresh
-word gives its low half and keeps its high half for the next bounded
-draw. Lemire's multiply-shift maps a half u to `(u * r) >> 32` and
-rejects it while `(u * r) mod 2**32 < (2**32 - r) % r`. A range of one
-value (`integers(lo, lo + 1)`) returns lo and draws nothing. Fetching
-words ahead cannot be observed, since the generator belongs to `run_ga`
-and nothing else draws from it. No draw depends on a mask, only on the
-fitnesses, so one Python pass gives a generation's tournament winners,
-crossover points and mutation bits, and the children are then built in
-a fixed number of array operations.
+After the first population these draws are not numpy calls: they come
+from `draws._DrawReplay`, which computes numpy's PCG64 draws bit for bit
+from raw words fetched in bulk (synthesis draws its grains through it
+too). Fetching words ahead cannot be observed, since the generator
+belongs to `run_ga` and nothing else draws from it. No draw depends on a
+mask, only on the fitnesses, so one Python pass gives a generation's
+tournament winners, crossover points and mutation bits, and the children
+are then built in a fixed number of array operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -48,6 +40,7 @@ from .classify import (
     summed_rows,
 )
 from .csvrows import read_text, write_lines
+from .draws import _DrawReplay
 from .errors import DataError
 from .features import Dataset
 
@@ -68,7 +61,6 @@ EMPTY_MASK_FITNESS = float("-inf")
 # The largest population a GAConfig accepts: the first population's float
 # draws for 117 features take about 1 GB at this size.
 MAX_POPULATION = 2**20
-WORDS_PER_FETCH = 1024  # raw generator words fetched by one random_raw call
 
 
 @dataclass(frozen=True)
@@ -235,46 +227,6 @@ def evaluate_individual(
     if len(mask) != train.n_features:
         raise DataError(f"mask length {len(mask)} != feature count {train.n_features}")
     return _WrapperObjective(train, eval_set, cfg)(mask.bits)
-
-
-class _DrawReplay:
-    """The draws of a numpy PCG64 Generator, computed from its raw words.
-
-    `random` and `integers` return what the generator's own `random()` and
-    `integers(low, high)` calls would return next, in the same order; a
-    `size=k` call of `integers` is k calls of `integers` here. The words
-    come from `random_raw` in bulk, so the generator runs ahead of the
-    draws, and must not be used for anything else afterwards.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        state = rng.bit_generator.state
-        assert state["bit_generator"] == "PCG64", state["bit_generator"]
-        fetch = rng.bit_generator.random_raw
-        # an endless stream: iter(f, None) calls f for ever, since f never returns None
-        self._words = chain.from_iterable(iter(lambda: fetch(WORDS_PER_FETCH).tolist(), None))
-        self._half = state["uinteger"] if state["has_uint32"] else None
-
-    def random(self) -> float:
-        """A double in [0, 1) from the top 53 bits of one word."""
-        return (next(self._words) >> 11) * 2.0**-53
-
-    def integers(self, low: int, high: int) -> int:
-        """An integer in [low, high) by Lemire's multiply-shift over 32-bit halves."""
-        span = high - low
-        assert 1 <= span <= 2**32, span  # numpy's 64-bit path never occurs in the GA
-        if span == 1:
-            return low  # numpy draws nothing for a single value
-        reject_below = (2**32 - span) % span
-        while True:
-            if self._half is None:
-                word = next(self._words)
-                half, self._half = word & 0xFFFFFFFF, word >> 32
-            else:
-                half, self._half = self._half, None
-            m = half * span
-            if m & 0xFFFFFFFF >= reject_below:
-                return low + (m >> 32)
 
 
 def _pair_draws(draws: _DrawReplay, fits: list[float], pairs: int, n: int, cfg: GAConfig):

@@ -8,12 +8,16 @@ as ground truth for the feature extractors. Generation is a pure
 function of (spec, size, seed); corpora derive one child seed per image
 from the corpus seed and the class/sample indices.
 
-Each grain is drawn by scalar generator calls in a fixed order (centre
-x, centre y, radius, grey value); batched draws would change the stream.
-All grains of an image are then painted in one vectorised pass, in
-chunks of bounded size: each pixel takes the grain of highest index whose
-disc covers it, which is the same as later discs overwriting earlier
-ones.
+An image's generator first draws its grain count with numpy's
+`poisson`. Every grain's centre x, centre y, radius and grey value are
+then drawn in that order through `draws._DrawReplay`, which returns what
+numpy's scalar `uniform(0, size)`, `uniform(0, size)`, `integers(rmin,
+rmax + 1)` and `integers(mean - spread, mean + spread + 1)` calls would,
+bit for bit, from raw words fetched in bulk; batched numpy draws would
+change the stream. All grains of an image are then painted in one
+vectorised pass, in chunks of bounded size: each pixel takes the grain
+of highest index whose disc covers it, which is the same as later discs
+overwriting earlier ones.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from .csvrows import (checked, identifier, parse_config, read_csv_rows, read_text, reject_unread,
                       setting, write_lines)
+from .draws import _DrawReplay
 from .errors import DataError
 from .imagecore import ColorImage, write_ppm
 
@@ -127,15 +132,15 @@ def generate_texture(spec: TextureSpec, size: int, seed) -> ColorImage:
     count = int(rng.poisson(spec.grain_density * size * size / 1000.0))
     rmin, rmax = spec.grain_radius
     mean, spread = spec.grain_intensity
-    cx = np.empty(count)
-    cy = np.empty(count)
-    rad = np.empty(count, dtype=np.int64)
-    val = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        cx[i] = rng.uniform(0.0, size)
-        cy[i] = rng.uniform(0.0, size)
-        rad[i] = rng.integers(rmin, rmax + 1)
-        val[i] = rng.integers(mean - spread, mean + spread + 1)
+    draws = _DrawReplay(rng)
+    grains = [
+        (draws.uniform(0.0, size), draws.uniform(0.0, size), draws.integers(rmin, rmax + 1),
+         draws.integers(mean - spread, mean + spread + 1))
+        for _ in range(count)
+    ]
+    # the integer draws lie within 2**32 of zero, so float64 holds them exactly
+    cx, cy, rad, val = np.array(grains, dtype=np.float64).reshape(count, 4).T
+    rad, val = rad.astype(np.int64), val.astype(np.int64)
     owner = _paint(cx, cy, rad, size, min(2 * rmax + 2, size))
     # owner -1 (no grain) picks the background at the end of the table
     table = np.append(np.clip(val, 0, 255), spec.background_intensity).astype(np.int32)

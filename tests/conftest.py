@@ -209,6 +209,55 @@ def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.sort(roots.real)
 
 
+def rowcol_jacobi_eigh(matrix, max_sweeps: int = 100):
+    """(eigenvalues, eigenvectors) by cyclic Jacobi over full rows and columns.
+
+    Every rotation (p, q) with a[p, q] != 0, in p < q order, updates the two
+    full columns of a, then the two full rows, then the two columns of v.
+    Sweeps stop once sqrt(sum(a**2) - sum(diag**2)) <= 1e-12 * max(1, |a|).
+    The matrix is used as given, lower triangle included.
+    """
+    import math
+
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return a.diagonal().copy(), v
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
+    for _ in range(max_sweeps):
+        off = math.sqrt(max(0.0, float((a * a).sum() - (a.diagonal() ** 2).sum())))
+        if off <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                h = a[q, q] - a[p, p]
+                if abs(h) > 1e150 * abs(apq):
+                    t = apq / h
+                else:
+                    theta = h / (2.0 * apq)
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(theta * theta + 1.0)
+                    )
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vec_p - s * vec_q
+                v[:, q] = s * vec_p + c * vec_q
+    return a.diagonal().copy(), v
+
+
 # --- texture synthesis -------------------------------------------------------------
 
 def scalar_texture(spec, size: int, seed) -> np.ndarray:

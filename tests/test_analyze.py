@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import charpoly_eigenvalues
+from conftest import charpoly_eigenvalues, rowcol_jacobi_eigh
 from granulom import analyze
 from granulom.analyze import (
     ScatterRow,
@@ -53,6 +53,59 @@ def test_jacobi_eigenvalues_match_charpoly_oracle(rng):
         a = m @ m.T
         w, _ = jacobi_eigh(a)
         assert np.abs(np.sort(w) - charpoly_eigenvalues(a)).max() < 1e-8
+
+
+def _planted_symmetric(rng, n):
+    """A bitwise symmetric matrix with zero and -0.0 entries planted in it.
+
+    For n >= 4 it also holds a zero row and column, a row whose only
+    non-zero entry is its diagonal, and a coupled pair of diagonal zeros of
+    opposite sign.
+    """
+    x = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+    a = x + x.T  # IEEE addition commutes, so a[i, j] and a[j, i] share their bits
+    for value, share in ((0.0, 0.3), (-0.0, 0.1)):
+        pick = rng.random((n, n)) < share
+        a[pick | pick.T] = value
+    if n >= 4:
+        zero, lone, p, q = rng.permutation(n)[:4]
+        a[zero], a[:, zero] = 0.0, 0.0
+        a[lone], a[:, lone] = -0.0, -0.0
+        a[lone, lone] = rng.normal()
+        a[p, q] = a[q, p] = rng.normal()
+        a[p, p], a[q, q] = 0.0, -0.0
+    return a
+
+
+def _jacobi_cases(rng):
+    yield np.array([[-0.0]])
+    yield np.array([[3.0]])
+    yield np.zeros((2, 2))
+    yield np.zeros((6, 6))
+    yield np.array([[2.0, 1.0], [1.0, 2.0]])
+    yield np.array([[0.0, 1.0], [1.0, -0.0]])
+    yield np.array([[-0.0, -1.0], [-1.0, 0.0]])
+    for n in (2, 3, 4, 5, 8, 13):
+        for _ in range(5):
+            yield _planted_symmetric(rng, n)
+
+
+def _bits(arrays):
+    return [np.ascontiguousarray(x).view(np.int64) for x in arrays]
+
+
+def test_jacobi_is_bitwise_equal_to_full_row_and_column_rotations(rng):
+    for a in _jacobi_cases(rng):
+        got, expected = _bits(jacobi_eigh(a)), _bits(rowcol_jacobi_eigh(a))
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected)), a
+
+
+def test_jacobi_reads_the_upper_triangle(rng):
+    for n in (2, 5, 13):
+        a = _planted_symmetric(rng, n)
+        near = np.where(np.tri(n, k=-1, dtype=bool), a + 1e-12 * rng.normal(size=(n, n)), a)
+        got, expected = _bits(jacobi_eigh(near)), _bits(rowcol_jacobi_eigh(a))
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 def test_rank1_line():

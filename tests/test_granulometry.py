@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import translate_opening_binary, translate_opening_grey, umbra_si_cell
+from conftest import naive_erode, translate_opening_binary, translate_opening_grey, umbra_si_cell
 from granulom.errors import DataError
 from granulom.granulometry import (
     MAX_R_MAX,
     GranulometryCurve,
+    _openings,
     export_curve,
     granulometry_closings,
     granulometry_openings,
@@ -92,6 +93,25 @@ def test_openings_match_set_translation_oracle(rng):
             opened = translate_opening_grey(px, family, r)
             expected = (total - int(opened.sum())) / total
             assert curve.values[r] == expected
+
+
+def test_openings_past_the_flat_erosion_match_oracles(rng):
+    # two 3 x 4 frames per stack, the first with a zero pixel and the second
+    # without; r_max 9 runs past the size at which both erosions are flat
+    for family in ("hexagon", "square", "diamond"):
+        for _ in range(2):
+            stack = rng.integers(1, 256, (2, 3, 4)).astype(np.uint8)
+            stack[0, rng.integers(0, 3), rng.integers(0, 4)] = 0
+            flat_from = [
+                min(r for r in range(10) if np.unique(naive_erode(px, family, r)).size == 1)
+                for px in stack
+            ]
+            assert max(flat_from) < 9
+            opened = list(_openings(stack, family, 9))
+            assert len(opened) == 10
+            for r, g in enumerate(opened):
+                for px, gr in zip(stack, g):
+                    assert np.array_equal(gr, translate_opening_grey(px, family, r)), (family, r)
 
 
 # --- size-intensity ---------------------------------------------------------------

@@ -23,8 +23,6 @@ from granulom.select import (
     read_mask,
     run_ga,
     write_mask,
-    WORDS_PER_FETCH,
-    _DrawReplay,
     _WrapperObjective,
 )
 
@@ -337,79 +335,3 @@ def test_masks_differing_in_dead_bits_share_one_distance_sum(rng):
     assert len(objective.hits_by_live) == len(projections) < len(objective.cache)
     rep = run_ga(train, eval_set, GAConfig(population_size=8, generations=15, seed=3))
     assert 0 < rep.distance_sums < rep.evaluations
-
-
-# --- draw replay against numpy's own Generator calls --------------------------------
-# The GA's draws after its first population come from _DrawReplay, which must
-# return what numpy's PCG64 Generator returns, draw for draw. The spans cover a
-# single value (numpy draws nothing), the GA's 2, 50 and 117, 2**31 + 1 (about
-# half of its 32-bit draws are rejected) and 2**32 (numpy's full-range path).
-
-REPLAY_SPANS = (1, 2, 50, 117, 2**31 + 1, 2**32)
-
-
-def _draw_script(seed, length=None):
-    """A random mixed sequence of (kind, low, high) draws, from its own generator."""
-    pick = np.random.default_rng([seed, 1])
-    script = []
-    for _ in range(length or int(pick.integers(1, 40))):
-        kind = ("scalar", "pair", "random")[int(pick.integers(0, 3))]
-        low = int(pick.integers(0, 3)) if kind == "scalar" else 0
-        script.append((kind, low, low + REPLAY_SPANS[int(pick.integers(0, len(REPLAY_SPANS)))]))
-    return script
-
-
-def _numpy_draws(rng, script):
-    out = []
-    for kind, low, high in script:
-        if kind == "random":
-            out.append(rng.random())
-        elif kind == "scalar":
-            out.append(int(rng.integers(low, high)))
-        else:
-            out.extend(rng.integers(low, high, size=2).tolist())
-    return out
-
-
-def _replayed_draws(draws, script):
-    out = []
-    for kind, low, high in script:
-        if kind == "random":
-            out.append(draws.random())
-        else:
-            out.extend(draws.integers(low, high) for _ in range(1 if kind == "scalar" else 2))
-    return out
-
-
-def test_draw_replay_matches_numpy_over_2000_seeds():
-    for seed in range(2000):
-        script = _draw_script(seed)
-        reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        if seed % 2:  # odd seeds start the replay with a high half in numpy's buffer
-            first = [("scalar", 0, 50)]
-            assert _numpy_draws(reference, first) == _numpy_draws(rng, first)
-            assert rng.bit_generator.state["has_uint32"] == 1
-        assert _replayed_draws(_DrawReplay(rng), script) == _numpy_draws(reference, script), seed
-
-
-def test_draw_replay_buffered_half_then_pair():
-    for seed in range(2000):
-        reference = np.random.default_rng(seed)
-        draws = _DrawReplay(np.random.default_rng(seed))
-        first = int(reference.integers(0, 117))
-        assert reference.bit_generator.state["has_uint32"] == 1  # the high half is kept
-        expected = [first, *reference.integers(0, 50, size=2).tolist()]
-        assert [draws.integers(0, 117), draws.integers(0, 50), draws.integers(0, 50)] == expected
-
-
-def test_draw_replay_across_fetches():
-    for seed in range(5):
-        script = _draw_script(seed, length=3 * WORDS_PER_FETCH)
-        expected = _numpy_draws(np.random.default_rng(seed), script)
-        assert _replayed_draws(_DrawReplay(np.random.default_rng(seed)), script) == expected
-
-
-def test_draw_replay_rejects_64_bit_spans():
-    draws = _DrawReplay(np.random.default_rng(0))
-    with pytest.raises(AssertionError):
-        draws.integers(0, 2**32 + 1)

@@ -114,6 +114,21 @@ def test_grains_much_larger_than_the_frame_equal_scalar_painter():
                               scalar_texture(spec, 32, seed))
 
 
+def test_replayed_draw_edge_cases_equal_scalar_painter():
+    specs = [
+        # value draws over 2**31 + 1 values: about half of the 32-bit halves are rejected
+        _spec(grain_intensity=(128, 2**30), grain_density=40.0),
+        # the largest spread accepted: 2**32 - 1 values
+        _spec(grain_intensity=(128, 2**31 - 1), grain_density=40.0),
+        # rmin == rmax: the radius draw takes no half
+        _spec(grain_radius=(4, 4), grain_density=40.0),
+    ]
+    for spec in specs:
+        for seed in range(4):
+            assert np.array_equal(generate_texture(spec, 48, seed).pixels,
+                                  scalar_texture(spec, 48, seed)), (spec, seed)
+
+
 def test_painting_memory_stays_bounded():
     # about 65,500 grains; unchunked, one float64 temporary of their 12 x 12
     # patches alone would take 75 MB
