@@ -2,9 +2,8 @@
 
 `select` (the GA's tournaments, crossovers and mutations) and `synthkit`
 (every grain's centre, radius and grey value) draw through one replay,
-`_DrawReplay`. It returns what numpy's own `random()`, `uniform(low,
-high)` and `integers(low, high)` calls on the same generator would return
-next, bit for bit, and runs far faster than one numpy call per scalar.
+`_DrawReplay`, which gives numpy's values bit for bit and costs far less
+than one numpy call per scalar.
 
 It follows numpy's rules exactly. `random()` is `(word >> 11) * 2**-53`.
 `uniform(low, high)` is `low + (high - low) * random()`, numpy's
