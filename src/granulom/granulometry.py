@@ -101,12 +101,20 @@ def _openings(stack: np.ndarray, family: str, r_max: int):
         yield dilate_raw(eroded, family, r)
 
 
+def _measured_openings(stack: np.ndarray, family: str, r_max: int, measure):
+    """measure(g_r) for r = 0..r_max; the flat tail's one repeated array is measured once."""
+    last = value = None
+    for opened in _openings(stack, family, r_max):
+        if opened is not last:
+            last, value = opened, measure(opened)
+        yield value
+
+
 def _opened_volumes(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
     """Volumes of openings of size 0..r_max of each image in a stack, int64 (..., r_max + 1)."""
-    vols = np.zeros(stack.shape[:-2] + (r_max + 1,), dtype=np.int64)
-    for r, opened in enumerate(_openings(stack, family, r_max)):
-        vols[..., r] = opened.sum(axis=(-2, -1), dtype=np.int64)
-    return vols
+    volumes = _measured_openings(stack, family, r_max,
+                                 lambda opened: opened.sum(axis=(-2, -1), dtype=np.int64))
+    return np.stack(list(volumes), axis=-1)
 
 
 def _check_r_max(r_max: int) -> None:
@@ -164,11 +172,12 @@ def size_intensity(
     if k_step < 1:
         raise DataError("k_step must be >= 1")
     levels = tuple(range(1, k_max + 1, k_step))
-    cells = np.zeros((r_max + 1, len(levels)), dtype=np.int64)
-    for r, opened in enumerate(_openings(f.pixels, family, r_max)):
-        survival = np.bincount(opened.ravel(), minlength=256)[::-1].cumsum()[::-1]
-        cells[r] = survival[list(levels)]
-    return SizeIntensityDiagram(family, r_max, k_max, levels, cells)
+
+    def survival(opened):  # #{g_r >= k} at each sampled level k
+        return np.bincount(opened.ravel(), minlength=256)[::-1].cumsum()[::-1][list(levels)]
+
+    rows = list(_measured_openings(f.pixels, family, r_max, survival))
+    return SizeIntensityDiagram(family, r_max, k_max, levels, np.array(rows, dtype=np.int64))
 
 
 def export_curve(obj, path) -> None:

@@ -46,12 +46,17 @@ __all__ = [
     "format_corpus_config",
     "load_corpus_spec",
     "builtin_corpus_spec",
+    "MAX_IMAGE_SIZE",
 ]
 
 
 # Largest grain radius and intensity spread: far past any frame or grey level,
 # and well inside the int64 bounds of the generator's integer draws.
 _MAX_DRAW_BOUND = 2**31 - 1
+
+# Largest texture side: the frame size that granulometry's MAX_R_MAX covers. The
+# grain count grows with size**2, so a side near 10**5 would draw billions.
+MAX_IMAGE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,8 @@ class CorpusSpec:
                 raise DataError(f"class {ts.class_label} needs at least one sample")
         if self.image_size < 32:
             raise DataError("image_size must be >= 32")
+        if self.image_size > MAX_IMAGE_SIZE:
+            raise DataError(f"image_size must be <= {MAX_IMAGE_SIZE}, got {self.image_size}")
         if self.seed < 0:
             raise DataError(f"corpus seed must be non-negative, got {self.seed}")
         labels = [c.class_label for c in self.classes]
@@ -126,8 +133,8 @@ _CHUNK_PIXELS = 1 << 18
 
 def generate_texture(spec: TextureSpec, size: int, seed) -> ColorImage:
     """One synthetic texture; identical bytes for identical (spec, size, seed)."""
-    if size < 1:
-        raise DataError("size must be positive")
+    if not 1 <= size <= MAX_IMAGE_SIZE:
+        raise DataError(f"size must lie in [1, {MAX_IMAGE_SIZE}], got {size}")
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(spec.grain_density * size * size / 1000.0))
     rmin, rmax = spec.grain_radius

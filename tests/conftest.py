@@ -214,7 +214,7 @@ def rowcol_jacobi_eigh(matrix, max_sweeps: int = 100):
 
     Every rotation (p, q) with a[p, q] != 0, in p < q order, updates the two
     full columns of a, then the two full rows, then the two columns of v.
-    Sweeps stop once sqrt(sum(a**2) - sum(diag**2)) <= 1e-12 * max(1, |a|).
+    Sweeps stop once the norm of the off-diagonal entries is <= 1e-12 * max(1, |a|).
     The matrix is used as given, lower triangle included.
     """
     import math
@@ -226,7 +226,7 @@ def rowcol_jacobi_eigh(matrix, max_sweeps: int = 100):
         return a.diagonal().copy(), v
     tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
     for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float((a * a).sum() - (a.diagonal() ** 2).sum())))
+        off = np.linalg.norm(a[~np.eye(n, dtype=bool)])
         if off <= tol:
             break
         for p in range(n - 1):

@@ -42,6 +42,14 @@ def test_jacobi_raises_when_the_sweeps_run_out(monkeypatch):
         jacobi_eigh(a)
 
 
+def test_jacobi_stops_on_the_off_diagonal_entries_themselves():
+    # sum(a**2) - sum(diag**2) cancels to 0.0 here, while the off-diagonal norm is 2.45e-6
+    a = np.diag([1e3, 2e3, 3e3]) + 1e-6 * (1.0 - np.eye(3))
+    w, v = jacobi_eigh(a)
+    rotated = v.T @ a @ v
+    assert np.linalg.norm(rotated[~np.eye(3, dtype=bool)]) <= 1e-12 * np.linalg.norm(a)
+
+
 def test_jacobi_rejects_nonsymmetric():
     with pytest.raises(DataError):
         jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -301,6 +301,8 @@ def test_malformed_pipeline_config_fails_before_any_stage(tmp_path, corpus_cfg, 
     ("grain_radius = 2 3", "grain_radius = 3 2", "[class aa]: bad grain radius range (3, 2)"),
     ("tint = 1 0.9 1", "tint = 1 2 1", "[class cc]: tint multipliers must lie in [0.5, 1.5]"),
     ("image_size = 32", "image_size = 16", "[corpus]: image_size must be >= 32"),
+    ("image_size = 32", "image_size = 1000000000000",
+     "[corpus]: image_size must be <= 2048, got 1000000000000"),
     ("background = 80", "background = 300", "[class aa]: background intensity must lie in "),
     ("grain_radius = 2 3", "grain_radius = 2 10000000000000000000",
      "[class aa]: grain radius maximum 10000000000000000000 exceeds 2147483647"),

@@ -114,6 +114,30 @@ def test_openings_past_the_flat_erosion_match_oracles(rng):
                     assert np.array_equal(gr, translate_opening_grey(px, family, r)), (family, r)
 
 
+def test_flat_tail_is_measured_once_and_matches_per_size_oracles(rng, monkeypatch):
+    # 3 x 4 frames without a zero pixel: the erosion is flat before size 9, and
+    # every size from there to r_max reads the one flat array
+    histograms = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda *args, **kw: histograms.append(1) or bincount(*args, **kw))
+    r_max = 12
+    for family in ("hexagon", "square", "diamond"):
+        px = rng.integers(1, 256, (3, 4)).astype(np.uint8)
+        opened = list(_openings(px, family, r_max))
+        distinct = len({id(g) for g in opened})
+        assert distinct < r_max + 1
+        histograms.clear()
+        si = size_intensity(GreyImage(px), family, r_max)
+        assert len(histograms) == distinct
+        curve = granulometry_openings(GreyImage(px), family, r_max)
+        total = int(px.sum())
+        for r in range(r_max + 1):
+            oracle = translate_opening_grey(px, family, r)
+            assert si.cells[r].tolist() == [int((oracle >= k).sum()) for k in si.levels]
+            assert curve.values[r] == (total - int(oracle.sum())) / total, (family, r)
+
+
 # --- size-intensity ---------------------------------------------------------------
 
 def test_si_column_zero_is_survival_histogram():

@@ -12,6 +12,7 @@ from granulom.features import builtin_recipe, extract_corpus, split
 from granulom.granulometry import granulometry_openings
 from granulom.imagecore import intensity, read_ppm
 from granulom.synthkit import (
+    MAX_IMAGE_SIZE,
     CorpusSpec,
     TextureSpec,
     builtin_corpus_spec,
@@ -61,6 +62,16 @@ def test_texture_spec_validation():
 def test_corpus_spec_rejects_a_negative_seed():
     with pytest.raises(DataError, match="seed must be non-negative"):
         CorpusSpec((_spec(), _spec(class_label="u")), (1, 1), 32, -1)
+
+
+def test_image_size_is_bounded_before_any_draw():
+    classes = (_spec(), _spec(class_label="u"))
+    assert CorpusSpec(classes, (1, 1), MAX_IMAGE_SIZE, 0).image_size == MAX_IMAGE_SIZE
+    for size in (MAX_IMAGE_SIZE + 1, 10**12):  # 10**12 is past numpy's poisson lam bound
+        with pytest.raises(DataError, match=f"^image_size must be <= 2048, got {size}$"):
+            CorpusSpec(classes, (1, 1), size, 0)
+        with pytest.raises(DataError, match=rf"^size must lie in \[1, 2048\], got {size}$"):
+            generate_texture(_spec(), size, 0)
 
 
 def test_generate_texture_deterministic():
