@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .csvrows import read_csv_rows, write_lines
+from .csvrows import write_lines
 from .errors import DataError
 from .features import Dataset
 
@@ -29,7 +29,6 @@ __all__ = [
     "project",
     "feature_pair_rows",
     "export_scatter",
-    "read_scatter_csv",
 ]
 
 
@@ -43,9 +42,11 @@ def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors); eigenvectors are columns. The
-    matrix must be symmetric to 1e-10 of its largest entry, and only its
-    upper triangle is read, as LAPACK's UPLO='U': each entry below the
-    diagonal is replaced by a copy of its mirror, so a -0.0 keeps its sign.
+    matrix must be square, non-empty and finite, and symmetric to 1e-10 of
+    its largest entry; each is checked in that order, with its own
+    DataError. Only its upper triangle is read, as LAPACK's UPLO='U': each
+    entry below the diagonal is replaced by a copy of its mirror, so a -0.0
+    keeps its sign.
 
     Rotation (p, q) runs in cyclic p < q order when a[p, q] != 0, and it
     writes only rows and columns p and q. An index whose off-diagonal
@@ -61,8 +62,10 @@ def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     off-diagonal entry outside it is zero and adds nothing.
     """
     a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError("jacobi_eigh needs a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DataError(f"jacobi_eigh needs a square, non-empty matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DataError("jacobi_eigh needs finite entries")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
         raise DataError("jacobi_eigh needs a symmetric matrix")
     n = a.shape[0]
@@ -301,8 +304,3 @@ def export_scatter(rows: Sequence[ScatterRow], path, svg_path=None) -> None:
                 + [f"{r.sample_id},{r.label},{float(r.x)!r},{float(r.y)!r}" for r in rows])
     if svg_path is not None:
         write_lines(svg_path, _scatter_svg(rows))
-
-
-def read_scatter_csv(path) -> list[ScatterRow]:
-    _, rows = read_csv_rows(path, "sample_id,label,x,y", (str, str, float, float), "scatter")
-    return [ScatterRow(*row) for row in rows]

@@ -3,10 +3,10 @@
 Distances are Euclidean over the coordinates a FeatureMask enables;
 comparisons happen on squared values, reported distances are the roots.
 
-All four entry points (`classify_knn`, `classify_template`, `evaluate`,
-`evaluate_template`) rank through one path: reference rows in tie-break
-order, a stable sort of each query's squared distances, and a plurality
-vote over the k nearest that a split falls to the nearest tied class.
+Both entry points, `evaluate` (k-NN) and `evaluate_template`, rank
+through one path: reference rows in tie-break order, a stable sort of
+each query's squared distances, and a plurality vote over the k nearest
+that a split falls to the nearest tied class.
 k-NN ranks the training rows sorted by sample id, so equal distances are
 ordered by sample id. The template (minimum-distance) rule is exactly 1-NN
 over the class means, each named by its label and sorted by it, so a
@@ -51,8 +51,6 @@ __all__ = [
     "SampleOutcome",
     "distance",
     "live_columns",
-    "classify_knn",
-    "classify_template",
     "evaluate",
     "evaluate_template",
 ]
@@ -75,10 +73,6 @@ class FeatureMask:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
-
-    @classmethod
-    def all_ones(cls, n: int) -> "FeatureMask":
-        return cls(np.ones(n, dtype=bool))
 
     @classmethod
     def from_string(cls, text: str) -> "FeatureMask":
@@ -298,21 +292,6 @@ def _report(
     confusion = Counter((s.true_label, s.predicted) for s in per_sample)
     hits = sum(s.predicted == s.true_label for s in per_sample)
     return EvalReport(hits, test.n_samples, per_sample, dict(confusion))
-
-
-def classify_knn(
-    train: Dataset, query, cfg: KnnConfig, mask: FeatureMask | None = None
-) -> tuple[str, list[Neighbour]]:
-    """Label the query by plurality vote over its k nearest training samples."""
-    queries = np.asarray(query, dtype=np.float64)[None]
-    [(label, nearest)] = _rank(_training_rows(train), queries, cfg.k, mask)
-    return label, list(nearest)
-
-
-def classify_template(train: Dataset, query, mask: FeatureMask | None = None) -> str:
-    """Minimum distance to the per-class mean vectors; ties to the smaller label."""
-    queries = np.asarray(query, dtype=np.float64)[None]
-    return _rank(_mean_rows(train), queries, 1, mask)[0][0]
 
 
 def evaluate_template(

@@ -249,6 +249,8 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     reject_unread(cp)
     if test_count is not None and cp.has_option("split", "test_fraction"):
         raise config_error(cp, "split", "test_count", "test_fraction is set too; set only one")
+    if len(set(ks)) != len(ks):
+        raise config_error(cp, "baseline", "ks", "each k may appear only once")
     features.check_threads(threads)
 
     corpus_spec = synthkit.load_corpus_spec(spec_name)

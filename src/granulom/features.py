@@ -1,9 +1,11 @@
 """Feature recipes, extraction, dataset assembly and persistence.
 
-A recipe is an ordered list of extractors; concatenating their outputs
-gives the sample's feature vector. Two recipes ship as canonical
-defaults: rgb27 (9-bin histogram per RGB channel) and lot117 (HLS
-histograms H:32 L:32 S:28 plus hexagonal opening granulometry r=1..25).
+A recipe is an ordered list of extractors, each a plane histogram
+(`PlaneHistogram`) or an opening granulometry of the intensity plane
+(`OpeningGranulometry`); concatenating their outputs gives the sample's
+feature vector. Two recipes ship as canonical defaults: rgb27 (9-bin
+histogram per RGB channel) and lot117 (HLS histograms H:32 L:32 S:28
+plus hexagonal opening granulometry r=1..25).
 The lot117 breakdown is a reconstruction; the exact historical feature
 composition is configurable rather than fixed.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from .csvrows import identifier, read_csv_rows, write_lines
 from .errors import DataError
-from .granulometry import closing_curves, opening_curves
+from .granulometry import opening_curves
 from .imagecore import ColorImage, histogram, intensity, read_ppm, to_hls
 from .morphology import se_family
 from .synthkit import read_manifest
@@ -28,7 +30,6 @@ from .synthkit import read_manifest
 __all__ = [
     "PlaneHistogram",
     "OpeningGranulometry",
-    "ClosingGranulometry",
     "FeatureRecipe",
     "builtin_recipe",
     "extract",
@@ -81,8 +82,8 @@ class PlaneHistogram:
 
 
 @dataclass(frozen=True)
-class _Granulometry:
-    """Curve values at sizes r_first..r_last; a subclass sets the name prefix and curves."""
+class OpeningGranulometry:
+    """Opening-curve values at sizes r_first..r_last of the intensity plane."""
 
     family: str
     r_first: int
@@ -98,22 +99,13 @@ class _Granulometry:
         return self.r_last - self.r_first + 1
 
     def names(self) -> list[str]:
-        return [f"{self.prefix}_{self.family}_r{r:02d}"
-                for r in range(self.r_first, self.r_last + 1)]
+        return [f"gopen_{self.family}_r{r:02d}" for r in range(self.r_first, self.r_last + 1)]
 
     def extract(self, batch: "_Batch") -> np.ndarray:
-        return self.curves(batch.greys, self.family, self.r_last)[:, self.r_first :]
+        return opening_curves(batch.greys, self.family, self.r_last)[:, self.r_first :]
 
 
-class OpeningGranulometry(_Granulometry):
-    prefix, curves = "gopen", staticmethod(opening_curves)
-
-
-class ClosingGranulometry(_Granulometry):
-    prefix, curves = "gclose", staticmethod(closing_curves)
-
-
-Extractor = Union[PlaneHistogram, OpeningGranulometry, ClosingGranulometry]
+Extractor = Union[PlaneHistogram, OpeningGranulometry]
 
 
 class _Batch:
@@ -148,17 +140,6 @@ class FeatureRecipe:
         for e in self.extractors:
             out.extend(e.names())
         return out
-
-    def locate(self, index: int) -> tuple[Extractor, int]:
-        """Map a 1-based feature index to (extractor, 1-based offset within it)."""
-        if index < 1:
-            raise DataError("feature indices are 1-based")
-        pos = index
-        for e in self.extractors:
-            if pos <= e.n_features:
-                return e, pos
-            pos -= e.n_features
-        raise DataError(f"feature index {index} exceeds {self.total_features}")
 
 
 def builtin_recipe(name: str) -> FeatureRecipe:

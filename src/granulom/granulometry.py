@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvrows import read_csv_rows, write_lines
+from .csvrows import write_lines
 from .errors import DataError
 from .imagecore import GreyImage
 from .morphology import dilate_raw, erode_raw, se_family
@@ -44,8 +44,6 @@ __all__ = [
     "opening_curves",
     "closing_curves",
     "export_curve",
-    "read_curve_csv",
-    "read_diagram_csv",
     "MAX_R_MAX",
 ]
 
@@ -76,9 +74,6 @@ class SizeIntensityDiagram:
     k_max: int
     levels: tuple[int, ...]  # grey levels actually sampled, ascending
     cells: np.ndarray = field(repr=False)  # shape (r_max+1, len(levels)), int64
-
-    def value(self, r: int, k: int) -> int:
-        return int(self.cells[r, self.levels.index(k)])
 
 
 def _openings(stack: np.ndarray, family: str, r_max: int):
@@ -193,14 +188,3 @@ def export_curve(obj, path) -> None:
     else:
         raise DataError(f"cannot export object of type {type(obj).__name__}")
     write_lines(path, lines)
-
-
-def read_curve_csv(path) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Parse an exported curve back into (sizes, values)."""
-    _, rows = read_csv_rows(path, "r,value", (int, float), "granulometry curve")
-    return tuple(r for r, _ in rows), tuple(v for _, v in rows)
-
-
-def read_diagram_csv(path) -> tuple[tuple[int, int, int], ...]:
-    """Parse an exported diagram back into (r, k, count) triples."""
-    return tuple(read_csv_rows(path, "r,k,count", (int, int, int), "size-intensity")[1])

@@ -85,13 +85,6 @@ class ColorImage(_Raster):
             raise DataError(f"ColorImage needs shape (h, w, 3), got {arr.shape}")
         object.__setattr__(self, "pixels", _as_uint8(arr, "ColorImage"))
 
-    @classmethod
-    def from_planes(cls, r, g, b) -> "ColorImage":
-        planes = [np.asarray(p) for p in (r, g, b)]
-        if not (planes[0].shape == planes[1].shape == planes[2].shape):
-            raise DataError("r, g, b planes must share dimensions")
-        return cls(np.stack(planes, axis=-1))
-
     @property
     def r(self) -> np.ndarray:
         return self.pixels[:, :, 0]
@@ -116,14 +109,6 @@ class HlsImage:
     def __post_init__(self):
         if not (self.h.shape == self.l.shape == self.s.shape):
             raise DataError("HLS planes must share dimensions")
-
-    @property
-    def width(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.h.shape[0]
 
 
 # --- netpbm -----------------------------------------------------------------

@@ -66,8 +66,6 @@ __all__ = [
     "dilate",
     "opening",
     "closing",
-    "volume",
-    "area_nonzero",
 ]
 
 FAMILIES = ("hexagon", "square", "diamond")
@@ -207,13 +205,3 @@ def opening(f: GreyImage, se: StructuringElement) -> GreyImage:
 def closing(f: GreyImage, se: StructuringElement) -> GreyImage:
     """Dilation followed by erosion: extensive, increasing, idempotent."""
     return GreyImage(_extremum(_extremum(f.pixels, se, np.maximum), se, np.minimum))
-
-
-def volume(f: GreyImage) -> int:
-    """Sum of all pixel values."""
-    return int(f.pixels.sum(dtype=np.int64))
-
-
-def area_nonzero(f: GreyImage) -> int:
-    """Count of pixels with a non-zero value."""
-    return int(np.count_nonzero(f.pixels))

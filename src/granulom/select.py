@@ -49,7 +49,6 @@ __all__ = [
     "GenerationStats",
     "GARunReport",
     "fitness",
-    "evaluate_individual",
     "run_ga",
     "write_mask",
     "read_mask",
@@ -218,15 +217,6 @@ class _WrapperObjective:
             result = (hits, nf, fitness(hits, nf, self.cfg.alpha, self.cfg.beta))
         self.cache[key] = result
         return result
-
-
-def evaluate_individual(
-    mask: FeatureMask, train: Dataset, eval_set: Dataset, cfg: GAConfig
-) -> tuple[int, int, float]:
-    """(hits, nf, fitness) for one mask; empty masks get the -inf sentinel."""
-    if len(mask) != train.n_features:
-        raise DataError(f"mask length {len(mask)} != feature count {train.n_features}")
-    return _WrapperObjective(train, eval_set, cfg)(mask.bits)
 
 
 def _pair_draws(draws: _DrawReplay, fits: list[float], pairs: int, n: int, cfg: GAConfig):

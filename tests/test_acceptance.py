@@ -21,7 +21,7 @@ from conftest import (
 )
 from granulom import cli
 from granulom.analyze import export_scatter, fit_pca, project, transform
-from granulom.classify import FeatureMask, KnnConfig, classify_knn, distance, evaluate
+from granulom.classify import FeatureMask, KnnConfig, distance, evaluate
 from granulom.features import Dataset, builtin_recipe, extract_corpus, split
 from granulom.granulometry import export_curve, granulometry_openings, size_intensity
 from granulom.imagecore import GreyImage, intensity, read_ppm
@@ -135,14 +135,16 @@ def test_criterion_3_size_intensity_oracle(rng):
         family = FAMILIES[i % 3]
         pixels = rng.integers(0, 17, (8, 8))
         si = size_intensity(GreyImage(pixels), family, 2, k_max=16)
+        assert si.levels == tuple(range(1, 17))
+        cells = si.cells.tolist()  # cells[r][k - 1] is SI(r, k)
         for k in range(1, 17):
-            ok &= si.value(0, k) == int((pixels >= k).sum())  # survival histogram
+            ok &= cells[0][k - 1] == int((pixels >= k).sum())  # survival histogram
             mask = pixels >= k
             for r in range(3):
-                ok &= si.value(r, k) == int(translate_opening_binary(mask, family, r).sum())
+                ok &= cells[r][k - 1] == int(translate_opening_binary(mask, family, r).sum())
         for r in range(3):
             for k in range(1, 17):
-                ok &= si.value(r, k) == umbra_si_cell(pixels, family, r, k)
+                ok &= cells[r][k - 1] == umbra_si_cell(pixels, family, r, k)
         if not ok:
             break
     _verdict(3, "size-intensity equals 3-D umbra oracle (8x8, k_max=16)", ok)
@@ -170,10 +172,12 @@ def test_criterion_4_knn_oracle(rng):
         expect_label, expect_ids = knn_oracle(
             list(zip(ids, labels, matrix)), query, k, mask_idx
         )
-        label, neighbours = classify_knn(
-            Dataset(ids, labels, matrix), query, KnnConfig(k), mask
-        )
-        ok &= label == expect_label and [n.sample_id for n in neighbours] == expect_ids
+        [outcome] = evaluate(
+            Dataset(ids, labels, matrix), Dataset(["q"], ["q"], query[None]),
+            KnnConfig(k), mask,
+        ).per_sample
+        ok &= outcome.predicted == expect_label
+        ok &= [n.sample_id for n in outcome.neighbours] == expect_ids
         if not ok:
             break
     _verdict(4, "k-NN matches brute-force oracle on 500 random instances", ok)

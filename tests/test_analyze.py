@@ -10,11 +10,15 @@ from granulom.analyze import (
     fit_pca,
     jacobi_eigh,
     project,
-    read_scatter_csv,
     transform,
 )
+from granulom.csvrows import read_csv_rows
 from granulom.errors import DataError
 from granulom.features import Dataset
+
+
+# header, cell kinds and name of the exported scatter CSV, for read_csv_rows
+SCATTER = ("sample_id,label,x,y", (str, str, float, float), "scatter")
 
 
 def _dataset(matrix, labels=None):
@@ -51,8 +55,22 @@ def test_jacobi_stops_on_the_off_diagonal_entries_themselves():
 
 
 def test_jacobi_rejects_nonsymmetric():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^jacobi_eigh needs a symmetric matrix$"):
         jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 3), (4,), (2, 2, 2)],
+                         ids=["0x0", "0x3", "2x3", "1-D", "3-D"])
+def test_jacobi_rejects_a_matrix_that_is_not_square_or_is_empty(shape):
+    with pytest.raises(DataError, match="^jacobi_eigh needs a square, non-empty matrix, got shape"):
+        jacobi_eigh(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_jacobi_rejects_non_finite_entries_before_the_symmetry_check(bad):
+    for a in ([[bad]], [[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [0.0, 1.0]]):
+        with pytest.raises(DataError, match="^jacobi_eigh needs finite entries$"):
+            jacobi_eigh(np.array(a))
 
 
 def test_jacobi_eigenvalues_match_charpoly_oracle(rng):
@@ -218,7 +236,7 @@ def test_export_scatter_roundtrip(tmp_path):
     ]
     p = tmp_path / "s.csv"
     export_scatter(rows, p)
-    assert read_scatter_csv(p) == rows
+    assert [ScatterRow(*row) for row in read_csv_rows(p, *SCATTER)[1]] == rows
     assert p.read_text().splitlines()[0] == "sample_id,label,x,y"
 
 
@@ -232,11 +250,11 @@ def test_export_scatter_empty_and_svg(tmp_path):
 
 @pytest.mark.parametrize("row", ["b,y,2.0", "b,y,2.0,1.0,0.5", "b,y,2.0,x"],
                          ids=["short", "long", "text"])
-def test_read_scatter_csv_rejects_malformed_rows(tmp_path, row):
+def test_scatter_csv_rows_reject_malformed_rows(tmp_path, row):
     p = tmp_path / "s.csv"
     p.write_text(f"sample_id,label,x,y\na,x,0.5,1.0\n\n{row}\n")
     with pytest.raises(DataError, match="line 4: (. cells, expected 4|non-numeric cell)"):
-        read_scatter_csv(p)
+        read_csv_rows(p, *SCATTER)
 
 
 def test_svg_deterministic(tmp_path, rng):

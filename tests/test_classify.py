@@ -9,8 +9,6 @@ from granulom.classify import (
     FeatureMask,
     KnnConfig,
     _squared_distances,
-    classify_knn,
-    classify_template,
     distance,
     evaluate,
     evaluate_template,
@@ -26,6 +24,12 @@ def _dataset(rows, labels, ids=None):
     matrix = np.asarray(rows, dtype=np.float64)
     ids = ids or [f"t-{i+1}" for i in range(matrix.shape[0])]
     return Dataset(ids, list(labels), matrix)
+
+
+def _queries(rows):
+    """Query rows as a dataset, sample ids q000, q001, ... in row order."""
+    matrix = np.asarray(rows, dtype=np.float64)
+    return Dataset([f"q{i:03d}" for i in range(len(matrix))], ["q"] * len(matrix), matrix)
 
 
 # --- distance -------------------------------------------------------------------
@@ -81,9 +85,9 @@ def test_mask_roundtrip_and_indices():
 
 def test_knn_self_match():
     train = _dataset([[0, 0], [5, 5], [9, 1]], ["a", "b", "c"])
-    label, neighbours = classify_knn(train, [5, 5], KnnConfig(1))
-    assert label == "b"
-    assert neighbours[0].sample_id == "t-2" and neighbours[0].distance == 0.0
+    [s] = evaluate(train, _queries([[5, 5]]), KnnConfig(1)).per_sample
+    assert s.predicted == "b"
+    assert s.neighbours[0].sample_id == "t-2" and s.neighbours[0].distance == 0.0
 
 
 def test_knn_plurality_and_tie_rule():
@@ -91,26 +95,26 @@ def test_knn_plurality_and_tie_rule():
         [[0.0], [1.0], [2.0], [10.0]],
         ["A", "A", "B", "C"],
     )
-    label, _ = classify_knn(train, [0.4], KnnConfig(3))
-    assert label == "A"  # votes A,A,B
+    [s] = evaluate(train, _queries([[0.4]]), KnnConfig(3)).per_sample
+    assert s.predicted == "A"  # votes A,A,B
     train = _dataset([[1.0], [2.0], [3.0]], ["A", "B", "C"])
-    label, neighbours = classify_knn(train, [0.9], KnnConfig(3))
-    assert label == "A"  # 1-1-1 split falls to the nearest
-    assert [n.label for n in neighbours] == ["A", "B", "C"]
+    [s] = evaluate(train, _queries([[0.9]]), KnnConfig(3)).per_sample
+    assert s.predicted == "A"  # 1-1-1 split falls to the nearest
+    assert [n.label for n in s.neighbours] == ["A", "B", "C"]
 
 
 def test_knn_equal_distance_orders_by_sample_id():
     train = _dataset([[1.0], [1.0], [1.0]], ["x", "y", "z"], ids=["m", "a", "z"])
-    _, neighbours = classify_knn(train, [1.0], KnnConfig(3))
-    assert [n.sample_id for n in neighbours] == ["a", "m", "z"]
+    [s] = evaluate(train, _queries([[1.0]]), KnnConfig(3)).per_sample
+    assert [n.sample_id for n in s.neighbours] == ["a", "m", "z"]
 
 
 def test_knn_errors():
     train = _dataset([[0.0]], ["a"])
     with pytest.raises(DataError):
-        classify_knn(train, [0.0], KnnConfig(2))
+        evaluate(train, _queries([[0.0]]), KnnConfig(2))
     with pytest.raises(DataError):
-        classify_knn(train, [0.0, 1.0], KnnConfig(1))
+        evaluate(train, _queries([[0.0, 1.0]]), KnnConfig(1))
 
 
 def test_knn_matches_oracle_randomized(rng):
@@ -134,18 +138,18 @@ def test_knn_matches_oracle_randomized(rng):
         expect_label, expect_ids = knn_oracle(
             list(zip(ids, labels, matrix)), query, k, mask_idx
         )
-        label, neighbours = classify_knn(train, query, KnnConfig(k), mask)
-        assert label == expect_label
-        assert [n.sample_id for n in neighbours] == expect_ids
+        [s] = evaluate(train, _queries([query]), KnnConfig(k), mask).per_sample
+        assert s.predicted == expect_label
+        assert [n.sample_id for n in s.neighbours] == expect_ids
 
 
 def test_full_mask_equals_unmasked(rng):
     train = _dataset(rng.normal(size=(20, 6)), [f"c{i%3}" for i in range(20)])
-    query = rng.normal(size=6)
-    full = FeatureMask.all_ones(6)
-    assert classify_knn(train, query, KnnConfig(3)) == classify_knn(
-        train, query, KnnConfig(3), full
-    )
+    queries = _queries([rng.normal(size=6)])
+    full = FeatureMask(np.ones(6, dtype=bool))
+    assert evaluate(train, queries, KnnConfig(3)).per_sample == evaluate(
+        train, queries, KnnConfig(3), full
+    ).per_sample
 
 
 # --- template classifier -----------------------------------------------------------
@@ -155,19 +159,19 @@ def test_template_examples():
         [[0, 0], [0, 0], [10, 10], [10, 10]],
         ["low", "low", "high", "high"],
     )
-    assert classify_template(train, [1, 1]) == "low"
-    # equidistant: lexicographically smaller label wins
-    assert classify_template(train, [5, 5]) == "high"
+    report = evaluate_template(train, _queries([[1, 1], [5, 5]]))
+    # [5, 5] is equidistant: the lexicographically smaller label wins
+    assert [s.predicted for s in report.per_sample] == ["low", "high"]
 
 
 def test_template_equals_1nn_on_singleton_classes(rng):
     matrix = rng.normal(size=(6, 4))
     labels = [f"c{i}" for i in range(6)]
     train = _dataset(matrix, labels)
-    for _ in range(10):
-        q = rng.normal(size=4)
-        knn_label, _ = classify_knn(train, q, KnnConfig(1))
-        assert classify_template(train, q) == knn_label
+    queries = _queries(rng.normal(size=(10, 4)))
+    knn = evaluate(train, queries, KnnConfig(1))
+    template = evaluate_template(train, queries)
+    assert [s.predicted for s in template.per_sample] == [s.predicted for s in knn.per_sample]
 
 
 # --- evaluate --------------------------------------------------------------------
@@ -262,7 +266,8 @@ def test_knn_and_template_distances_are_left_to_right(rng, n_features):
     for mask in (None, FeatureMask(bits)):
         sel = np.arange(n_features) if mask is None else mask.indices()
         # single query: every reported distance is the root of the reference sum
-        _, neighbours = classify_knn(train, queries[0], KnnConfig(len(ids)), mask)
+        [first] = evaluate(train, _queries(queries[:1]), KnnConfig(len(ids)), mask).per_sample
+        neighbours = first.neighbours
         reference = left_to_right_d2(queries[:1], training, sel)[0]
         by_id = dict(zip(ids, reference))
         assert [n.distance for n in neighbours] == [np.sqrt(by_id[n.sample_id]) for n in neighbours]
@@ -271,8 +276,9 @@ def test_knn_and_template_distances_are_left_to_right(rng, n_features):
                           for c in train.class_labels])
         expected = left_to_right_d2(queries, means, sel)
         assert np.array_equal(_squared_distances(queries[:, sel], means[:, sel]), expected)
-        for q, row in zip(queries, expected):
-            assert classify_template(train, q, mask) == train.class_labels[int(np.argmin(row))]
+        template = evaluate_template(train, _queries(queries), mask)
+        assert [s.predicted for s in template.per_sample] == [
+            train.class_labels[int(np.argmin(row))] for row in expected]
 
 
 # --- single-valued columns -----------------------------------------------------
@@ -477,24 +483,18 @@ def test_template_is_1nn_over_class_means(rng, masked):
         assert template.confusion == nearest_mean.confusion
         assert template.hits == nearest_mean.hits
         assert all(s.neighbours == () for s in template.per_sample)
-        for q in test.matrix:
-            assert classify_template(train, q, mask) == classify_knn(means, q, KnnConfig(1), mask)[0]
     # the query equidistant from the VIM and ROS means goes to the smaller label
     train, test, _ = _golden_split()
-    assert classify_template(train, test.matrix[0]) == "ROS"
+    assert evaluate_template(train, test.subset([0])).per_sample[0].predicted == "ROS"
 
 
 def _call_entry_point(name, train, test, k, mask):
-    if name == "classify_knn":
-        return classify_knn(train, test.matrix[0], KnnConfig(k), mask)
-    if name == "classify_template":
-        return classify_template(train, test.matrix[0], mask)
     if name == "evaluate":
         return evaluate(train, test, KnnConfig(k), mask)
     return evaluate_template(train, test, mask)
 
 
-ENTRY_POINTS = ["classify_knn", "classify_template", "evaluate", "evaluate_template"]
+ENTRY_POINTS = ["evaluate", "evaluate_template"]
 BAD_INPUTS = {  # case -> the start of its message
     "empty training set": "empty training set",
     "mask length": "mask length",
@@ -531,6 +531,6 @@ def test_entry_points_reject_bad_inputs(name, bad):
 def test_single_queries_reject_malformed_queries(query):
     train = _dataset([[0, 0], [1, 1]], ["a", "b"])
     with pytest.raises(DataError):
-        classify_knn(train, query, KnnConfig(1))
+        evaluate(train, _queries([query]), KnnConfig(1))
     with pytest.raises(DataError):
-        classify_template(train, query)
+        evaluate_template(train, _queries([query]))

@@ -6,8 +6,8 @@ import pytest
 
 from granulom import errors
 from granulom.cli import _GA_SETTINGS, _RUN_ARTEFACTS, main
+from granulom.csvrows import read_csv_rows
 from granulom.features import load_dataset
-from granulom.granulometry import read_curve_csv
 from granulom.imagecore import GreyImage, read_pgm, write_pgm
 from granulom.select import GAConfig
 from granulom.synthkit import load_corpus_spec, parse_corpus_config
@@ -126,7 +126,8 @@ def test_morph_and_granulo_and_si(tmp_path, capsys):
 
     curve_csv = tmp_path / "curve.csv"
     assert main(["granulo", "--kind", "open", "--rmax", "4", str(src), str(curve_csv)]) == 0
-    sizes, values = read_curve_csv(curve_csv)
+    _, rows = read_csv_rows(curve_csv, "r,value", (int, float), "granulometry curve")
+    sizes, values = zip(*rows)
     assert sizes == (0, 1, 2, 3, 4) and values[0] == 0.0
 
     si_csv = tmp_path / "si.csv"
@@ -273,6 +274,7 @@ def test_pipeline_ga_disabled(tmp_path, corpus_cfg):
     ("pca", "components = 2", "components = 0"),
     ("pca", "components = 2", "components = 1"),
     ("baseline", "ks = 1", "ks = 1 50"),
+    ("baseline", "ks = 1", "ks = 1 1"),
     ("ga", "population = 10", "populaton = 10"),
     ("ga", "population = 10", "enforce_weight_sum = true\npopulation = 10"),
     ("split", "test_fraction = 0.34", "test_count = 6\ntest_fraction = 0.34"),

@@ -166,7 +166,7 @@ PIPELINE_KEYS = {
     "extract": {"recipe": ["", "x", "rgb"]},
     "split": {"test_count": ["x", "1.5", "", "0", "500"],
               "test_fraction": ["x", "nan", "inf", "1e400"], "seed": ["-1", "x", "1.5"]},
-    "baseline": {"ks": ["x", "1 y", "1.5", "0", "-1", "1 50"]},
+    "baseline": {"ks": ["x", "1 y", "1.5", "0", "-1", "1 50", "1 1", "3 1 3"]},
     "ga": {"enabled": ["x", "2", ""], "population": ["x", "-1", "1e3", "%(nothing)s"],
            "populaton": ["3"],
            "generations": ["x", "-1"], "crossover_prob": ["nan", "1.5", "x"],

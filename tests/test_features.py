@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from granulom.errors import DataError
 from granulom.features import (
     STACK_CHUNK,
-    ClosingGranulometry,
     Dataset,
     FeatureRecipe,
     OpeningGranulometry,
@@ -34,25 +33,20 @@ def test_builtin_recipe_sizes():
 
 def test_lot117_layout():
     lot = builtin_recipe("lot117")
-    extractor, offset = lot.locate(93)
-    assert isinstance(extractor, OpeningGranulometry)
-    assert extractor.family == "hexagon"
-    assert extractor.r_first + offset - 1 == 1  # first granulometry feature is r=1
-    extractor, offset = lot.locate(92)
-    assert isinstance(extractor, PlaneHistogram) and extractor.plane == "s"
     names = lot.feature_names()
-    assert len(names) == 117 and names[92] == "gopen_hexagon_r01"
+    assert len(names) == 117
+    # feature 93 is the first granulometry feature, r=1; feature 92 the last s bin
+    assert names[92] == "gopen_hexagon_r01" and names[91] == "hls_s_b28"
+    assert names[-1] == "gopen_hexagon_r25"
 
 
-def test_granulometry_kinds_share_one_implementation_and_stay_distinct():
-    opening, closing = OpeningGranulometry("hex", 2, 3), ClosingGranulometry("hex", 2, 3)
+def test_opening_granulometry_names_and_size_range():
+    opening = OpeningGranulometry("hex", 2, 3)
     assert opening.names() == ["gopen_hexagon_r02", "gopen_hexagon_r03"]
-    assert closing.names() == ["gclose_hexagon_r02", "gclose_hexagon_r03"]
-    assert not isinstance(closing, OpeningGranulometry)
-    assert not isinstance(opening, ClosingGranulometry)
-    assert opening != closing and opening == OpeningGranulometry("hexagon", 2, 3)
+    assert opening == OpeningGranulometry("hexagon", 2, 3)
+    assert opening != OpeningGranulometry("square", 2, 3)
     with pytest.raises(DataError, match="bad size range"):
-        ClosingGranulometry("hex", 3, 2)
+        OpeningGranulometry("hex", 3, 2)
 
 
 def test_extract_constant_image_rgb27():
@@ -114,7 +108,7 @@ def test_extract_corpus_mixed_shapes_match_per_image_extract(tmp_path):
     write_manifest(entries, tmp_path / "manifest.csv")
     for recipe in (builtin_recipe("lot117"), FeatureRecipe("mixed", (
             PlaneHistogram("l", 8), OpeningGranulometry("square", 2, 6),
-            ClosingGranulometry("hexagon", 0, 9), PlaneHistogram("g", 5)))):
+            OpeningGranulometry("hexagon", 0, 9), PlaneHistogram("g", 5)))):
         for threads in (1, 3):
             ds = extract_corpus(tmp_path, recipe, threads=threads)
             assert ds.sample_ids == [e.sample_id for e in entries]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_erode, translate_opening_binary, translate_opening_grey, umbra_si_cell
+from granulom.csvrows import read_csv_rows
 from granulom.errors import DataError
 from granulom.granulometry import (
     MAX_R_MAX,
@@ -10,8 +11,6 @@ from granulom.granulometry import (
     export_curve,
     granulometry_closings,
     granulometry_openings,
-    read_curve_csv,
-    read_diagram_csv,
     size_intensity,
 )
 from granulom.imagecore import GreyImage
@@ -143,9 +142,9 @@ def test_flat_tail_is_measured_once_and_matches_per_size_oracles(rng, monkeypatc
 def test_si_column_zero_is_survival_histogram():
     img = GreyImage(np.array([[0, 1], [2, 2]]))
     si = size_intensity(img, "hexagon", 2, k_max=3)
-    assert si.value(0, 1) == 3
-    assert si.value(0, 2) == 2
-    assert si.value(0, 3) == 0
+    assert si.cells[0, si.levels.index(1)] == 3
+    assert si.cells[0, si.levels.index(2)] == 2
+    assert si.cells[0, si.levels.index(3)] == 0
 
 
 def test_si_constant_image():
@@ -153,9 +152,9 @@ def test_si_constant_image():
     si = size_intensity(img, "square", 2, k_max=4)
     for r in range(3):
         for k in (1, 2):
-            assert si.value(r, k) == 9
+            assert si.cells[r, si.levels.index(k)] == 9
         for k in (3, 4):
-            assert si.value(r, k) == 0
+            assert si.cells[r, si.levels.index(k)] == 0
 
 
 def test_si_rows_match_binary_opening_oracle(rng):
@@ -176,7 +175,7 @@ def test_si_rows_match_binary_opening_oracle(rng):
             mask = px >= k
             for r in range(r_max + 1):
                 oracle = int(translate_opening_binary(mask, family, r).sum())
-                assert si.value(r, k) == oracle, (i, family, r, k)
+                assert si.cells[r, si.levels.index(k)] == oracle, (i, family, r, k)
 
 
 def test_si_matches_umbra_oracle(rng):
@@ -186,7 +185,8 @@ def test_si_matches_umbra_oracle(rng):
         si = size_intensity(GreyImage(px), family, 2, k_max=16)
         for r in range(3):
             for k in range(1, 17):
-                assert si.value(r, k) == umbra_si_cell(px, family, r, k), (family, r, k)
+                cell = si.cells[r, si.levels.index(k)]
+                assert cell == umbra_si_cell(px, family, r, k), (family, r, k)
 
 
 def test_si_monotone_both_axes(rng):
@@ -210,6 +210,11 @@ def test_si_levels_stride():
 
 # --- export -----------------------------------------------------------------------
 
+# header, cell kinds and name of the exported curve and diagram CSVs, for read_csv_rows
+CURVE = ("r,value", (int, float), "granulometry curve")
+DIAGRAM = ("r,k,count", (int, int, int), "size-intensity")
+
+
 def test_export_curve_roundtrip(tmp_path):
     curve = GranulometryCurve("hexagon", "openings", (0, 1), (0.0, 0.25))
     path = tmp_path / "curve.csv"
@@ -217,8 +222,8 @@ def test_export_curve_roundtrip(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == "r,value"
     assert len(text.splitlines()) == 3
-    sizes, values = read_curve_csv(path)
-    assert sizes == curve.sizes and values == curve.values
+    _, rows = read_csv_rows(path, *CURVE)
+    assert tuple(rows) == tuple(zip(curve.sizes, curve.values))
 
 
 def test_export_diagram_shape(tmp_path):
@@ -226,22 +231,22 @@ def test_export_diagram_shape(tmp_path):
     si = size_intensity(img, "hexagon", 1, k_max=2)
     path = tmp_path / "si.csv"
     export_curve(si, path)
-    rows = read_diagram_csv(path)
+    _, rows = read_csv_rows(path, *DIAGRAM)
     assert len(rows) == 4  # (r_max+1) * k_max
     assert rows[0] == (0, 1, 3)
 
 
-@pytest.mark.parametrize("reader,text", [
-    (read_curve_csv, "r,value\n0,0.0\n\n1\n"),
-    (read_curve_csv, "r,value\n0,0.0\n\n1,0.5,7\n"),
-    (read_curve_csv, "r,value\n0,0.0\n\n1,x\n"),
-    (read_diagram_csv, "r,k,count\n0,1,3\n\n1,2\n"),
-    (read_diagram_csv, "r,k,count\n0,1,3\n\n1,2,3,4\n"),
-    (read_diagram_csv, "r,k,count\n0,1,3\n\n1,2.5,3\n"),
+@pytest.mark.parametrize("layout,text", [
+    (CURVE, "r,value\n0,0.0\n\n1\n"),
+    (CURVE, "r,value\n0,0.0\n\n1,0.5,7\n"),
+    (CURVE, "r,value\n0,0.0\n\n1,x\n"),
+    (DIAGRAM, "r,k,count\n0,1,3\n\n1,2\n"),
+    (DIAGRAM, "r,k,count\n0,1,3\n\n1,2,3,4\n"),
+    (DIAGRAM, "r,k,count\n0,1,3\n\n1,2.5,3\n"),
 ], ids=["curve-short", "curve-long", "curve-text", "diagram-short", "diagram-long",
         "diagram-text"])
-def test_exported_csv_readers_reject_malformed_rows(tmp_path, reader, text):
+def test_exported_csv_readers_reject_malformed_rows(tmp_path, layout, text):
     path = tmp_path / "in.csv"
     path.write_text(text)
     with pytest.raises(DataError, match="line 4: (. cells, expected|non-numeric cell)"):
-        reader(path)
+        read_csv_rows(path, *layout)

@@ -18,7 +18,6 @@ from granulom.select import (
     EMPTY_MASK_FITNESS,
     MAX_POPULATION,
     GAConfig,
-    evaluate_individual,
     fitness,
     read_mask,
     run_ga,
@@ -78,11 +77,11 @@ def _separable_pair(n_eval=6):
     return block(8, "tr"), block(n_eval, "ev")
 
 
-def test_evaluate_individual_separable_and_sentinel():
+def test_wrapper_objective_separable_and_sentinel():
     train, eval_set = _separable_pair()
     cfg = GAConfig(seed=1)
-    full = FeatureMask.all_ones(4)
-    hits, nf, fit = evaluate_individual(full, train, eval_set, cfg)
+    objective = _WrapperObjective(train, eval_set, cfg)
+    hits, nf, fit = objective(np.ones(4, dtype=bool))
     # verify against the independent brute-force 1-NN oracle
     rows = list(zip(train.sample_ids, train.labels, train.matrix))
     expected = sum(
@@ -93,19 +92,18 @@ def test_evaluate_individual_separable_and_sentinel():
     assert nf == 4
     assert fit == fitness(hits, 4, cfg.alpha, cfg.beta)
 
-    empty = FeatureMask(np.array([0, 0, 0, 0]))
-    hits, nf, fit = evaluate_individual(empty, train, eval_set, cfg)
+    hits, nf, fit = objective(np.zeros(4, dtype=bool))
     assert fit == EMPTY_MASK_FITNESS and nf == 0
 
 
-def test_evaluate_individual_matches_evaluate():
+def test_wrapper_objective_matches_evaluate():
     train, eval_set = _separable_pair()
-    cfg = GAConfig(seed=1)
+    objective = _WrapperObjective(train, eval_set, GAConfig(seed=1))
     for bits in product((0, 1), repeat=4):
         if not any(bits):
             continue
         mask = FeatureMask(np.array(bits))
-        hits, nf, _ = evaluate_individual(mask, train, eval_set, cfg)
+        hits, nf, _ = objective(mask.bits)
         assert hits == evaluate(train, eval_set, KnnConfig(1), mask).hits
         assert nf == sum(bits)
 
@@ -155,7 +153,7 @@ def test_run_ga_cache_coherence():
     train, eval_set = _separable_pair()
     cfg = GAConfig(population_size=8, generations=20, seed=7)
     rep = run_ga(train, eval_set, cfg)
-    hits, nf, fit = evaluate_individual(rep.best_mask, train, eval_set, cfg)
+    hits, nf, fit = _WrapperObjective(train, eval_set, cfg)(rep.best_mask.bits)
     assert fit == rep.best_fitness
     assert hits == rep.best_hits
     assert nf == rep.best_mask.n_selected
@@ -208,7 +206,7 @@ def test_mask_file_roundtrip(tmp_path):
     assert read_mask(p) == mask
 
 
-def test_evaluate_individual_matches_evaluate_lot117_shape(rng):
+def test_wrapper_objective_matches_evaluate_lot117_shape(rng):
     # 117 features, 187 train / 50 eval and 14 classes, as in the shipped split
     scale = rng.uniform(0.01, 100, size=117)
     def block(n, tag):
@@ -216,12 +214,12 @@ def test_evaluate_individual_matches_evaluate_lot117_shape(rng):
         ids = [f"{tag}{i:03d}" for i in rng.permutation(n)]
         return Dataset(ids, labels, rng.normal(size=(n, 117)) * scale)
     train, eval_set = block(187, "tr"), block(50, "ev")
-    cfg = GAConfig(seed=0)
+    objective = _WrapperObjective(train, eval_set, GAConfig(seed=0))
     for p in (0.03, 0.1, 0.5, 0.9, 1.0):
         bits = rng.random(117) < p
         bits[int(rng.integers(0, 117))] = True
         mask = FeatureMask(bits)
-        hits, nf, _ = evaluate_individual(mask, train, eval_set, cfg)
+        hits, nf, _ = objective(mask.bits)
         assert hits == evaluate(train, eval_set, KnnConfig(1), mask).hits
         assert nf == mask.n_selected
 
