@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,43 @@ def test_ppm_roundtrip_and_bad_magic(tmp_path):
     p.write_bytes(b"P4\n1 1\n255\n" + bytes(3))
     with pytest.raises(DataError, match="^bad magic b'P4', expected one of "):
         read_ppm(p)
+
+# --- netpbm token rule -------------------------------------------------------------
+
+# (reader, file bytes, expected pixel rows or the whole DataError message)
+_NETPBM_TABLE = [
+    (read_pgm, b"P9\nnope", "bad magic b'P9', expected one of (b'P5', b'P2')"),
+    (read_pgm, b"P2\n3 1\n15\n99 x 1\n", "sample value 99 exceeds maxval 15"),
+    (read_pgm, b"P2\n2 1\n15\n3 99999999999999999999\n",
+     "sample value 99999999999999999999 exceeds maxval 15"),
+    (read_pgm, b"P2#c\n2#d\n1 255#e\n7#f\n8 9 10\n", [[7, 8]]),
+    (read_pgm, b"P2\n2 1\n255\n7 # mid\n 8\n", [[7, 8]]),
+    (read_pgm, b"P2\x0b2\x0c1\r255\t1 2", [[1, 2]]),
+    (read_pgm, b"P2\n2 2\n255\n0 1 2\n", "raster holds 3 samples, expected 4"),
+    (read_pgm, b"P2\n2 2\n15\n7 x\n", "non-numeric sample b'x'"),
+    (read_pgm, b"P5\n2 2", "unexpected end of file in header"),
+    (read_pgm, b"P5\n1 1\n255#c\n\x07", "missing whitespace after maxval"),
+    (read_ppm, b"P3\n1 1\n15\n99 x 1\n", "sample value 99 exceeds maxval 15"),
+    (read_ppm, b"P3\n1 1\n15\n3 4 99999999999999999999\n",
+     "sample value 99999999999999999999 exceeds maxval 15"),
+    (read_ppm, b"P3#c\n1#d\n1 255#e\n7#f\n8 9#g\n10\n", [[[7, 8, 9]]]),
+    (read_ppm, b"P3\n1 1\n255\n7 # mid\n 8 9\n", [[[7, 8, 9]]]),
+    (read_ppm, b"P3\x0b1\x0c1\r255\t1 2\x0b3", [[[1, 2, 3]]]),
+    (read_ppm, b"P3\n2 1\n255\n0 1 2\n", "raster holds 3 samples, expected 6"),
+    (read_ppm, b"P6\n1 1\n255#c\n\x07\x08\x09", "missing whitespace after maxval"),
+]
+
+
+@pytest.mark.parametrize("reader,data,expected", _NETPBM_TABLE)
+def test_netpbm_token_rule(tmp_path, reader, data, expected):
+    """Whitespace and # comments (to the end of their line) may separate any two tokens."""
+    p = tmp_path / "a.pnm"
+    p.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(DataError, match="^" + re.escape(expected) + "$"):
+            reader(p)
+    else:
+        assert reader(p).pixels.tolist() == expected
 
 
 # --- intensity -------------------------------------------------------------------
