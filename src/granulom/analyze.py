@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .csvrows import write_lines
-from .errors import DataError
+from .errors import DataError, real_array
 from .features import Dataset
 
 __all__ = [
@@ -61,7 +61,7 @@ def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     sweeps do not get there. off(A) is read from the live block alone: every
     off-diagonal entry outside it is zero and adds nothing.
     """
-    a = np.array(matrix, dtype=np.float64)
+    a = real_array(matrix, "jacobi_eigh matrix").copy()
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DataError(f"jacobi_eigh needs a square, non-empty matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -177,7 +177,7 @@ def fit_pca(ds: Dataset, n_components: int = 2, correlation: bool = False) -> Pc
 
 def transform(model: PcaModel, matrix) -> np.ndarray:
     """Scores of each row on every retained component."""
-    x = np.asarray(matrix, dtype=np.float64)
+    x = real_array(matrix, "transform matrix")
     single = x.ndim == 1
     if single:
         x = x[None, :]

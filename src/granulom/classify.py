@@ -34,13 +34,13 @@ no live column, every distance is +0.0 and the nearest row is the first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .csvrows import write_lines
-from .errors import DataError
+from .errors import DataError, real_array
 from .features import Dataset
 
 __all__ = [
@@ -132,7 +132,6 @@ class EvalReport:
     hits: int
     total: int
     per_sample: list[SampleOutcome]
-    confusion: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @property
     def recognition_rate(self) -> float:
@@ -172,8 +171,8 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 def distance(x, m, mask: FeatureMask | None = None) -> float:
     """Euclidean distance over the masked coordinates."""
-    xv = np.asarray(x, dtype=np.float64)
-    mv = np.asarray(m, dtype=np.float64)
+    xv = real_array(x, "distance vector")
+    mv = real_array(m, "distance vector")
     if xv.shape != mv.shape or xv.ndim != 1:
         raise DataError("vectors must be 1-D and of equal length")
     _check_finite(xv, mv)
@@ -208,16 +207,13 @@ def squared_difference_table(queries: np.ndarray, training: np.ndarray) -> np.nd
     return sq
 
 
-def summed_rows(sq, rows, out: np.ndarray | None = None) -> np.ndarray:
+def summed_rows(sq, rows, out: np.ndarray) -> np.ndarray:
     """Squared distances over the table rows `rows` (ascending): +0.0 plus each row, left to right.
 
-    `sq` is the table or a list of its rows; a list needs `out`. The sum
-    overwrites `out` when it is given, else goes into a new array.
+    `sq` is the table or a list of its rows. The sum overwrites `out`,
+    which is returned.
     """
-    if out is None:
-        out = np.zeros(sq.shape[1:])
-    else:
-        out.fill(0.0)
+    out.fill(0.0)
     for f in rows:
         out += sq[f]
     return out
@@ -238,7 +234,7 @@ def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
     """(queries, train) squared distances over the live columns of both inputs."""
     live = live_columns(queries, training)
     sq = squared_difference_table(queries[:, live], training[:, live])
-    return summed_rows(sq, range(live.size))
+    return summed_rows(sq, range(live.size), np.empty(sq.shape[1:]))
 
 
 def _vote(top: list[str]) -> str:
@@ -289,9 +285,8 @@ def _report(
         SampleOutcome(test.sample_ids[i], test.labels[i], predicted, nearest[:listed])
         for i, (predicted, nearest) in zip(order, _rank(refs, test.matrix[order], k, mask))
     ]
-    confusion = Counter((s.true_label, s.predicted) for s in per_sample)
     hits = sum(s.predicted == s.true_label for s in per_sample)
-    return EvalReport(hits, test.n_samples, per_sample, dict(confusion))
+    return EvalReport(hits, test.n_samples, per_sample)
 
 
 def evaluate_template(

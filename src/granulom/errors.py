@@ -5,6 +5,16 @@ precondition, is a DataError; the CLI exits 2 on it and prints its message
 as one line. Usage errors exit 1 and OSError exits 3.
 """
 
+import numpy as np
+
 
 class DataError(ValueError):
     """Malformed input data or a violated operation precondition."""
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """`values` as a float64 array (no copy if it is one); a DataError unless they are real numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must hold real numbers: {exc}") from None

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .csvrows import identifier, read_csv_rows, write_lines
-from .errors import DataError
+from .errors import DataError, real_array
 from .granulometry import opening_curves
 from .imagecore import ColorImage, histogram, intensity, read_ppm, to_hls
 from .morphology import se_family
@@ -196,31 +196,26 @@ def check_threads(threads: int) -> None:
         raise DataError(f"threads must be >= 1, got {threads}")
 
 
-def extract_corpus(manifest_path, recipe: FeatureRecipe, threads: int = 1) -> "Dataset":
-    """Extract every image listed in a corpus manifest into one dataset.
+def extract_corpus(corpus_dir, recipe: FeatureRecipe, threads: int = 1) -> "Dataset":
+    """Extract every image listed in `corpus_dir`/manifest.csv into one dataset.
 
     Rows are ordered by sample id. The sorted manifest is read in chunks
-    of STACK_CHUNK images, each extracted as one batch; `threads` workers
-    (at least 1) take whole chunks. Rows never depend on the chunking or
-    the worker count.
+    of STACK_CHUNK images, each extracted as one batch; a pool of `threads`
+    workers (at least 1) takes whole chunks. Rows never depend on the
+    chunking or the worker count.
     """
     check_threads(threads)
-    manifest_path = os.fspath(manifest_path)
-    if os.path.isdir(manifest_path):
-        manifest_path = os.path.join(manifest_path, "manifest.csv")
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    entries = sorted(read_manifest(manifest_path), key=lambda e: e.sample_id)
+    base = os.path.abspath(corpus_dir)
+    entries = sorted(read_manifest(os.path.join(corpus_dir, "manifest.csv")),
+                     key=lambda e: e.sample_id)
 
     chunks = [entries[i : i + STACK_CHUNK] for i in range(0, len(entries), STACK_CHUNK)]
 
     def one(chunk):
         return _extract_images(recipe, [read_ppm(os.path.join(base, e.path)) for e in chunk])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(one, chunks))
-    else:
-        blocks = [one(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        blocks = list(pool.map(one, chunks))
     matrix = np.vstack(blocks) if blocks else np.empty((0, recipe.total_features))
     return Dataset(
         [e.sample_id for e in entries],
@@ -246,7 +241,7 @@ class Dataset:
     feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self.matrix = real_array(self.matrix, "feature matrix")
         if self.matrix.ndim != 2:
             raise DataError("feature matrix must be 2-D")
         n = self.matrix.shape[0]
@@ -286,7 +281,7 @@ class Dataset:
         return Dataset(
             [self.sample_ids[i] for i in idx],
             [self.labels[i] for i in idx],
-            self.matrix[idx].copy() if idx else self.matrix[:0].copy(),
+            self.matrix[idx],
             list(self.feature_names),
         )
 

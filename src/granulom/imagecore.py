@@ -2,11 +2,14 @@
 
 Grey and colour rasters are thin immutable wrappers around uint8 numpy
 arrays. Binary netpbm (P5/P6) is the canonical on-disk format; the ASCII
-variants (P2/P3) are accepted on read only.
+variants (P2/P3) are accepted on read only. One rule reads every token,
+the four header fields and each ASCII sample: any whitespace and # comments,
+each comment running to the end of its line, may sit between two tokens.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +30,14 @@ __all__ = [
 ]
 
 
-def _as_uint8(arr: np.ndarray, what: str) -> np.ndarray:
-    """Read-only uint8 copy of an integer raster whose values lie in [0, 255]."""
+def _check_integers(arr: np.ndarray, what: str) -> None:
     if not (np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_):
         raise DataError(f"{what} values must be integers, got dtype {arr.dtype}")
+
+
+def _as_uint8(arr: np.ndarray, what: str) -> np.ndarray:
+    """Read-only uint8 copy of an integer raster whose values lie in [0, 255]."""
+    _check_integers(arr, what)
     if arr.size and (arr.min() < 0 or arr.max() > 255):
         raise DataError(f"{what} values must lie in [0, 255]")
     out = arr.astype(np.uint8, copy=True)
@@ -114,26 +121,18 @@ class HlsImage:
 # --- netpbm -----------------------------------------------------------------
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# Whitespace and # comments (each to the end of its line), then one token.
+# The token matches empty only at the end of the data, so a match never
+# backtracks into a comment.
+_TOKEN = re.compile(rb"(?:[%s]|#[^\n]*)*([^%s#]*)" % (_WHITESPACE, _WHITESPACE))
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Return the next header token, skipping whitespace and # comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
+    """Return the next header token and the position just after it."""
+    m = _TOKEN.match(data, pos)
+    if not m.group(1):
         raise DataError("unexpected end of file in header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    return m.group(1), m.end()
 
 
 def _parse_header(data: bytes, magics: tuple[bytes, ...]) -> tuple[bytes, int, int, int, int]:
@@ -172,19 +171,18 @@ def _read_binary_raster(data: bytes, pos: int, count: int, maxval: int) -> np.nd
 
 
 def _read_ascii_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    values = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        try:
-            tok, pos = _next_token(data, pos)
-        except DataError:  # _next_token's end of file
-            raise DataError(f"raster holds {i} samples, expected {count}") from None
+    # the token list ends in the empty token at the end of the data
+    values = []
+    for tok in _TOKEN.findall(data, pos)[:count]:
+        if not tok:
+            raise DataError(f"raster holds {len(values)} samples, expected {count}")
         if not tok.isdigit():
             raise DataError(f"non-numeric sample {tok!r}")
         v = int(tok)
         if v > maxval:
             raise DataError(f"sample value {v} exceeds maxval {maxval}")
-        values[i] = v
-    return values
+        values.append(v)
+    return np.array(values, dtype=np.uint8)
 
 
 def _read_pnm(path, channels: int) -> np.ndarray:
@@ -208,20 +206,20 @@ def read_ppm(path) -> ColorImage:
     return ColorImage(_read_pnm(path, 3))
 
 
+def _write_pnm(img: GreyImage | ColorImage, path, magic: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(b"%s\n%d %d\n255\n" % (magic, img.width, img.height))
+        fh.write(img.pixels.tobytes())
+
+
 def write_pgm(img: GreyImage, path) -> None:
     """Write canonical binary PGM: single-whitespace header, maxval 255."""
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(img.pixels.tobytes())
+    _write_pnm(img, path, b"P5")
 
 
 def write_ppm(img: ColorImage, path) -> None:
     """Write canonical binary PPM: single-whitespace header, maxval 255."""
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(img.pixels.tobytes())
+    _write_pnm(img, path, b"P6")
 
 
 # --- colour reductions ------------------------------------------------------
@@ -269,15 +267,15 @@ def histogram(values, bins: int, vmax: int = 255) -> np.ndarray:
     """Normalized frequencies over `bins` uniform-width bins spanning [0, vmax].
 
     The last bin is closed, so the bin index of value v is
-    min(bins-1, v*bins // vmax). Accepts a GreyImage, an array or a sequence.
+    min(bins-1, v*bins // vmax). `values` is an array or a sequence of
+    integers (or bools); any other dtype is a DataError.
     """
     if bins < 1:
         raise DataError(f"bins must be >= 1, got {bins}")
-    if isinstance(values, GreyImage):
-        values = values.pixels
     arr = np.asarray(values).ravel()
     if arr.size == 0:
         raise DataError("histogram of empty input")
+    _check_integers(arr, "histogram")
     arr = arr.astype(np.int64)
     if arr.min() < 0 or arr.max() > vmax:
         raise DataError(f"histogram values must lie in [0, {vmax}]")

@@ -73,6 +73,16 @@ def test_jacobi_rejects_non_finite_entries_before_the_symmetry_check(bad):
             jacobi_eigh(np.array(a))
 
 
+@pytest.mark.parametrize("matrix", [[["a"]], [[1, 2], [3]], [[1 + 1j]]],
+                         ids=["string", "ragged", "complex"])
+def test_jacobi_and_transform_reject_entries_that_are_not_real_numbers(matrix):
+    with pytest.raises(DataError, match="^jacobi_eigh matrix must hold real numbers: "):
+        jacobi_eigh(matrix)
+    model = fit_pca(_dataset(np.eye(3)), 1)
+    with pytest.raises(DataError, match="^transform matrix must hold real numbers: "):
+        transform(model, matrix)
+
+
 def test_jacobi_eigenvalues_match_charpoly_oracle(rng):
     for _ in range(10):
         m = rng.normal(size=(5, 5))

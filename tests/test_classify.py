@@ -53,6 +53,13 @@ def test_distance_errors():
             distance(x, m)
 
 
+@pytest.mark.parametrize("x, m", [(["a"], ["b"]), ([[1, 2], [3]], [[1, 2], [3]]), ([1j], [0])],
+                         ids=["string", "ragged", "complex"])
+def test_distance_rejects_values_that_are_not_real_numbers(x, m):
+    with pytest.raises(DataError, match="^distance vector must hold real numbers: "):
+        distance(x, m)
+
+
 def test_distance_metric_properties(rng):
     for _ in range(30):
         n = int(rng.integers(2, 10))
@@ -186,7 +193,8 @@ def test_evaluate_rates():
     rep = evaluate(train, test, KnnConfig(1))
     assert rep.hits == 3 and rep.total == 4
     assert rep.recognition_rate == 0.75
-    assert rep.confusion[("b", "a")] == 1
+    assert [(s.true_label, s.predicted) for s in rep.per_sample] == [
+        ("a", "a"), ("a", "a"), ("b", "b"), ("b", "a")]
     assert EvalReport(49, 50, []).recognition_rate == 0.98
     assert EvalReport(47, 50, []).recognition_rate == 0.94
 
@@ -250,7 +258,7 @@ def test_engine_matches_left_to_right_reference(rng, n_features):
         if sel.size == 0:
             continue
         expected = left_to_right_d2(queries, training, sel)
-        assert np.array_equal(summed_rows(sq, sel), expected)
+        assert np.array_equal(summed_rows(sq, sel, np.empty((7, 11))), expected)
         assert np.array_equal(_squared_distances(queries[:, sel], training[:, sel]), expected)
         assert distance(queries[0], training[0], FeatureMask(bits)) == np.sqrt(expected[0, 0])
 
@@ -329,7 +337,8 @@ def test_skipping_single_valued_rows_is_bitwise_exact(rng):
         share = (0.0, 0.5, 1.0)[trial % 3]  # none, some or every column planted
         planted = rng.choice(n_features, size=int(share * n_features), replace=False)
         queries, training, dead = _planted_inputs(rng, n_features, planted)
-        every_row = summed_rows(squared_difference_table(queries, training), range(n_features))
+        table = squared_difference_table(queries, training)
+        every_row = summed_rows(table, range(n_features), np.empty(table.shape[1:]))
         skipped = _squared_distances(queries, training)
         assert skipped.shape == every_row.shape
         assert np.array_equal(skipped.view(np.int64), every_row.view(np.int64))
@@ -340,9 +349,8 @@ def test_skipping_single_valued_rows_is_bitwise_exact(rng):
     d2 = _squared_distances(queries, training)
     assert d2.shape == (3, 5) and not d2.view(np.int64).any()
     # a sum of no rows is +0.0 everywhere, over the table or its row list, and
-    # a reused `out` is overwritten, never added to
+    # `out` is overwritten, never added to
     table = squared_difference_table(queries, training)
-    assert not summed_rows(table, []).view(np.int64).any()
     for sq in (table, list(table)):
         for fill in (np.nan, -0.0):
             out = np.full((3, 5), fill)
@@ -351,7 +359,8 @@ def test_skipping_single_valued_rows_is_bitwise_exact(rng):
     table = squared_difference_table(queries, training)
     for fill in (np.nan, -0.0):
         out = summed_rows(list(table), [1, 3, 4], np.full((7, 11), fill))
-        assert np.array_equal(out.view(np.int64), summed_rows(table, [1, 3, 4]).view(np.int64))
+        fresh = summed_rows(table, [1, 3, 4], np.empty((7, 11)))
+        assert np.array_equal(out.view(np.int64), fresh.view(np.int64))
 
 
 def test_mask_of_only_constant_features_picks_first_training_sample_by_id(rng):
@@ -478,9 +487,8 @@ def test_template_is_1nn_over_class_means(rng, masked):
         means = _means_dataset(train)
         template = evaluate_template(train, test, mask)
         nearest_mean = evaluate(means, test, KnnConfig(1), mask)
-        assert [s.predicted for s in template.per_sample] == [
-            s.predicted for s in nearest_mean.per_sample]
-        assert template.confusion == nearest_mean.confusion
+        assert [(s.true_label, s.predicted) for s in template.per_sample] == [
+            (s.true_label, s.predicted) for s in nearest_mean.per_sample]
         assert template.hits == nearest_mean.hits
         assert all(s.neighbours == () for s in template.per_sample)
     # the query equidistant from the VIM and ROS means goes to the smaller label

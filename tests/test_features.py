@@ -201,6 +201,13 @@ def test_dataset_rejects_non_finite_values(value):
         Dataset(["a", "b"], ["x", "y"], matrix)
 
 
+@pytest.mark.parametrize("matrix", [[["q"]], [[1.0], []], [[1j]]],
+                         ids=["string", "ragged", "complex"])
+def test_dataset_rejects_values_that_are_not_real_numbers(matrix):
+    with pytest.raises(DataError, match="^feature matrix must hold real numbers: "):
+        Dataset(["a"], ["x"], matrix)
+
+
 def test_load_rejects_nan_cell(tmp_path):
     p = tmp_path / "nan.csv"
     p.write_text("sample_id,label,f0001,f0002\na,x,1.0,2.0\nb,y,nan,3.0\n")

@@ -214,6 +214,10 @@ def test_histogram_errors():
         histogram(np.array([], dtype=int), 4)
     with pytest.raises(DataError):
         histogram(np.array([1, 2]), 0)
+    for values, dtype in ((np.array([0.5, 1.7]), "float64"), (["a"], "<U1")):
+        with pytest.raises(DataError, match=f"^histogram values must be integers, got dtype {dtype}$"):
+            histogram(values, 2)
+    assert histogram(np.array([True, False, True]), 2, vmax=1).tolist() == [1 / 3, 2 / 3]
 
 
 @settings(max_examples=50)

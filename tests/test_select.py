@@ -292,7 +292,7 @@ def _every_row_score(train, eval_set, bits, cfg):
     """(hits, nf, fitness) of 1-NN over every selected row of the full table."""
     order = sorted(range(train.n_samples), key=lambda i: train.sample_ids[i])
     sq = squared_difference_table(eval_set.matrix, train.matrix[order])
-    nearest = summed_rows(sq, np.flatnonzero(bits)).argmin(axis=1)
+    nearest = summed_rows(sq, np.flatnonzero(bits), np.empty(sq.shape[1:])).argmin(axis=1)
     hits = sum(train.labels[order[j]] == lab for j, lab in zip(nearest, eval_set.labels))
     nf = int(bits.sum())
     return hits, nf, fitness(hits, nf, cfg.alpha, cfg.beta)
