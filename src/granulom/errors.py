@@ -13,7 +13,7 @@ class DataError(ValueError):
 
 
 def real_array(values, what: str) -> np.ndarray:
-    """`values` as a float64 array (no copy if it is one); a DataError unless they are real numbers."""
+    """`values` as a float64 array, not copied if it is one; a DataError unless all are real."""
     try:
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:

@@ -121,9 +121,8 @@ class HlsImage:
 # --- netpbm -----------------------------------------------------------------
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-# Whitespace and # comments (each to the end of its line), then one token.
-# The token matches empty only at the end of the data, so a match never
-# backtracks into a comment.
+# Whitespace and # comments (each to the end of its line), then one token. The token
+# matches empty only at the end of the data, so a match never backtracks into a comment.
 _TOKEN = re.compile(rb"(?:[%s]|#[^\n]*)*([^%s#]*)" % (_WHITESPACE, _WHITESPACE))
 
 
@@ -171,10 +170,9 @@ def _read_binary_raster(data: bytes, pos: int, count: int, maxval: int) -> np.nd
 
 
 def _read_ascii_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    # the token list ends in the empty token at the end of the data
     values = []
     for tok in _TOKEN.findall(data, pos)[:count]:
-        if not tok:
+        if not tok:  # the empty token at the end of the data
             raise DataError(f"raster holds {len(values)} samples, expected {count}")
         if not tok.isdigit():
             raise DataError(f"non-numeric sample {tok!r}")
@@ -206,7 +204,7 @@ def read_ppm(path) -> ColorImage:
     return ColorImage(_read_pnm(path, 3))
 
 
-def _write_pnm(img: GreyImage | ColorImage, path, magic: bytes) -> None:
+def _write_pnm(img: _Raster, path, magic: bytes) -> None:
     with open(path, "wb") as fh:
         fh.write(b"%s\n%d %d\n255\n" % (magic, img.width, img.height))
         fh.write(img.pixels.tobytes())
@@ -267,8 +265,7 @@ def histogram(values, bins: int, vmax: int = 255) -> np.ndarray:
     """Normalized frequencies over `bins` uniform-width bins spanning [0, vmax].
 
     The last bin is closed, so the bin index of value v is
-    min(bins-1, v*bins // vmax). `values` is an array or a sequence of
-    integers (or bools); any other dtype is a DataError.
+    min(bins-1, v*bins // vmax). `values` must hold integers or bools.
     """
     if bins < 1:
         raise DataError(f"bins must be >= 1, got {bins}")
