@@ -42,8 +42,9 @@ def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors); eigenvectors are columns. The
-    matrix must be square, non-empty and finite, and symmetric to 1e-10 of
-    its largest entry; each is checked in that order, with its own
+    matrix must be square, non-empty and finite, symmetric to 1e-10 of its
+    largest entry, and its squared entries must sum to a finite float, so
+    that |A| below is finite; each is checked in that order, with its own
     DataError. Only its upper triangle is read, as LAPACK's UPLO='U': each
     entry below the diagonal is replaced by a copy of its mirror, so a -0.0
     keeps its sign.
@@ -66,12 +67,16 @@ def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"jacobi_eigh needs a square, non-empty matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DataError("jacobi_eigh needs finite entries")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
-        raise DataError("jacobi_eigh needs a symmetric matrix")
-    n = a.shape[0]
-    a = np.where(np.tri(n, k=-1, dtype=bool), a.T, a)
+    with np.errstate(over="ignore"):  # an overflow reads as inf, which both checks reject
+        if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
+            raise DataError("jacobi_eigh needs a symmetric matrix")
+        n = a.shape[0]
+        a = np.where(np.tri(n, k=-1, dtype=bool), a.T, a)
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise DataError("jacobi_eigh needs entries whose squares sum to a finite float")
     v = np.eye(n)
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
+    tol = 1e-12 * max(1.0, norm)
     live = np.flatnonzero(((a != 0.0) & ~np.eye(n, dtype=bool)).any(axis=0))
     block = np.ix_(live, live)
     m = live.size

@@ -41,7 +41,7 @@ import numpy as np
 
 from .csvrows import write_lines
 from .errors import DataError, real_array
-from .features import Dataset
+from .features import MAX_FEATURE_MAGNITUDE, Dataset
 
 __all__ = [
     "FeatureMask",
@@ -164,9 +164,11 @@ def _selected_columns(n_features: int, mask: FeatureMask | None) -> np.ndarray:
     return sel
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
+def _check_values(*arrays: np.ndarray) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise DataError("query holds a non-finite feature value")
+    if not all((np.abs(a) <= MAX_FEATURE_MAGNITUDE).all() for a in arrays):
+        raise DataError(f"query holds a feature value above {MAX_FEATURE_MAGNITUDE:g} in magnitude")
 
 
 def distance(x, m, mask: FeatureMask | None = None) -> float:
@@ -175,7 +177,7 @@ def distance(x, m, mask: FeatureMask | None = None) -> float:
     mv = real_array(m, "distance vector")
     if xv.shape != mv.shape or xv.ndim != 1:
         raise DataError("vectors must be 1-D and of equal length")
-    _check_finite(xv, mv)
+    _check_values(xv, mv)
     sel = _selected_columns(xv.size, mask)
     return sqrt(float(_squared_distances(xv[None, sel], mv[None, sel])[0, 0]))
 
@@ -265,7 +267,7 @@ def _rank(
     sel = _selected_columns(matrix.shape[1], mask)
     if queries.shape[1:] != matrix.shape[1:]:
         raise DataError(f"query rows {queries.shape[1:]} do not match {matrix.shape[1]} features")
-    _check_finite(queries)
+    _check_values(queries)
     ranked = []
     for d2 in _squared_distances(queries[:, sel], matrix[:, sel]):
         nearest = tuple(

@@ -39,6 +39,7 @@ __all__ = [
     "load_dataset",
     "SplitResult",
     "split",
+    "MAX_FEATURE_MAGNITUDE",
 ]
 
 # --- extractors ---------------------------------------------------------------
@@ -201,8 +202,9 @@ def extract_corpus(corpus_dir, recipe: FeatureRecipe, threads: int = 1) -> "Data
 
     Rows are ordered by sample id. The sorted manifest is read in chunks
     of STACK_CHUNK images, each extracted as one batch; a pool of `threads`
-    workers (at least 1) takes whole chunks. Rows never depend on the
-    chunking or the worker count.
+    workers takes whole chunks, or the calling thread does if `threads` is 1.
+    Rows never depend on the chunking or the worker count. A DataError names
+    the manifest path of the first bad image in sample-id order.
     """
     check_threads(threads)
     base = os.path.abspath(corpus_dir)
@@ -212,10 +214,19 @@ def extract_corpus(corpus_dir, recipe: FeatureRecipe, threads: int = 1) -> "Data
     chunks = [entries[i : i + STACK_CHUNK] for i in range(0, len(entries), STACK_CHUNK)]
 
     def one(chunk):
-        return _extract_images(recipe, [read_ppm(os.path.join(base, e.path)) for e in chunk])
+        try:
+            return _extract_images(recipe, [read_ppm(os.path.join(base, e.path)) for e in chunk])
+        except DataError:
+            for e in chunk:  # the batch failed: find its first bad image
+                try:
+                    extract(recipe, read_ppm(os.path.join(base, e.path)))
+                except DataError as exc:
+                    raise DataError(f"{e.path}: {exc}") from None
+            raise
 
+    # at threads=1 nothing is submitted, so no pool thread starts: its malloc arena cost RSS
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        blocks = list(pool.map(one, chunks))
+        blocks = list((pool.map if threads > 1 else map)(one, chunks))
     matrix = np.vstack(blocks) if blocks else np.empty((0, recipe.total_features))
     return Dataset(
         [e.sample_id for e in entries],
@@ -229,6 +240,11 @@ def extract_corpus(corpus_dir, recipe: FeatureRecipe, threads: int = 1) -> "Data
 def default_feature_names(count: int) -> list[str]:
     width = max(4, len(str(count)))
     return [f"f{i:0{width}d}" for i in range(1, count + 1)]
+
+
+# The largest feature magnitude B: squared distances over F features (<= 4FB^2) and
+# covariance norms (<= 8FB^2) stay finite floats, squared too, for F up to 10^13.
+MAX_FEATURE_MAGNITUDE = 1e70
 
 
 @dataclass(eq=False)
@@ -251,12 +267,14 @@ class Dataset:
             self.feature_names = default_feature_names(self.matrix.shape[1])
         if len(self.feature_names) != self.matrix.shape[1]:
             raise DataError("feature_names must match matrix columns")
-        bad = np.argwhere(~np.isfinite(self.matrix))
+        bad = np.argwhere(~(np.abs(self.matrix) <= MAX_FEATURE_MAGNITUDE))
         if bad.size:
             row, col = bad[0]
+            value = self.matrix[row, col]
+            what = (f"non-finite feature value {value}" if not np.isfinite(value) else
+                    f"feature value {value} above {MAX_FEATURE_MAGNITUDE:g} in magnitude")
             raise DataError(
-                f"non-finite feature value {self.matrix[row, col]} "
-                f"(sample {self.sample_ids[row]!r}, feature {self.feature_names[col]!r})"
+                f"{what} (sample {self.sample_ids[row]!r}, feature {self.feature_names[col]!r})"
             )
         seen = set()
         for sid in self.sample_ids:

@@ -19,9 +19,8 @@ the survival count of the grey histogram of g_r. Column r=0 is the
 survival count of f itself, and each fixed-k row is the binary
 granulometric area sequence of {f >= k}.
 
-The curves are computed for a stack of equal-size images at once
-(`opening_curves`, `closing_curves`); the single-image functions pass a
-stack of one.
+The opening curves are computed for a stack of equal-size images at once
+(`opening_curves`); the single-image functions pass a stack of one.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "granulometry_closings",
     "size_intensity",
     "opening_curves",
-    "closing_curves",
     "export_curve",
     "MAX_R_MAX",
 ]
@@ -55,23 +53,11 @@ MAX_R_MAX = 4096
 
 @dataclass(frozen=True)
 class GranulometryCurve:
-    family: str
-    kind: str  # "openings" | "closings"
-    sizes: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.sizes) != len(self.values):
-            raise DataError("sizes and values must align")
-        if self.kind not in ("openings", "closings"):
-            raise DataError(f"unknown curve kind {self.kind!r}")
+    values: tuple[float, ...]  # the curve at sizes r = 0..len(values) - 1
 
 
 @dataclass(frozen=True, eq=False)
 class SizeIntensityDiagram:
-    family: str
-    r_max: int
-    k_max: int
     levels: tuple[int, ...]  # grey levels actually sampled, ascending
     cells: np.ndarray = field(repr=False)  # shape (r_max+1, len(levels)), int64
 
@@ -128,32 +114,24 @@ def opening_curves(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
     return (total - vols) / total
 
 
-def closing_curves(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
-    """Closing-curve values: the opening curves of the complements 255 - f.
-
-    The closed volume above f equals the headroom minus the opened volume
-    of 255 - f (duality), so the integers and hence the floats are the same.
-    """
-    family = se_family(family)
-    _check_r_max(r_max)
-    complement = 255 - stack
-    if not complement.any(axis=(-2, -1)).all():
-        raise DataError("closing granulometry of a fully saturated image")
-    return opening_curves(complement, family, r_max)
-
-
 def granulometry_openings(f: GreyImage, family: str, r_max: int) -> GranulometryCurve:
     """Cumulative size distribution by openings of increasing size."""
-    family = se_family(family)
-    values = opening_curves(f.pixels, family, r_max)
-    return GranulometryCurve(family, "openings", tuple(range(r_max + 1)), tuple(values.tolist()))
+    return GranulometryCurve(tuple(opening_curves(f.pixels, family, r_max).tolist()))
 
 
 def granulometry_closings(f: GreyImage, family: str, r_max: int) -> GranulometryCurve:
-    """Mirror curve by closings, normalized by the headroom above f."""
-    family = se_family(family)
-    values = closing_curves(f.pixels, family, r_max)
-    return GranulometryCurve(family, "closings", tuple(range(r_max + 1)), tuple(values.tolist()))
+    """Mirror curve by closings, normalized by the headroom above f.
+
+    The closed volume above f equals the headroom minus the opened volume
+    of 255 - f (duality), so the integers and hence the floats are those of
+    the opening curve of 255 - f.
+    """
+    se_family(family)  # faults in the order family, r_max, saturated image
+    _check_r_max(r_max)
+    complement = 255 - f.pixels
+    if not complement.any():
+        raise DataError("closing granulometry of a fully saturated image")
+    return GranulometryCurve(tuple(opening_curves(complement, family, r_max).tolist()))
 
 
 def size_intensity(
@@ -172,19 +150,17 @@ def size_intensity(
         return np.bincount(opened.ravel(), minlength=256)[::-1].cumsum()[::-1][list(levels)]
 
     rows = list(_measured_openings(f.pixels, family, r_max, survival))
-    return SizeIntensityDiagram(family, r_max, k_max, levels, np.array(rows, dtype=np.int64))
+    return SizeIntensityDiagram(levels, np.array(rows, dtype=np.int64))
 
 
 def export_curve(obj, path) -> None:
     """Write a curve as r,value rows or a diagram as r,k,count rows (CSV)."""
     if isinstance(obj, GranulometryCurve):
-        lines = ["r,value"]
-        lines += [f"{r},{float(v)!r}" for r, v in zip(obj.sizes, obj.values)]
+        lines = ["r,value"] + [f"{r},{float(v)!r}" for r, v in enumerate(obj.values)]
     elif isinstance(obj, SizeIntensityDiagram):
         lines = ["r,k,count"]
-        for r in range(obj.r_max + 1):
-            for col, k in enumerate(obj.levels):
-                lines.append(f"{r},{k},{int(obj.cells[r, col])}")
+        for r, row in enumerate(obj.cells.tolist()):
+            lines += [f"{r},{k},{count}" for k, count in zip(obj.levels, row)]
     else:
         raise DataError(f"cannot export object of type {type(obj).__name__}")
     write_lines(path, lines)

@@ -121,7 +121,6 @@ class GARunReport:
     eval_total: int
     generations_run: int
     stop_reason: str  # "max_generations" | "stagnation"
-    seed: int
     cache_hits: int  # objective calls answered from the mask cache
     evaluations: int  # objective calls that scored a mask
     distance_sums: int  # masks whose distances were summed: one per distinct live projection
@@ -293,7 +292,6 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         eval_total=objective.eval_total,
         generations_run=history[-1].generation,
         stop_reason=stop_reason,
-        seed=cfg.seed,
         cache_hits=objective.cache_hits,
         evaluations=len(objective.cache),
         distance_sums=len(objective.hits_by_live),

@@ -73,6 +73,15 @@ def test_jacobi_rejects_non_finite_entries_before_the_symmetry_check(bad):
             jacobi_eigh(np.array(a))
 
 
+@pytest.mark.parametrize("matrix", [[[1.0, 1e160], [1e160, 2.0]], [[1e154, 1e154], [1e154, 1e154]]],
+                         ids=["1e160", "1e154"])
+def test_jacobi_rejects_entries_whose_squares_overflow(matrix):
+    # the true eigenvalues are +-1e160 and 0, 2e154; with an inf tolerance no sweep ran
+    with pytest.raises(DataError, match="^jacobi_eigh needs entries whose squares sum to a "
+                                        "finite float$"):
+        jacobi_eigh(matrix)
+
+
 @pytest.mark.parametrize("matrix", [[["a"]], [[1, 2], [3]], [[1 + 1j]]],
                          ids=["string", "ragged", "complex"])
 def test_jacobi_and_transform_reject_entries_that_are_not_real_numbers(matrix):

@@ -53,6 +53,14 @@ def test_distance_errors():
             distance(x, m)
 
 
+def test_distance_rejects_values_above_the_magnitude_bound():
+    for x, m in (([1e300, 0.0], [-1e300, 0.0]), ([0.0, 1.0], [0.0, 1e71])):
+        with pytest.raises(DataError, match="^query holds a feature value above 1e\\+70 "
+                                            "in magnitude$"):
+            distance(x, m)
+    assert distance([1e70], [0.0]) == 1e70
+
+
 @pytest.mark.parametrize("x, m", [(["a"], ["b"]), ([[1, 2], [3]], [[1, 2], [3]]), ([1j], [0])],
                          ids=["string", "ragged", "complex"])
 def test_distance_rejects_values_that_are_not_real_numbers(x, m):

@@ -99,6 +99,21 @@ def test_non_finite_dataset_is_data_error(tmp_path):
     assert main(["--quiet", "knn", "--train", str(train), "--test", str(train)]) == 2
 
 
+@pytest.mark.parametrize("argv", [["knn", "--k", "3"], ["knn", "--normalize"], ["pca"]],
+                         ids=["knn", "knn-normalize", "pca"])
+def test_feature_value_above_the_magnitude_bound_is_one_line_data_error(tmp_path, capsys, argv):
+    # finite values whose differences, squares and covariances overflow
+    data = tmp_path / "big.csv"
+    data.write_text("sample_id,label,f1,f2\na-1,a,1e308,0.5\na-2,a,-1e308,0.4\n"
+                    "b-1,b,0.2,0.9\nb-2,b,0.3,0.8\n")
+    io = ["--dataset", str(data), "--out", str(tmp_path / "pca.csv")] if argv == ["pca"] \
+        else ["--train", str(data), "--test", str(data)]
+    assert main(["--quiet", *argv, *io]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: feature value 1e+308 above 1e+70 in magnitude "
+        "(sample 'a-1', feature 'f1')\n")
+
+
 @pytest.mark.parametrize("row", ["ALM-1,ALM", "ALM-1,ALM,../../../etc/hostname",
                                  "ALM-1,ALM,/etc/hostname"])
 def test_bad_manifest_row_is_one_line_data_error(tmp_path, capsys, row):

@@ -9,6 +9,7 @@ its synth stage.
 
 import itertools
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -35,10 +36,11 @@ CURVE = "r,value\n0,0.0\n1,0.25\n2,0.5\n3,0.75\n"
 SOURCES = {"dataset": DATASET, "narrow": NARROW, "curve": CURVE,
            "featureless": "sample_id,label\na-1,a\na-2,a\nb-1,b\nb-2,b\n"}
 
-# replacement words: empty, signs, non-finite, overflowing, non-numeric,
-# interpolation syntax, embedded separators, path escapes
-WORDS = ["", "-1", "0", "1", "3", "0.5", "nan", "inf", "-inf", "1e400", "x", "%", "%(x)s",
-         "1 2 3", "a,b", "../x", "/etc", " "]
+# replacement words: empty, signs, non-finite, overflowing, finite but above the
+# feature magnitude bound, non-numeric, interpolation syntax, embedded separators,
+# path escapes
+WORDS = ["", "-1", "0", "1", "3", "0.5", "nan", "inf", "-inf", "1e400", "1e300", "x", "%",
+         "%(x)s", "1 2 3", "a,b", "../x", "/etc", " "]
 RAW = [b"\xff", b"\x00", b"\r", b"\xe2\x80\xa8", b","]
 
 edits = st.lists(
@@ -133,14 +135,31 @@ def test_mutated_datasets_and_curves(base, capsys, ops, source):
         run(capsys, [str(a) for a in argv])
 
 
+def corpus_dir(root, manifest: bytes):
+    """A new corpus directory: the four PPMs of `base` and `manifest` as manifest.csv."""
+    corpus = fresh(root, "")
+    corpus.mkdir()
+    for sid in ("a-1", "a-2", "b-1", "b-2"):
+        shutil.copyfile(root / f"{sid}.ppm", corpus / f"{sid}.ppm")
+    (corpus / "manifest.csv").write_bytes(manifest)
+    return corpus
+
+
+def extract_argv(root, manifest: bytes) -> list[str]:
+    return ["extract", "--recipe", "lot117", "--dir", str(corpus_dir(root, manifest)),
+            "--out", str(fresh(root))]
+
+
+def test_unmutated_manifest_extracts(base):
+    root, _ = base
+    assert main(["--quiet", *extract_argv(root, MANIFEST.encode())]) == 0
+
+
 @fuzz(max_examples=40)
 @given(ops=edits)
 def test_mutated_manifests(base, capsys, ops):
     root, _ = base
-    manifest = fresh(root)
-    manifest.write_bytes(mutate(MANIFEST, ops))
-    run(capsys, ["extract", "--recipe", "lot117", "--dir", str(manifest),
-                 "--out", str(fresh(root))])
+    run(capsys, extract_argv(root, mutate(MANIFEST, ops)))
 
 
 @fuzz(max_examples=40)

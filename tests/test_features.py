@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from granulom import features
 from granulom.errors import DataError
 from granulom.features import (
     STACK_CHUNK,
@@ -116,6 +119,54 @@ def test_extract_corpus_mixed_shapes_match_per_image_extract(tmp_path):
             assert np.array_equal(ds.matrix, expected)
 
 
+def _small_corpus(root, count, bad=None):
+    """Corpus of `count` 12x12 images in `root`, manifest rows in reverse sample-id order.
+
+    `bad` maps sample indices to the bytes written in place of their PPM.
+    """
+    entries = []
+    for i in range(count):
+        sid = f"s-{i:02d}"
+        path = root / f"{sid}.ppm"
+        write_ppm(ColorImage(np.full((12, 12, 3), 40 + 5 * i)), path)
+        if bad and i in bad:
+            path.write_bytes(bad[i])
+        entries.append(ManifestEntry(sid, "ab"[i % 2], path.name))
+    write_manifest(entries[::-1], root / "manifest.csv")
+
+
+def test_extract_corpus_at_one_thread_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    _small_corpus(tmp_path, STACK_CHUNK + 2)
+    seen = set()
+    batch = features._extract_images
+
+    def recorded(recipe, images):
+        seen.add(threading.get_ident())
+        return batch(recipe, images)
+
+    monkeypatch.setattr(features, "_extract_images", recorded)
+    extract_corpus(tmp_path, builtin_recipe("lot117"), threads=1)
+    assert seen == {threading.get_ident()}
+
+
+# the bytes of an unreadable PPM and of an all-black one (zero opening volume)
+CORRUPT = b"P9\n12 12\n255\n"
+BLACK = b"P6\n12 12\n255\n" + bytes(12 * 12 * 3)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("bad, message", [
+    ({3: CORRUPT, STACK_CHUNK + 1: CORRUPT}, r"bad magic b'P9', expected one of \(b'P6', b'P3'\)"),
+    ({3: BLACK, STACK_CHUNK + 1: BLACK}, r"opening granulometry of an all-zero image \(zero volume\)"),
+    ({3: BLACK, 5: CORRUPT}, r"opening granulometry of an all-zero image \(zero volume\)"),
+], ids=["corrupt", "black", "black-before-corrupt"])
+def test_extract_corpus_error_names_the_first_bad_image_in_sample_id_order(
+        tmp_path, bad, message, threads):
+    _small_corpus(tmp_path, 2 * STACK_CHUNK, bad)
+    with pytest.raises(DataError, match=f"^s-03.ppm: {message}$"):
+        extract_corpus(tmp_path, builtin_recipe("lot117"), threads=threads)
+
+
 # --- dataset persistence -------------------------------------------------------
 
 def _toy_dataset(n=6, d=4, seed=3):
@@ -199,6 +250,17 @@ def test_dataset_rejects_non_finite_values(value):
     matrix[1, 2] = value
     with pytest.raises(DataError, match="non-finite feature value .*'b'.*'f0003'"):
         Dataset(["a", "b"], ["x", "y"], matrix)
+
+
+@pytest.mark.parametrize("value", [1e300, -1e308, 1.5e70])
+def test_dataset_rejects_values_above_the_magnitude_bound(value):
+    matrix = np.zeros((2, 3))
+    matrix[1, 2] = value
+    with pytest.raises(DataError, match="^feature value .* above 1e\\+70 in magnitude "
+                                        "\\(sample 'b', feature 'f0003'\\)$"):
+        Dataset(["a", "b"], ["x", "y"], matrix)
+    matrix[1, 2] = -1e70
+    Dataset(["a", "b"], ["x", "y"], matrix)
 
 
 @pytest.mark.parametrize("matrix", [[["q"]], [[1.0], []], [[1j]]],

@@ -216,14 +216,14 @@ DIAGRAM = ("r,k,count", (int, int, int), "size-intensity")
 
 
 def test_export_curve_roundtrip(tmp_path):
-    curve = GranulometryCurve("hexagon", "openings", (0, 1), (0.0, 0.25))
+    curve = GranulometryCurve((0.0, 0.25))
     path = tmp_path / "curve.csv"
     export_curve(curve, path)
     text = path.read_text()
     assert text.splitlines()[0] == "r,value"
     assert len(text.splitlines()) == 3
     _, rows = read_csv_rows(path, *CURVE)
-    assert tuple(rows) == tuple(zip(curve.sizes, curve.values))
+    assert tuple(rows) == ((0, 0.0), (1, 0.25))
 
 
 def test_export_diagram_shape(tmp_path):
