@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hls_pixel
 from granulom import features
 from granulom.errors import DataError
 from granulom.features import (
@@ -22,7 +23,7 @@ from granulom.features import (
     save_dataset,
     split,
 )
-from granulom.imagecore import ColorImage, write_ppm
+from granulom.imagecore import ColorImage, histogram, write_ppm
 from granulom.synthkit import ManifestEntry, TextureSpec, generate_texture, write_manifest
 
 
@@ -58,6 +59,21 @@ def test_extract_constant_image_rgb27():
     assert vec.shape == (27,)
     assert np.count_nonzero(vec) == 3
     assert vec.sum() == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("px", [np.random.default_rng(7).integers(0, 256, (7, 9, 3)),
+                                np.broadcast_to([200, 13, 77], (5, 6, 3)),
+                                np.array([[[255, 0, 1]]])],
+                         ids=["random-7x9", "one-colour", "one-pixel"])
+def test_plane_histograms_match_the_oracle_planes(px):
+    """Each plane histogram bins the RGB channel, or the oracle's HLS component, of every pixel."""
+    hls = np.array([hls_pixel(*(int(v) for v in p)) for p in px.reshape(-1, 3)])
+    for plane in "rgbhls":
+        values = px[..., "rgb".index(plane)] if plane in "rgb" else hls[:, "hls".index(plane)]
+        for bins in (1, 7, 32):
+            got = extract(FeatureRecipe("one", (PlaneHistogram(plane, bins),)), ColorImage(px))
+            want = histogram(values, bins, vmax=359 if plane == "h" else 255)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (plane, bins)
 
 
 def test_extract_constant_image_lot117_granulometry_zero():

@@ -170,12 +170,19 @@ def test_hls_pixel_examples():
     assert hls_pixel(0, 0, 255) == (240, 128, 255)
 
 
+# Every colour over these channel values: all greys, both saturation branches (138
+# chromatic colours with max + min = 255, 108 with 256) and (255, 0, 1), whose hue
+# rounds to 360 and wraps to 0.
+_GRID_VALUES = [0, 1, 2, 63, 64, 127, 128, 129, 191, 254, 255]
+_GRID = np.stack(np.meshgrid(_GRID_VALUES, _GRID_VALUES, _GRID_VALUES, indexing="ij"),
+                 axis=-1).reshape(11, 121, 3)
+
+
 def test_to_hls_matches_scalar(rng):
-    px = rng.integers(0, 256, (5, 4, 3))
-    img = ColorImage(px)
-    hls = to_hls(img)
-    for y in range(5):
-        for x in range(4):
+    for px in (rng.integers(0, 256, (5, 4, 3)), _GRID):
+        img = ColorImage(px)
+        hls = to_hls(img)
+        for y, x in np.ndindex(px.shape[:2]):
             ref = hls_pixel(*(int(v) for v in px[y, x]))
             assert (hls.h[y, x], hls.l[y, x], hls.s[y, x]) == ref
 
