@@ -44,14 +44,14 @@ __all__ = [
 
 # --- extractors ---------------------------------------------------------------
 
-# plane -> (name prefix, largest value, _Batch attribute holding the source rasters)
+# plane -> (name prefix, largest value, _Batch attribute holding the (h, w, 3) arrays, channel)
 _PLANES = {
-    "r": ("hist", 255, "images"),
-    "g": ("hist", 255, "images"),
-    "b": ("hist", 255, "images"),
-    "h": ("hls", 359, "hls"),
-    "l": ("hls", 255, "hls"),
-    "s": ("hls", 255, "hls"),
+    "r": ("hist", 255, "rgb", 0),
+    "g": ("hist", 255, "rgb", 1),
+    "b": ("hist", 255, "rgb", 2),
+    "h": ("hls", 359, "hls", 0),
+    "l": ("hls", 255, "hls", 1),
+    "s": ("hls", 255, "hls", 2),
 }
 
 
@@ -77,9 +77,9 @@ class PlaneHistogram:
         return [f"{prefix}_{self.plane}_b{i:02d}" for i in range(1, self.bins + 1)]
 
     def extract(self, batch: "_Batch") -> np.ndarray:
-        _, vmax, source = _PLANES[self.plane]
-        return np.array([histogram(getattr(src, self.plane), self.bins, vmax=vmax)
-                         for src in getattr(batch, source)])
+        _, vmax, source, channel = _PLANES[self.plane]
+        return np.array([histogram(planes[..., channel], self.bins, vmax=vmax)
+                         for planes in getattr(batch, source)])
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ class _Batch:
 
     def __init__(self, images: Sequence[ColorImage]):
         self.images = images
+        self.rgb = [img.pixels for img in images]
 
     @cached_property
     def greys(self) -> np.ndarray:
@@ -121,7 +122,7 @@ class _Batch:
         return np.stack([intensity(img).pixels for img in self.images])
 
     @cached_property
-    def hls(self) -> list:
+    def hls(self) -> list[np.ndarray]:
         return [to_hls(img) for img in self.images]
 
 

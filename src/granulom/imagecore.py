@@ -19,7 +19,6 @@ from .errors import DataError
 __all__ = [
     "GreyImage",
     "ColorImage",
-    "HlsImage",
     "read_pgm",
     "read_ppm",
     "write_pgm",
@@ -82,40 +81,15 @@ class GreyImage(_Raster):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ColorImage(_Raster):
-    """An RGB raster with three uint8 planes of identical dimensions."""
+    """An RGB raster: uint8 pixels of shape (h, w, 3), channels r, g, b."""
 
-    pixels: np.ndarray  # shape (height, width, 3)
+    pixels: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.pixels)
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise DataError(f"ColorImage needs shape (h, w, 3), got {arr.shape}")
         object.__setattr__(self, "pixels", _as_uint8(arr, "ColorImage"))
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.pixels[:, :, 0]
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.pixels[:, :, 1]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.pixels[:, :, 2]
-
-
-@dataclass(frozen=True, eq=False)
-class HlsImage:
-    """Per-pixel HLS components; hue needs uint16 for the [0, 359] range."""
-
-    h: np.ndarray
-    l: np.ndarray
-    s: np.ndarray
-
-    def __post_init__(self):
-        if not (self.h.shape == self.l.shape == self.s.shape):
-            raise DataError("HLS planes must share dimensions")
 
 
 # --- netpbm -----------------------------------------------------------------
@@ -232,21 +206,24 @@ def intensity(img: ColorImage) -> GreyImage:
     return GreyImage(((2 * s + 3) // 6).astype(np.uint8))
 
 
-def to_hls(img: ColorImage) -> HlsImage:
-    """Double-hexcone HLS for every pixel; achromatic hue canonicalized to 0."""
-    r = img.r.astype(np.int64)
-    g = img.g.astype(np.int64)
-    b = img.b.astype(np.int64)
+def to_hls(img: ColorImage) -> np.ndarray:
+    """Double-hexcone HLS of every pixel; achromatic hue canonicalized to 0.
+
+    A read-only uint16 array of shape (h, w, 3), channels h, l, s: hue lies
+    in [0, 359], lightness and saturation in [0, 255].
+    """
+    r, g, b = (img.pixels[..., c].astype(np.int64) for c in range(3))
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
     d = mx - mn
     chroma = d > 0
+    out = np.empty(img.pixels.shape, dtype=np.uint16)
 
-    l_plane = ((mx + mn + 1) // 2).astype(np.uint8)
+    out[..., 1] = (mx + mn + 1) // 2
 
     denom = np.where(mx + mn <= 255, mx + mn, 510 - mx - mn)
     denom_safe = np.where(chroma, denom, 1)
-    s_plane = np.where(chroma, np.floor(255.0 * d / denom_safe + 0.5), 0).astype(np.uint8)
+    out[..., 2] = np.where(chroma, np.floor(255.0 * d / denom_safe + 0.5), 0)
 
     d_safe = np.where(chroma, d, 1).astype(np.float64)
     hue = np.where(
@@ -254,11 +231,10 @@ def to_hls(img: ColorImage) -> HlsImage:
         (60.0 * (g - b) / d_safe) % 360.0,
         np.where(mx == g, 60.0 * (b - r) / d_safe + 120.0, 60.0 * (r - g) / d_safe + 240.0),
     )
-    h_plane = np.where(chroma, np.floor(hue + 0.5).astype(np.int64) % 360, 0).astype(np.uint16)
+    out[..., 0] = np.where(chroma, np.floor(hue + 0.5).astype(np.int64) % 360, 0)
 
-    for plane in (h_plane, l_plane, s_plane):
-        plane.flags.writeable = False
-    return HlsImage(h_plane, l_plane, s_plane)
+    out.flags.writeable = False
+    return out
 
 
 def histogram(values, bins: int, vmax: int = 255) -> np.ndarray:

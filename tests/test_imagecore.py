@@ -94,7 +94,7 @@ def test_read_ppm_p6(tmp_path):
     p = tmp_path / "a.ppm"
     p.write_bytes(b"P6\n1 1\n255\n" + bytes([10, 20, 30]))
     img = read_ppm(p)
-    assert (int(img.r[0, 0]), int(img.g[0, 0]), int(img.b[0, 0])) == (10, 20, 30)
+    assert tuple(int(v) for v in img.pixels[0, 0]) == (10, 20, 30)
 
 
 def test_ppm_roundtrip_and_bad_magic(tmp_path):
@@ -184,7 +184,12 @@ def test_to_hls_matches_scalar(rng):
         hls = to_hls(img)
         for y, x in np.ndindex(px.shape[:2]):
             ref = hls_pixel(*(int(v) for v in px[y, x]))
-            assert (hls.h[y, x], hls.l[y, x], hls.s[y, x]) == ref
+            assert tuple(hls[y, x]) == ref
+
+
+def test_to_hls_is_one_read_only_uint16_array():
+    hls = to_hls(ColorImage(np.zeros((2, 3, 3), dtype=np.uint8)))
+    assert hls.shape == (2, 3, 3) and hls.dtype == np.uint16 and not hls.flags.writeable
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
