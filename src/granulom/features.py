@@ -331,21 +331,32 @@ def load_dataset(path) -> Dataset:
 
 def minmax_scaler(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature (low, span) from the training set; constant columns get span 1."""
+    if train.n_samples == 0:
+        raise DataError("cannot min-max scale on a training set with no samples")
     lo = train.matrix.min(axis=0)
     hi = train.matrix.max(axis=0)
     return lo, np.where(hi > lo, hi - lo, 1.0)
 
 
 def apply_scaler(ds: Dataset, lo: np.ndarray, span: np.ndarray) -> Dataset:
-    """Dataset with features rescaled to the scaler's unit box."""
+    """Dataset with features rescaled to the scaler's unit box.
+
+    A tiny training span can scale a value past the magnitude bound, or past
+    the float range to inf; that is a DataError naming the value it scaled.
+    """
     if ds.n_features != lo.size:
         raise DataError(f"dataset has {ds.n_features} features, the scaler {lo.size}")
-    return Dataset(
-        list(ds.sample_ids),
-        list(ds.labels),
-        (ds.matrix - lo) / span,
-        list(ds.feature_names),
-    )
+    with np.errstate(over="ignore"):
+        scaled = (ds.matrix - lo) / span
+    bad = np.argwhere(~(np.abs(scaled) <= MAX_FEATURE_MAGNITUDE))
+    if bad.size:
+        row, col = bad[0]
+        raise DataError(
+            f"scaled feature value out of bounds: {ds.matrix[row, col]} scales to "
+            f"{scaled[row, col]}, above {MAX_FEATURE_MAGNITUDE:g} in magnitude "
+            f"(sample {ds.sample_ids[row]!r}, feature {ds.feature_names[col]!r})"
+        )
+    return Dataset(list(ds.sample_ids), list(ds.labels), scaled, list(ds.feature_names))
 
 
 @dataclass(frozen=True)

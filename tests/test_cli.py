@@ -114,6 +114,39 @@ def test_feature_value_above_the_magnitude_bound_is_one_line_data_error(tmp_path
         "(sample 'a-1', feature 'f1')\n")
 
 
+NORMALIZE_ARGV = {"knn": ["knn", "--normalize", "--train", "{a}", "--test", "{b}"],
+                  "select": ["select", "--normalize", "--train", "{a}", "--eval", "{b}",
+                             "--pop", "4", "--gens", "2"]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", sorted(NORMALIZE_ARGV))
+def test_normalize_on_an_empty_training_set_is_one_line_data_error(tmp_path, capsys, command):
+    train = tmp_path / "train.csv"
+    train.write_text("sample_id,label,f1\n")
+    test = tmp_path / "test.csv"
+    test.write_text("sample_id,label,f1\na-1,a,1\nb-1,b,2\n")
+    argv = [a.format(a=train, b=test) for a in NORMALIZE_ARGV[command]]
+    assert main(["--quiet", *argv]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot min-max scale on a training set with no samples\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", sorted(NORMALIZE_ARGV))
+def test_normalize_past_the_float_range_names_the_scaled_value(tmp_path, capsys, command):
+    # a span of 1e-300 scales the test value 1e60 past the float range, without a warning
+    train = tmp_path / "train.csv"
+    train.write_text("sample_id,label,f1\np-1,a,0\np-2,b,1e-300\n")
+    test = tmp_path / "test.csv"
+    test.write_text("sample_id,label,f1\nq-1,a,1e60\n")
+    argv = [a.format(a=train, b=test) for a in NORMALIZE_ARGV[command]]
+    assert main(["--quiet", *argv]) == 2
+    assert capsys.readouterr().err == (
+        "error: scaled feature value out of bounds: 1e+60 scales to inf, above 1e+70 "
+        "in magnitude (sample 'q-1', feature 'f1')\n")
+
+
 @pytest.mark.parametrize("row", ["ALM-1,ALM", "ALM-1,ALM,../../../etc/hostname",
                                  "ALM-1,ALM,/etc/hostname"])
 def test_bad_manifest_row_is_one_line_data_error(tmp_path, capsys, row):
