@@ -287,6 +287,48 @@ def test_svg_deterministic(tmp_path, rng):
     assert s1.read_bytes() == s2.read_bytes()
 
 
+def test_svg_glyph_and_legend_lines(tmp_path):
+    # one row in each of 8 classes: class c7 wraps to the style of c0
+    xs = [0.0, 1.0137, 2.5, 3.00555, 4.0, 5.7, 6.123, 10.0]
+    ys = [10.0, 9.1, 8.0071, 7.0, 6.45, 5.0, 4.333, 0.0]
+    rows = [ScatterRow(f"s{i}", f"c{i}", x, y) for i, (x, y) in enumerate(zip(xs, ys))]
+    svg = tmp_path / "s.svg"
+    export_scatter(rows, tmp_path / "s.csv", svg_path=svg)
+    assert svg.read_text().splitlines()[7:-1] == [
+        '<circle cx="70.00" cy="70.00" r="4.0" fill="#1f60a8"/>',
+        '<rect x="132.90" y="125.40" width="8.0" height="8.0" fill="#c23b22"/>',
+        '<polygon points="235.00,197.53 231.00,205.53 239.00,205.53" fill="#2e8540"/>',
+        '<polygon points="268.37,264.00 272.37,268.00 268.37,272.00 264.37,268.00" '
+        'fill="#8031a7"/>',
+        '<path d="M 330.00 300.30 L 338.00 308.30 M 330.00 308.30 L 338.00 300.30" '
+        'stroke="#b8860b" stroke-width="1.5"/>',
+        '<path d="M 442.20 400.00 L 450.20 400.00 M 446.20 396.00 L 446.20 404.00" '
+        'stroke="#0d7a7a" stroke-width="1.5"/>',
+        '<circle cx="474.12" cy="444.02" r="4.0" fill="none" stroke="#555555" '
+        'stroke-width="1.5"/>',
+        '<circle cx="730.00" cy="730.00" r="4.0" fill="#1f60a8"/>',
+        '<circle cx="14.00" cy="20.00" r="4.0" fill="#1f60a8"/>',
+        '<text x="26" y="24" font-size="12">c0</text>',
+        '<rect x="10.00" y="32.00" width="8.0" height="8.0" fill="#c23b22"/>',
+        '<text x="26" y="40" font-size="12">c1</text>',
+        '<polygon points="14.00,48.00 10.00,56.00 18.00,56.00" fill="#2e8540"/>',
+        '<text x="26" y="56" font-size="12">c2</text>',
+        '<polygon points="14.00,64.00 18.00,68.00 14.00,72.00 10.00,68.00" fill="#8031a7"/>',
+        '<text x="26" y="72" font-size="12">c3</text>',
+        '<path d="M 10.00 80.00 L 18.00 88.00 M 10.00 88.00 L 18.00 80.00" '
+        'stroke="#b8860b" stroke-width="1.5"/>',
+        '<text x="26" y="88" font-size="12">c4</text>',
+        '<path d="M 10.00 100.00 L 18.00 100.00 M 14.00 96.00 L 14.00 104.00" '
+        'stroke="#0d7a7a" stroke-width="1.5"/>',
+        '<text x="26" y="104" font-size="12">c5</text>',
+        '<circle cx="14.00" cy="116.00" r="4.0" fill="none" stroke="#555555" '
+        'stroke-width="1.5"/>',
+        '<text x="26" y="120" font-size="12">c6</text>',
+        '<circle cx="14.00" cy="132.00" r="4.0" fill="#1f60a8"/>',
+        '<text x="26" y="136" font-size="12">c7</text>',
+    ]
+
+
 def test_feature_pair_rows(rng):
     ds = _dataset(rng.normal(size=(5, 4)))
     rows = feature_pair_rows(ds, 2, 4)
