@@ -224,41 +224,26 @@ def feature_pair_rows(ds: Dataset, i: int, j: int) -> list[ScatterRow]:
     ]
 
 
-_GLYPHS = ("circle", "square", "triangle", "diamond", "cross", "plus", "ring")
-_COLOURS = ("#1f60a8", "#c23b22", "#2e8540", "#8031a7", "#b8860b", "#0d7a7a", "#555555")
+# One style per class, in class order: circle, square, triangle, diamond, cross, plus, ring.
+# Each is an SVG element with the class colour in {c}, the glyph centre in {x}, {y} and the
+# sides of its 8-unit box in {xl}, {xh}, {yl}, {yh}.
+_STYLES = (
+    ('<circle cx="{x}" cy="{y}" r="4.0" fill="{c}"/>', "#1f60a8"),
+    ('<rect x="{xl}" y="{yl}" width="8.0" height="8.0" fill="{c}"/>', "#c23b22"),
+    ('<polygon points="{x},{yl} {xl},{yh} {xh},{yh}" fill="{c}"/>', "#2e8540"),
+    ('<polygon points="{x},{yl} {xh},{y} {x},{yh} {xl},{y}" fill="{c}"/>', "#8031a7"),
+    ('<path d="M {xl} {yl} L {xh} {yh} M {xl} {yh} L {xh} {yl}" stroke="{c}" stroke-width="1.5"/>',
+     "#b8860b"),
+    ('<path d="M {xl} {y} L {xh} {y} M {x} {yl} L {x} {yh}" stroke="{c}" stroke-width="1.5"/>',
+     "#0d7a7a"),
+    ('<circle cx="{x}" cy="{y}" r="4.0" fill="none" stroke="{c}" stroke-width="1.5"/>', "#555555"),
+)
 
 
-def _glyph_svg(shape: str, x: float, y: float, colour: str) -> str:
-    r = 4.0
-    if shape == "circle":
-        return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.1f}" fill="{colour}"/>'
-    if shape == "ring":
-        return (
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.1f}" fill="none" '
-            f'stroke="{colour}" stroke-width="1.5"/>'
-        )
-    if shape == "square":
-        return (
-            f'<rect x="{x - r:.2f}" y="{y - r:.2f}" width="{2 * r:.1f}" '
-            f'height="{2 * r:.1f}" fill="{colour}"/>'
-        )
-    if shape == "triangle":
-        pts = f"{x:.2f},{y - r:.2f} {x - r:.2f},{y + r:.2f} {x + r:.2f},{y + r:.2f}"
-        return f'<polygon points="{pts}" fill="{colour}"/>'
-    if shape == "diamond":
-        pts = f"{x:.2f},{y - r:.2f} {x + r:.2f},{y:.2f} {x:.2f},{y + r:.2f} {x - r:.2f},{y:.2f}"
-        return f'<polygon points="{pts}" fill="{colour}"/>'
-    if shape == "cross":
-        return (
-            f'<path d="M {x - r:.2f} {y - r:.2f} L {x + r:.2f} {y + r:.2f} '
-            f'M {x - r:.2f} {y + r:.2f} L {x + r:.2f} {y - r:.2f}" '
-            f'stroke="{colour}" stroke-width="1.5"/>'
-        )
-    return (
-        f'<path d="M {x - r:.2f} {y:.2f} L {x + r:.2f} {y:.2f} '
-        f'M {x:.2f} {y - r:.2f} L {x:.2f} {y + r:.2f}" '
-        f'stroke="{colour}" stroke-width="1.5"/>'
-    )
+def _glyph_svg(style: tuple[str, str], x: float, y: float) -> str:
+    template, colour = style
+    return template.format(c=colour, x=f"{x:.2f}", y=f"{y:.2f}", xl=f"{x - 4.0:.2f}",
+                           xh=f"{x + 4.0:.2f}", yl=f"{y - 4.0:.2f}", yh=f"{y + 4.0:.2f}")
 
 
 def _scatter_svg(rows: Sequence[ScatterRow]) -> list[str]:
@@ -271,10 +256,7 @@ def _scatter_svg(rows: Sequence[ScatterRow]) -> list[str]:
     dx = (x1 - x0) or 1.0
     dy = (y1 - y0) or 1.0
     labels = sorted({r.label for r in rows})
-    style = {
-        lab: (_GLYPHS[i % len(_GLYPHS)], _COLOURS[i % len(_COLOURS)])
-        for i, lab in enumerate(labels)
-    }
+    style = {lab: _STYLES[i % len(_STYLES)] for i, lab in enumerate(labels)}
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
         'viewBox="0 0 800 800">',
@@ -292,12 +274,10 @@ def _scatter_svg(rows: Sequence[ScatterRow]) -> list[str]:
     for r in rows:
         px = margin + (r.x - x0) / dx * span
         py = size - margin - (r.y - y0) / dy * span
-        shape, colour = style[r.label]
-        parts.append(_glyph_svg(shape, px, py, colour))
+        parts.append(_glyph_svg(style[r.label], px, py))
     for i, lab in enumerate(labels):
-        shape, colour = style[lab]
         ly = 20.0 + 16.0 * i
-        parts.append(_glyph_svg(shape, 14.0, ly, colour))
+        parts.append(_glyph_svg(style[lab], 14.0, ly))
         parts.append(f'<text x="26" y="{ly + 4:.0f}" font-size="12">{lab}</text>')
     parts.append("</svg>")
     return parts
