@@ -139,7 +139,10 @@ class PcaModel:
 
 
 def check_components(n_components: int, n_samples: int, n_features: int, least: int = 1):
-    """A DataError unless least <= n_components <= min(n_samples - 1, n_features)."""
+    """A DataError unless n_samples >= 2 and least <= n_components <= most, where
+    most = min(n_samples - 1, n_features)."""
+    if n_samples < 2:
+        raise DataError("PCA needs at least 2 samples")
     most = min(n_samples - 1, n_features)
     if not least <= n_components <= most:
         raise DataError(f"n_components must lie in [{least}, {most}], got {n_components}")
@@ -152,8 +155,6 @@ def fit_pca(ds: Dataset, n_components: int = 2, correlation: bool = False) -> Pc
     columns are left unscaled), i.e. the correlation matrix is decomposed.
     """
     n, d = ds.n_samples, ds.n_features
-    if n < 2:
-        raise DataError("PCA needs at least 2 samples")
     check_components(n_components, n, d)
     mean = ds.matrix.mean(axis=0)
     centered = ds.matrix - mean

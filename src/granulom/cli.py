@@ -173,6 +173,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_pca(args) -> int:
     ds = features.load_dataset(args.dataset)
+    analyze.check_components(args.components, ds.n_samples, ds.n_features, least=2)
     model = analyze.fit_pca(ds, n_components=args.components, correlation=args.correlation)
     rows = analyze.project(model, ds)
     analyze.export_scatter(rows, args.out, svg_path=args.svg)

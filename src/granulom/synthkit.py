@@ -228,9 +228,14 @@ def _image_path(rel: str) -> str:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    """Entries of a manifest CSV; every image path must stay inside its directory."""
+    """Entries of a manifest CSV, with unique sample ids and image paths inside its directory."""
     _, rows = read_csv_rows(path, "sample_id,label,path", (identifier, identifier, _image_path),
                             "corpus manifest")
+    seen = set()
+    for sample_id, _, _ in rows:
+        if sample_id in seen:
+            raise DataError(f"{path}: duplicate sample id {sample_id!r}")
+        seen.add(sample_id)
     return [ManifestEntry(*row) for row in rows]
 
 

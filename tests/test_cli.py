@@ -148,6 +148,17 @@ def test_bad_manifest_row_is_one_line_data_error(tmp_path, capsys, row):
     assert not (tmp_path / "a.csv").exists()
 
 
+def test_repeated_manifest_id_is_one_line_data_error_before_any_image_is_read(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    manifest = corpus / "manifest.csv"  # neither image exists
+    manifest.write_text("sample_id,label,path\nALM-1,ALM,ALM/a.ppm\nALM-1,ALM,ALM/b.ppm\n")
+    code = main(["--quiet", "extract", "--dir", str(corpus), "--out", str(tmp_path / "a.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {manifest}: duplicate sample id 'ALM-1'\n"
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_morph_and_granulo_and_si(tmp_path, capsys):
     rng = np.random.default_rng(0)
     src = tmp_path / "in.pgm"
@@ -395,6 +406,16 @@ def test_huge_ga_population_is_one_line_data_error(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == "error: population_size must lie in [2, 1048576], got 1000000000000\n"
     assert not (tmp_path / "m").exists()
+
+
+def test_pca_with_one_component_is_one_line_data_error_before_fitting(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_DATASET)
+    code = main(["--quiet", "pca", "--dataset", str(data), "--components", "1",
+                 "--out", str(tmp_path / "p.csv"), "--svg", str(tmp_path / "p.svg")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: n_components must lie in [2, 2], got 1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
 def test_nan_ga_weights_are_one_line_data_error(tmp_path, capsys):
