@@ -139,10 +139,12 @@ class PcaModel:
 
 
 def check_components(n_components: int, n_samples: int, n_features: int, least: int = 1):
-    """A DataError unless n_samples >= 2 and least <= n_components <= most, where
-    most = min(n_samples - 1, n_features)."""
-    if n_samples < 2:
-        raise DataError("PCA needs at least 2 samples")
+    """A DataError unless least <= n_components <= most, where
+    most = min(n_samples - 1, n_features); when most < least it names what is short."""
+    if n_samples <= least:
+        raise DataError(f"PCA needs {least + 1} or more samples, got {n_samples}")
+    if n_features < least:
+        raise DataError(f"PCA needs {least} or more features, got {n_features}")
     most = min(n_samples - 1, n_features)
     if not least <= n_components <= most:
         raise DataError(f"n_components must lie in [{least}, {most}], got {n_components}")
