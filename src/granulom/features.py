@@ -205,24 +205,24 @@ def extract_corpus(corpus_dir, recipe: FeatureRecipe, threads: int = 1) -> "Data
     of STACK_CHUNK images, each extracted as one batch; a pool of `threads`
     workers takes whole chunks, or the calling thread does if `threads` is 1.
     Rows never depend on the chunking or the worker count. A DataError names
-    the manifest path of the first bad image in sample-id order.
+    the first bad image in sample-id order as `corpus_dir` joined to its path.
     """
     check_threads(threads)
-    base = os.path.abspath(corpus_dir)
     entries = sorted(read_manifest(os.path.join(corpus_dir, "manifest.csv")),
                      key=lambda e: e.sample_id)
 
-    chunks = [entries[i : i + STACK_CHUNK] for i in range(0, len(entries), STACK_CHUNK)]
+    paths = [os.path.join(corpus_dir, e.path) for e in entries]
+    chunks = [paths[i : i + STACK_CHUNK] for i in range(0, len(paths), STACK_CHUNK)]
 
     def one(chunk):
         try:
-            return _extract_images(recipe, [read_ppm(os.path.join(base, e.path)) for e in chunk])
+            return _extract_images(recipe, [read_ppm(path) for path in chunk])
         except DataError:
-            for e in chunk:  # the batch failed: find its first bad image
+            for path in chunk:  # the batch failed: find its first bad image
                 try:
-                    extract(recipe, read_ppm(os.path.join(base, e.path)))
+                    extract(recipe, read_ppm(path))
                 except DataError as exc:
-                    raise DataError(f"{e.path}: {exc}") from None
+                    raise DataError(f"{path}: {exc}") from None
             raise
 
     # at threads=1 nothing is submitted, so no pool thread starts: its malloc arena cost RSS

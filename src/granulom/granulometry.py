@@ -1,7 +1,8 @@
 """Granulometric curves and size-intensity diagrams from one opening sequence.
 
 Every output here is read off the flat openings g_r of an image, for
-r = 0..r_max, taken smallest first from one generator (`_openings`).
+r = 0..r_max, taken smallest first from one generator
+(`_measured_openings`), which measures each distinct opening once.
 
 The opening curve value at size r is the normalized volume removed by
 g_r; it is a cumulative size distribution: zero at r=0, non-decreasing,
@@ -26,6 +27,7 @@ The opening curves are computed for a stack of equal-size images at once
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -62,40 +64,24 @@ class SizeIntensityDiagram:
     cells: np.ndarray = field(repr=False)  # shape (r_max+1, len(levels)), int64
 
 
-def _openings(stack: np.ndarray, family: str, r_max: int):
-    """Flat openings g_0, g_1, .., g_r_max of a (..., H, W) stack, smallest first.
+def _measured_openings(stack: np.ndarray, family: str, r_max: int, measure):
+    """measure(g_r) of the flat openings g_0, g_1, .., g_r_max of a (..., H, W) stack.
 
     The erosion grows by one size-1 erosion per size; each dilation is a
     single size-r pass. An erosion or dilation of an image of one grey
     value is that image, so once every image of the erosion is flat, every
-    later erosion and opening equals it: it is yielded for each remaining
-    size and no pass runs. An all-zero erosion is one such case.
+    later erosion and opening equals it: it is measured once, that value is
+    yielded for each remaining size, and no pass runs. An all-zero erosion
+    is one such case.
     """
-    yield stack
+    yield measure(stack)
     eroded = stack
     for r in range(1, r_max + 1):
         eroded = erode_raw(eroded, family, 1)
         if (eroded == eroded[..., :1, :1]).all():
-            for _ in range(r, r_max + 1):
-                yield eroded
+            yield from repeat(measure(eroded), r_max + 1 - r)
             return
-        yield dilate_raw(eroded, family, r)
-
-
-def _measured_openings(stack: np.ndarray, family: str, r_max: int, measure):
-    """measure(g_r) for r = 0..r_max; the flat tail's one repeated array is measured once."""
-    last = value = None
-    for opened in _openings(stack, family, r_max):
-        if opened is not last:
-            last, value = opened, measure(opened)
-        yield value
-
-
-def _opened_volumes(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
-    """Volumes of openings of size 0..r_max of each image in a stack, int64 (..., r_max + 1)."""
-    volumes = _measured_openings(stack, family, r_max,
-                                 lambda opened: opened.sum(axis=(-2, -1), dtype=np.int64))
-    return np.stack(list(volumes), axis=-1)
+        yield measure(dilate_raw(eroded, family, r))
 
 
 def _check_r_max(r_max: int) -> None:
@@ -107,7 +93,9 @@ def opening_curves(stack: np.ndarray, family: str, r_max: int) -> np.ndarray:
     """Opening-curve values of each image in a (..., H, W) uint8 stack."""
     family = se_family(family)
     _check_r_max(r_max)
-    vols = _opened_volumes(stack, family, r_max)
+    volumes = _measured_openings(stack, family, r_max,
+                                 lambda opened: opened.sum(axis=(-2, -1), dtype=np.int64))
+    vols = np.stack(list(volumes), axis=-1)
     total = vols[..., :1]
     if not total.all():
         raise DataError("opening granulometry of an all-zero image (zero volume)")

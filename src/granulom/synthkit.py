@@ -149,13 +149,11 @@ def generate_texture(spec: TextureSpec, size: int, seed) -> ColorImage:
     cx, cy, rad, val = np.array(grains, dtype=np.float64).reshape(count, 4).T
     rad, val = rad.astype(np.int64), val.astype(np.int64)
     owner = _paint(cx, cy, rad, size, min(2 * rmax + 2, size))
-    # owner -1 (no grain) picks the background at the end of the table
-    table = np.append(np.clip(val, 0, 255), spec.background_intensity).astype(np.int32)
-    grey = table[owner].reshape(size, size)
-    planes = [
-        np.clip(np.floor(grey * t + 0.5), 0, 255).astype(np.uint8) for t in spec.rgb_tint
-    ]
-    return ColorImage(np.stack(planes, axis=-1))
+    # owner -1 (no grain) picks the background at the end of the table; each
+    # entry is tinted once, with the float64 arithmetic a pixel of it would get
+    grey = np.append(np.clip(val, 0, 255), spec.background_intensity).astype(np.int32)
+    table = np.clip(np.floor(grey[:, None] * np.array(spec.rgb_tint) + 0.5), 0, 255)
+    return ColorImage(table.astype(np.uint8)[owner].reshape(size, size, 3))
 
 
 def _paint(cx, cy, rad, size: int, side: int) -> np.ndarray:

@@ -246,6 +246,18 @@ def test_correlation_flag(rng):
     assert model.eigenvalues.sum() == pytest.approx(3.0, abs=1e-8)
 
 
+def test_correlation_scores_are_the_covariance_scores_of_standardized_data(rng):
+    x = rng.normal(size=(30, 4)) * np.array([1.0, 100.0, 0.01, 0.0]) + np.array([0, 5, 0, 7.0])
+    model = fit_pca(_dataset(x), 3, correlation=True)
+    centered = x - x.mean(axis=0)
+    std = np.sqrt((centered ** 2).sum(axis=0) / (len(x) - 1))
+    standardized = centered / np.where(std == 0.0, 1.0, std)  # the constant column stays
+    plain = fit_pca(_dataset(standardized), 3)
+    scores, expected = transform(model, x), transform(plain, standardized)
+    signs = np.sign((scores * expected).sum(axis=0))
+    assert np.allclose(scores * signs, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
 # --- exports -----------------------------------------------------------------------
 
 def test_export_scatter_roundtrip(tmp_path):

@@ -120,6 +120,12 @@ CORPUS_CONFIG_EDITS = [  # (old, new, message after "error: corpus config")
      "per 1000 px^2, got 1e+30"),
     ("density = 10", "density = 10\ndensity = 12", ": While reading from 'c.cfg' [line 11]: "
      "option 'density' in section 'class aa' already exists"),
+    (SMALL_CORPUS_CFG[SMALL_CORPUS_CFG.index("[class bb]"):], "",
+     " [corpus]: a corpus needs at least 2 classes"),
+    ("grain_radius = 2 3", "samples = 0\ngrain_radius = 2 3",
+     " [corpus]: class aa needs at least one sample"),
+    ("grain_intensity = 200 15", "grain_intensity = 300 5",
+     " [class aa]: bad grain intensity (300, 5)"),
 ]
 PIPELINE_CONFIG_EDITS = [  # (old, new, message after "error: pipeline config ")
     ("population = 10", "population = lots",
@@ -196,6 +202,10 @@ CASES = [
          "error: raster holds 3 bytes, expected 4", {"in.pgm": b"P5\n2 2\n255\n" + bytes(3)}),
     Case("granulo-p2-short-raster", "granulo in.pgm out.csv", 2,
          "error: raster holds 3 samples, expected 4", {"in.pgm": "P2\n2 2\n255\n0 1 2\n"}),
+    Case("granulo-width-0", "granulo in.pgm out.csv", 2, "error: bad dimensions 0x4",
+         {"in.pgm": "P2\n0 4\n255\n"}),
+    Case("granulo-maxval-0", "granulo in.pgm out.csv", 2, "error: bad maxval 0",
+         {"in.pgm": "P2\n2 2\n0\n0 0 0 0\n"}),
     Case("granulo-p2-comments", "granulo comment.pgm comment.csv", 0,
          files={"comment.pgm": "P2\n3 2\n255\n0 10 # a comment inside the raster\n20#glued\n"
                                "30 40 50\n"}),
@@ -205,7 +215,28 @@ CASES = [
     *[Case(f"{cmd}-rmax-{r}", f"{cmd} --rmax {r} tiny.pgm c.csv", 2,
            f"error: r_max must lie in [0, 4096], got {r}", TINY_PGM)
       for cmd, r in (("granulo", 1000000000), ("si", 1000000000), ("si", 4097))],
+    *[Case(f"si-kmax-{k}", f"si --kmax {k} tiny.pgm s.csv", 2,
+           f"error: k_max must lie in [1, 255], got {k}", TINY_PGM) for k in (0, 256)],
+    Case("si-kstep-0", "si --kstep 0 tiny.pgm s.csv", 2, "error: k_step must be >= 1", TINY_PGM),
     # datasets
+    Case("knn-empty-dataset", KNN.replace("d.csv", "empty.csv"), 2,
+         "error: empty.csv: empty file, expected a dataset CSV", {"empty.csv": ""}),
+    Case("scatter-one-feature", "scatter --dataset d.csv --features 1 --out s.csv", 1,
+         "usage error: --features wants two 1-based indices, e.g. 70,112", D),
+    Case("split-fraction-1.5", f"{SPLIT} --fraction 1.5", 2,
+         "error: test_fraction must lie in (0, 1), got 1.5", D),
+    Case("split-one-row", f"{SPLIT} --fraction 0.5", 2, "error: need at least 2 samples to split",
+         {"d.csv": "sample_id,label,f0001\na-1,a,0\n"}),
+    Case("select-negative-generations", f"{SELECT} --gens -1", 2,
+         "error: generations must be >= 0", D),
+    Case("select-negative-alpha", f"{SELECT} --alpha -0.5 --beta 1.5", 2,
+         "error: alpha and beta must be non-negative", D),
+    Case("select-eval-of-another-width", SELECT.replace("--eval d.csv", "--eval narrow.csv"), 2,
+         "error: train and eval sets must share the feature layout", {**D, "narrow.csv": NARROW}),
+    Case("select-header-only-eval", SELECT.replace("--eval d.csv", "--eval head.csv"), 2,
+         "error: train and eval sets must be non-empty",
+         {**D, "head.csv": TINY_DATASET.splitlines()[0] + "\n"}),
+    Case("knn-k-0", f"{KNN} --k 0", 2, "error: k must be >= 1, got 0", D),
     Case("knn-nan-dataset", f"--quiet {KNN}", 2,
          "error: d.csv: non-finite feature value nan (sample 'b', feature 'f0001')",
          {"d.csv": "sample_id,label,f0001\na,x,1.0\nb,y,nan\n"}),
@@ -276,7 +307,7 @@ CASES = [
     Case("extract-repeated-id", EXTRACT, 2, "error: corpus/manifest.csv: duplicate sample id 'a-1'",
          {**CORPUS, "corpus/manifest.csv": MANIFEST + MANIFEST.splitlines()[1] + "\n"}),
     Case("extract-corrupt-ppm", EXTRACT, 2,
-         "error: a-2.ppm: bad magic b'P9', expected one of (b'P6', b'P3')",
+         "error: corpus/a-2.ppm: bad magic b'P9', expected one of (b'P6', b'P3')",
          {**CORPUS, "corpus/a-2.ppm": b"P9\nnope"}),
     *[Case(f"extract-threads-{t}", f"{EXTRACT} --threads {t}", 2,
            f"error: threads must be >= 1, got {t}", CORPUS) for t in (0, -3)],

@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -179,7 +180,7 @@ BLACK = b"P6\n12 12\n255\n" + bytes(12 * 12 * 3)
 def test_extract_corpus_error_names_the_first_bad_image_in_sample_id_order(
         tmp_path, bad, message, threads):
     _small_corpus(tmp_path, 2 * STACK_CHUNK, bad)
-    with pytest.raises(DataError, match=f"^s-03.ppm: {message}$"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path / 's-03.ppm'))}: {message}$"):
         extract_corpus(tmp_path, builtin_recipe("lot117"), threads=threads)
 
 
@@ -326,6 +327,20 @@ def test_split_table1_shape():
     # deterministic given the seed
     again = split(ds, 50 / 237, seed=11)
     assert again.test.sample_ids == res.test.sample_ids
+
+
+@pytest.mark.parametrize("sizes, fraction, counts", [
+    ((20, 2), 0.1, (1, 1)),  # a class with no test slot takes one from a donor
+    ((2, 10), 0.75, (1, 8)),  # a class left with no training row gives a slot to a taker
+    ((2, 2), 0.9, (1, 1)),  # no taker: 3 test rows asked, 2 given
+    ((20, 20, 2, 2), 0.05, (1, 1, 0, 0)),  # no donor: small classes stay out of the test set
+], ids=["donor", "taker", "cap", "no-donor"])
+def test_split_apportions_test_rows_per_class(sizes, fraction, counts):
+    labels = [f"c{c}" for c, size in enumerate(sizes) for _ in range(size)]
+    ds = Dataset([f"s-{i}" for i in range(len(labels))], labels, np.zeros((len(labels), 1)))
+    res = split(ds, fraction, seed=0)
+    assert res.stratified
+    assert tuple(res.test.labels.count(f"c{c}") for c in range(len(sizes))) == counts
 
 
 def test_split_rejects_a_negative_seed():

@@ -7,7 +7,7 @@ from granulom.errors import DataError
 from granulom.granulometry import (
     MAX_R_MAX,
     GranulometryCurve,
-    _openings,
+    _measured_openings,
     export_curve,
     granulometry_closings,
     granulometry_openings,
@@ -106,7 +106,7 @@ def test_openings_past_the_flat_erosion_match_oracles(rng):
                 for px in stack
             ]
             assert max(flat_from) < 9
-            opened = list(_openings(stack, family, 9))
+            opened = list(_measured_openings(stack, family, 9, lambda g: g))
             assert len(opened) == 10
             for r, g in enumerate(opened):
                 for px, gr in zip(stack, g):
@@ -123,8 +123,10 @@ def test_flat_tail_is_measured_once_and_matches_per_size_oracles(rng, monkeypatc
     r_max = 12
     for family in ("hexagon", "square", "diamond"):
         px = rng.integers(1, 256, (3, 4)).astype(np.uint8)
-        opened = list(_openings(px, family, r_max))
-        distinct = len({id(g) for g in opened})
+        measured = []
+        opened = list(_measured_openings(px, family, r_max, lambda g: measured.append(g) or g))
+        assert len(opened) == r_max + 1
+        distinct = len(measured)
         assert distinct < r_max + 1
         histograms.clear()
         si = size_intensity(GreyImage(px), family, r_max)

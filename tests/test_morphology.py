@@ -5,7 +5,7 @@ import pytest
 
 from conftest import naive_dilate, naive_erode
 from granulom.errors import DataError
-from granulom.granulometry import _opened_volumes
+from granulom.granulometry import _measured_openings
 from granulom.imagecore import GreyImage, intensity
 from granulom.morphology import (
     FAMILIES,
@@ -139,10 +139,15 @@ def test_stack_equals_separate_images(family, shape, rng):
             assert together.shape == stack.shape
             for i in range(len(stack)):
                 assert np.array_equal(together[i], fn(stack[i], family, r))
-    volumes = _opened_volumes(stack.reshape(2, 2, *shape), family, 6)
-    assert volumes.shape == (2, 2, 7)
+
+    def volumes(images):
+        measured = _measured_openings(images, family, 6, lambda g: g.sum(axis=(-2, -1)))
+        return np.stack(list(measured), axis=-1)
+
+    together = volumes(stack.reshape(2, 2, *shape))
+    assert together.shape == (2, 2, 7)
     for i in range(len(stack)):
-        assert np.array_equal(volumes.reshape(4, 7)[i], _opened_volumes(stack[i], family, 6))
+        assert np.array_equal(together.reshape(4, 7)[i], volumes(stack[i]))
 
 
 # sha256 of erode_raw then dilate_raw of two granite14 intensity images (classes
