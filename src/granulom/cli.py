@@ -42,6 +42,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reports missing required arguments before unrecognized ones;
+        # a mistyped flag is the likelier mistake, so name it first.
+        try:
+            return super().parse_known_args(args, namespace)
+        except _UsageError as exc:
+            if "required" not in str(exc):
+                raise
+            groups = self._mutually_exclusive_groups
+            required = [x for x in (*self._actions, *groups) if x.required]
+            for x in required:
+                x.required = False
+            try:
+                _, extras = super().parse_known_args(args, namespace)
+            finally:
+                for x in required:
+                    x.required = True
+            if extras:
+                raise _UsageError(f"unrecognized arguments: {' '.join(extras)}") from None
+            raise
+
 
 def _info(args, *parts) -> None:
     if not getattr(args, "quiet", False):

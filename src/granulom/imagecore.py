@@ -196,43 +196,37 @@ def write_ppm(img: ColorImage, path) -> None:
 
 # --- colour reductions ------------------------------------------------------
 
-def intensity(img: ColorImage) -> GreyImage:
-    """Average the three channels, rounding half up.
+def _half_up(n, q):
+    """floor(n/q + 1/2) of integers n and q > 0, exactly: every reduction rounds so."""
+    return (2 * n + q) // (2 * q)
 
-    (r+g+b)/3 never lands exactly on .5, so integer round-half-up reduces
-    to floor((2(r+g+b)+3)/6).
-    """
+
+def intensity(img: ColorImage) -> GreyImage:
+    """Average the three channels, rounding half up."""
     s = img.pixels.astype(np.int32).sum(axis=2)
-    return GreyImage(((2 * s + 3) // 6).astype(np.uint8))
+    return GreyImage(_half_up(s, 3).astype(np.uint8))
 
 
 def to_hls(img: ColorImage) -> np.ndarray:
     """Double-hexcone HLS of every pixel; achromatic hue canonicalized to 0.
 
     A read-only uint16 array of shape (h, w, 3), channels h, l, s: hue lies
-    in [0, 359], lightness and saturation in [0, 255].
+    in [0, 359], lightness and saturation in [0, 255]. Each channel is an
+    integer quotient rounded half up; a grey pixel (d = 0) has hue and
+    saturation numerators 0, so both read 0.
     """
-    r, g, b = (img.pixels[..., c].astype(np.int64) for c in range(3))
+    r, g, b = (img.pixels[..., c].astype(np.int32) for c in range(3))
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
     d = mx - mn
-    chroma = d > 0
-    out = np.empty(img.pixels.shape, dtype=np.uint16)
-
-    out[..., 1] = (mx + mn + 1) // 2
-
-    denom = np.where(mx + mn <= 255, mx + mn, 510 - mx - mn)
-    denom_safe = np.where(chroma, denom, 1)
-    out[..., 2] = np.where(chroma, np.floor(255.0 * d / denom_safe + 0.5), 0)
-
-    d_safe = np.where(chroma, d, 1).astype(np.float64)
-    hue = np.where(
-        mx == r,
-        (60.0 * (g - b) / d_safe) % 360.0,
-        np.where(mx == g, 60.0 * (b - r) / d_safe + 120.0, 60.0 * (r - g) / d_safe + 240.0),
+    t = mx + mn
+    sector = np.where(
+        mx == r, 60 * (g - b), np.where(mx == g, 60 * (b - r) + 120 * d, 60 * (r - g) + 240 * d)
     )
-    out[..., 0] = np.where(chroma, np.floor(hue + 0.5).astype(np.int64) % 360, 0)
-
+    out = np.empty(img.pixels.shape, dtype=np.uint16)
+    out[..., 0] = _half_up(sector, np.maximum(d, 1)) % 360
+    out[..., 1] = _half_up(t, 2)
+    out[..., 2] = _half_up(255 * d, np.maximum(np.minimum(t, 510 - t), 1))
     out.flags.writeable = False
     return out
 
@@ -252,6 +246,6 @@ def histogram(values, bins: int, vmax: int = 255) -> np.ndarray:
     arr = arr.astype(np.int64)
     if arr.min() < 0 or arr.max() > vmax:
         raise DataError(f"histogram values must lie in [0, {vmax}]")
-    idx = np.minimum(arr * bins // vmax, bins - 1) if vmax > 0 else np.zeros_like(arr)
+    idx = np.minimum(arr * bins // max(vmax, 1), bins - 1)
     counts = np.bincount(idx, minlength=bins).astype(np.float64)
     return counts / arr.size

@@ -164,8 +164,9 @@ MASK_FILE = {**D, "m.txt": "11\n"}
 CASES = [
     # usage
     Case("help", "--help", 0, out=re.compile("granulom")),
-    Case("knn-unknown-flag", "knn --bogus", 1,
-         "usage error: the following arguments are required: --train, --test"),
+    Case("knn-unknown-flag", "knn --bogus", 1, "usage error: unrecognized arguments: --bogus"),
+    Case("knn-missing-test", "knn --train d.csv", 1,
+         "usage error: the following arguments are required: --test", D),
     Case("unknown-command", "definitely-not-a-command", 1,
          re.compile("usage error: argument command: invalid choice: 'definitely-not-a-command'")),
     Case("select-weight-override-flag", f"{SELECT} --alpha 0.6 --beta 0.6 --no-weight-check", 1,
@@ -174,6 +175,8 @@ CASES = [
          "usage error: argument --test-count: not allowed with argument --fraction", D),
     Case("split-no-size", SPLIT, 1,
          "usage error: one of the arguments --fraction --test-count is required", D),
+    Case("split-unknown-flag", f"{SPLIT} --bogus", 1,
+         "usage error: unrecognized arguments: --bogus", D),
     Case("knn-mask-and-mask-file", f"{KNN} --mask 1 --mask-file m.txt", 1,
          "usage error: argument --mask-file: not allowed with argument --mask", MASK_FILE),
     Case("knn-k-mask-and-mask-file", f"--quiet {KNN} --report r.csv --k 2 --mask 10 "

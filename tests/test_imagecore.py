@@ -10,6 +10,7 @@ from granulom.errors import DataError
 from granulom.imagecore import (
     ColorImage,
     GreyImage,
+    _half_up,
     histogram,
     intensity,
     read_pgm,
@@ -192,9 +193,27 @@ def test_to_hls_is_one_read_only_uint16_array():
     assert hls.shape == (2, 3, 3) and hls.dtype == np.uint16 and not hls.flags.writeable
 
 
+def test_half_up_matches_the_float_rounding_of_every_hls_quotient():
+    """Every (numerator, divisor) pair to_hls forms rounds as the float expressions do."""
+    # saturation 255d / q with 1 <= d <= q <= 255
+    q, d = np.tril_indices(256)
+    q, d = q[d >= 1], d[d >= 1]
+    assert np.array_equal(_half_up(255 * d, q), np.floor(255.0 * d / q + 0.5))
+    # lightness t / 2 with 0 <= t <= 510
+    t = np.arange(511)
+    assert np.array_equal(_half_up(t, 2), np.floor(t / 2 + 0.5))
+    # hue 60x / d + c with 1 <= d <= 255 and -d <= x <= d; the red sector wraps first
+    d = np.repeat(np.arange(1, 256), 2 * np.arange(1, 256) + 1)
+    x = np.concatenate([np.arange(-k, k + 1) for k in range(1, 256)])
+    for c in (0, 120, 240):
+        hue = 60.0 * x / d + c if c else (60.0 * x / d) % 360.0
+        assert np.array_equal(_half_up(60 * x + c * d, d) % 360, np.floor(hue + 0.5) % 360)
+
+
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
 def test_hls_ranges_and_achromatic_rule(r, g, b):
     h, l, s = hls_pixel(r, g, b)
+    assert tuple(to_hls(ColorImage(np.array([[[r, g, b]]])))[0, 0]) == (h, l, s)
     assert 0 <= h <= 359 and 0 <= l <= 255 and 0 <= s <= 255
     assert (s == 0) == (r == g == b)
     if s == 0:

@@ -287,7 +287,6 @@ def test_granite14_files_match_table1_counts(granite14_corpus):
     assert len(list(corpus_dir.glob("*.ppm"))) == 237
 
 
-@pytest.mark.slow
 def test_granite14_separability_headroom(granite14_corpus):
     """The frozen benchmark leaves the GA room to improve: 90% <= 1-NN < 100%."""
     from granulom.classify import KnnConfig, evaluate
