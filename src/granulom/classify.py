@@ -20,13 +20,14 @@ in ascending feature index. That summation order is a contract: the GA's
 history and mask bytes depend on it, so no Gram-matrix form, pairwise or
 reordered sum, or incremental update may replace it.
 
-One fact makes both the start and the skipped rows exact: a square is
-never -0.0, and +0.0 + x is x bit for bit for every x but -0.0
-(infinities and NaN payloads included). So a sum started at +0.0 equals
-the sum started at its first row, and a sum of no rows is +0.0. Rows of
+Every value compared here comes from a `Dataset`, so it is finite. One
+fact makes both the start and the skipped rows exact: a square is never
+-0.0, and +0.0 + x is x bit for bit for every x but -0.0. So a sum
+started at +0.0 equals the sum started at its first row, and a sum of
+no rows is +0.0. Rows of
 single-valued columns are left out of the table and of every sum
-(`live_columns`): where a column holds one finite value v over the
-queries and the training rows, every difference is v - v = +0.0 and so
+(`live_columns`): where a column holds one value v over the queries
+and the training rows, every difference is v - v = +0.0 and so
 is every square, and adding it changes no bit of a sum of squares. With
 no live column, every distance is +0.0 and the nearest row is the first.
 """
@@ -40,8 +41,8 @@ from math import sqrt
 import numpy as np
 
 from .csvrows import write_lines
-from .errors import DataError, real_array
-from .features import MAX_FEATURE_MAGNITUDE, Dataset
+from .errors import DataError
+from .features import Dataset
 
 __all__ = [
     "FeatureMask",
@@ -49,7 +50,6 @@ __all__ = [
     "EvalReport",
     "Neighbour",
     "SampleOutcome",
-    "distance",
     "live_columns",
     "evaluate",
     "evaluate_template",
@@ -164,24 +164,6 @@ def _selected_columns(n_features: int, mask: FeatureMask | None) -> np.ndarray:
     return sel
 
 
-def _check_values(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise DataError("query holds a non-finite feature value")
-    if not all((np.abs(a) <= MAX_FEATURE_MAGNITUDE).all() for a in arrays):
-        raise DataError(f"query holds a feature value above {MAX_FEATURE_MAGNITUDE:g} in magnitude")
-
-
-def distance(x, m, mask: FeatureMask | None = None) -> float:
-    """Euclidean distance over the masked coordinates."""
-    xv = real_array(x, "distance vector")
-    mv = real_array(m, "distance vector")
-    if xv.shape != mv.shape or xv.ndim != 1:
-        raise DataError("vectors must be 1-D and of equal length")
-    _check_values(xv, mv)
-    sel = _selected_columns(xv.size, mask)
-    return sqrt(float(_squared_distances(xv[None, sel], mv[None, sel])[0, 0]))
-
-
 # Reference rows (ids, labels, matrix) in tie-break order.
 _Rows = tuple[list[str], list[str], np.ndarray]
 
@@ -222,14 +204,14 @@ def summed_rows(sq, rows, out: np.ndarray) -> np.ndarray:
 
 
 def live_columns(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
-    """Ascending indices of the columns that do not hold one single finite value over both inputs.
+    """Ascending indices of the columns that do not hold one single value over both inputs.
 
-    A column left out adds +0.0 to every squared distance (see the module
-    docstring). A non-finite value keeps its column live: inf - inf is NaN.
+    Both inputs hold finite values only. A column left out adds +0.0 to
+    every squared distance (see the module docstring).
     """
     first = (queries if queries.shape[0] else training)[:1]
     single = (queries == first).all(axis=0) & (training == first).all(axis=0)
-    return np.flatnonzero(~(single & np.isfinite(first).all(axis=0)))
+    return np.flatnonzero(~single)
 
 
 def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
@@ -267,7 +249,6 @@ def _rank(
     sel = _selected_columns(matrix.shape[1], mask)
     if queries.shape[1:] != matrix.shape[1:]:
         raise DataError(f"query rows {queries.shape[1:]} do not match {matrix.shape[1]} features")
-    _check_values(queries)
     ranked = []
     for d2 in _squared_distances(queries[:, sel], matrix[:, sel]):
         nearest = tuple(

@@ -248,9 +248,13 @@ def default_feature_names(count: int) -> list[str]:
 MAX_FEATURE_MAGNITUDE = 1e70
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix with sample ids and class labels, rows in file order."""
+    """Feature matrix with sample ids and class labels, rows in file order.
+
+    `matrix` is a read-only float64 copy of the given values, checked once
+    here: each is finite and at most MAX_FEATURE_MAGNITUDE in magnitude.
+    """
 
     sample_ids: list[str]
     labels: list[str]
@@ -258,20 +262,22 @@ class Dataset:
     feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.matrix = real_array(self.matrix, "feature matrix")
-        if self.matrix.ndim != 2:
+        matrix = real_array(self.matrix, "feature matrix").copy()
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        if matrix.ndim != 2:
             raise DataError("feature matrix must be 2-D")
-        n = self.matrix.shape[0]
+        n = matrix.shape[0]
         if len(self.sample_ids) != n or len(self.labels) != n:
             raise DataError("sample_ids, labels and matrix rows must align")
         if not self.feature_names:
-            self.feature_names = default_feature_names(self.matrix.shape[1])
-        if len(self.feature_names) != self.matrix.shape[1]:
+            object.__setattr__(self, "feature_names", default_feature_names(matrix.shape[1]))
+        if len(self.feature_names) != matrix.shape[1]:
             raise DataError("feature_names must match matrix columns")
-        bad = np.argwhere(~(np.abs(self.matrix) <= MAX_FEATURE_MAGNITUDE))
+        bad = np.argwhere(~(np.abs(matrix) <= MAX_FEATURE_MAGNITUDE))
         if bad.size:
             row, col = bad[0]
-            value = self.matrix[row, col]
+            value = matrix[row, col]
             what = (f"non-finite feature value {value}" if not np.isfinite(value) else
                     f"feature value {value} above {MAX_FEATURE_MAGNITUDE:g} in magnitude")
             raise DataError(

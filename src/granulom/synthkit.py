@@ -280,10 +280,13 @@ _BUILTIN_CORPORA = ("granite14",)
 
 
 def load_corpus_spec(name_or_path) -> CorpusSpec:
-    """Corpus spec of a config file, or of the builtin it names (granite14[.cfg]) if none."""
+    """Corpus spec of a config file, or of the builtin it names (granite14[.cfg]).
+
+    A name picks the builtin unless a file, not a directory, of that name exists.
+    """
     path = os.fspath(name_or_path)
     name = path[:-4] if path.endswith(".cfg") else path
-    if name in _BUILTIN_CORPORA and not os.path.exists(path):
+    if name in _BUILTIN_CORPORA and not os.path.isfile(path):
         return builtin_corpus_spec(name)
     return parse_corpus_config(read_text(path), path)
 

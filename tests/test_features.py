@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import threading
 
@@ -199,6 +200,20 @@ def test_dataset_invariants():
     ds = _toy_dataset()
     assert ds.feature_names == ["f0001", "f0002", "f0003", "f0004"]
     assert ds.class_labels == ["A", "B"]
+
+
+def test_dataset_matrix_is_a_read_only_checked_copy():
+    given = np.zeros((2, 3))
+    ds = Dataset(["a", "b"], ["x", "y"], given)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.matrix[0, 0] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.matrix = np.full((2, 3), np.nan)
+    assert given.flags.writeable
+    given[0, 0] = np.nan  # the caller's array is not shared
+    assert np.array_equal(ds.matrix, np.zeros((2, 3)))
+    for derived in (ds.subset([1, 0]), apply_scaler(ds, *minmax_scaler(ds))):
+        assert not derived.matrix.flags.writeable
 
 
 def test_save_load_roundtrip(tmp_path):

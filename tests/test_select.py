@@ -281,11 +281,11 @@ def _pair_with_dead_columns(rng, n=12):
         rows = rng.integers(0, 3, size=(count, n)).astype(np.float64)
         rows[:, 1], rows[:, 4], rows[:, 9] = 2.0, -7.5, 1e-3
         rows[:, 5] = np.where(rng.random(count) < 0.5, 0.0, -0.0)
+        if tag == "tr":
+            rows[:, 11] = 4.0  # single-valued in the training rows only: live
         ids = [f"{tag}{i:02d}" for i in rng.permutation(count)]
         return Dataset(ids, [f"c{i % 3}" for i in range(count)], rows)
-    train, eval_set = block(10, "tr"), block(7, "ev")
-    train.matrix[:, 11] = 4.0  # single-valued in the training rows only: live
-    return train, eval_set
+    return block(10, "tr"), block(7, "ev")
 
 
 def _every_row_score(train, eval_set, bits, cfg):

@@ -19,6 +19,7 @@ from granulom.synthkit import (
     format_corpus_config,
     generate_corpus,
     generate_texture,
+    load_corpus_spec,
     parse_corpus_config,
     read_manifest,
 )
@@ -256,6 +257,14 @@ def test_granite14_shape():
     assert spec.samples_per_class == (20, 20, 8, 4, 20, 20, 20, 20, 20, 15, 20, 10, 20, 20)
     labels = [c.class_label for c in spec.classes]
     assert labels == "ALM ANT ARI ARIC AZU CAR COR EUL EVO FAV JAN SAL SPI VIM".split()
+
+
+def test_a_directory_does_not_shadow_a_builtin_corpus(tmp_path, monkeypatch):
+    (tmp_path / "granite14").mkdir()  # e.g. the output of `synth --spec granite14 --out granite14`
+    (tmp_path / "granite14.cfg").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert load_corpus_spec("granite14") == builtin_corpus_spec("granite14")
+    assert load_corpus_spec("granite14.cfg") == builtin_corpus_spec("granite14")
 
 
 # sha256 over "<file> <sha256 of its bytes>" lines for manifest.csv and then
