@@ -102,13 +102,15 @@ def _sweep(w: np.ndarray, m: int) -> None:
     is bitwise symmetric before the rotation, so its new rows p and q equal
     its new columns, except a[p, p] and a[q, q], which take the row
     update's expressions, and a[p, q] = a[q, p] = 0. It stays symmetric.
+    Scalars are read as Python floats (`item`): the same double arithmetic
+    as on numpy scalars, at less cost per operation.
     """
     for p in range(m - 1):
         for q in range(p + 1, m):
-            apq = w[p, q]
+            apq = w.item(p, q)
             if apq == 0.0:
                 continue
-            h = w[q, q] - w[p, p]
+            h = w.item(q, q) - w.item(p, p)
             if abs(h) > 1e150 * abs(apq):
                 t = apq / h  # limiting tangent; avoids overflow in theta
             else:
@@ -118,8 +120,8 @@ def _sweep(w: np.ndarray, m: int) -> None:
             s = t * c
             x, y = w[:, p], w[:, q]
             w[:, p], w[:, q] = c * x - s * y, s * x + c * y
-            app = c * w[p, p] - s * w[q, p]
-            aqq = s * w[p, q] + c * w[q, q]
+            app = c * w.item(p, p) - s * w.item(q, p)
+            aqq = s * w.item(p, q) + c * w.item(q, q)
             w[p] = w[:m, p]
             w[q] = w[:m, q]
             w[p, p], w[q, q] = app, aqq

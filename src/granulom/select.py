@@ -21,9 +21,10 @@ from `draws._DrawReplay`, which computes numpy's PCG64 draws bit for bit
 from raw words fetched in bulk (synthesis draws its grains through it
 too). Fetching words ahead cannot be observed, since the generator
 belongs to `run_ga` and nothing else draws from it. No draw depends on a
-mask, only on the fitnesses, so one Python pass gives a generation's
-tournament winners, crossover points and mutation bits, and the children
-are then built in a fixed number of array operations.
+mask or on a fitness: a tournament draws its two indices whichever wins.
+So one Python pass gives a generation's tournament pairs, crossover
+points and mutation bits; the winners are then picked from the fitnesses
+and the children built in a fixed number of array operations.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ class GARunReport:
     eval_total: int
     generations_run: int
     stop_reason: str  # "max_generations" | "stagnation"
-    cache_hits: int  # objective calls answered from the mask cache
-    evaluations: int  # objective calls that scored a mask
+    cache_hits: int  # scored rows whose mask an earlier row already had
+    evaluations: int  # distinct masks scored
     distance_sums: int  # masks whose distances were summed: one per distinct live projection
 
     @property
@@ -154,7 +155,7 @@ def fitness(hits: int, nf: int, alpha: float, beta: float) -> float:
 
 
 class _WrapperObjective:
-    """1-NN hit counting for masks over a fixed train/eval pair, memoized twice.
+    """1-NN hit counting for populations of masks over a fixed train/eval pair, memoized twice.
 
     The squared-difference table is built once, over the live columns only
     (`classify.live_columns`): a column that holds one value adds +0.0 to
@@ -164,7 +165,13 @@ class _WrapperObjective:
     same live bits therefore have bitwise equal distances, the same nearest
     neighbours and the same hits, so hits are memoized by the live bits and
     each live projection is summed once. `nf` still counts every selected
-    bit. The full-mask cache in front keeps `cache_hits` and `evaluations`.
+    bit.
+
+    Both memos are keyed by packed bits: a row of n bits packed eight to a
+    byte (`np.packbits`) is one ceil(n/8)-byte key. `seen` is the set of
+    every full mask scored; it only counts `cache_hits` and `evaluations`,
+    since a mask's score follows from its live key and bit count.
+    `hits_by_live` maps each summed live projection to its hits.
     """
 
     def __init__(self, train: Dataset, eval_set: Dataset, cfg: GAConfig):
@@ -186,13 +193,33 @@ class _WrapperObjective:
         self.d2 = np.empty((eval_set.n_samples, train.n_samples))
         self.eval_codes = np.array([codes.get(lab, -1) for lab in eval_set.labels])
         self.eval_total = eval_set.n_samples
-        self.cache: dict[bytes, tuple[int, int, float]] = {}
+        self.seen: set[bytes] = set()
         self.hits_by_live: dict[bytes, int] = {}
         self.cache_hits = 0
 
-    def _hits(self, live_bits: np.ndarray) -> int:
+    def score(self, population: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hits, nfs, fits) of each row of a (rows, n) bool population.
+
+        A row scored before, in an earlier call or an earlier row, is a
+        cache hit. fits is alpha*hits - beta*nf, as `fitness` computes it,
+        and EMPTY_MASK_FITNESS where nf is 0.
+        """
+        keys = _packed_keys(population)
+        before = len(self.seen)
+        self.seen.update(keys)
+        self.cache_hits += len(keys) - (len(self.seen) - before)
+        nfs = np.count_nonzero(population, axis=1)
+        live = population[:, self.live]
+        hits = np.array(
+            [self._hits(key, bits) if nf else 0
+             for key, bits, nf in zip(_packed_keys(live), live, nfs.tolist())],
+            dtype=np.int64,
+        )
+        fits = np.where(nfs == 0, EMPTY_MASK_FITNESS, self.cfg.alpha * hits - self.cfg.beta * nfs)
+        return hits, nfs, fits
+
+    def _hits(self, key: bytes, live_bits: np.ndarray) -> int:
         """1-NN hits over the live rows `live_bits` selects, summed once per projection."""
-        key = live_bits.tobytes()
         hits = self.hits_by_live.get(key)
         if hits is None:
             rows = live_bits.nonzero()[0].tolist()  # Python ints index the table fastest
@@ -202,39 +229,33 @@ class _WrapperObjective:
             self.hits_by_live[key] = hits
         return hits
 
-    def __call__(self, bits: np.ndarray) -> tuple[int, int, float]:
-        key = bits.tobytes()
-        hit = self.cache.get(key)
-        if hit is not None:
-            self.cache_hits += 1
-            return hit
-        nf = int(np.count_nonzero(bits))
-        if nf == 0:
-            result = (0, 0, EMPTY_MASK_FITNESS)
-        else:
-            hits = self._hits(bits[self.live])
-            result = (hits, nf, fitness(hits, nf, self.cfg.alpha, self.cfg.beta))
-        self.cache[key] = result
-        return result
+
+def _packed_keys(bits: np.ndarray) -> list[bytes]:
+    """One key per row of a 2-D bool array: the row packed eight bits to a byte."""
+    # packbits keeps the input's memory order, and a column gather can give F order
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+    if packed.shape[1] == 0:  # no void type is zero bytes wide
+        return [b""] * len(packed)
+    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
-def _pair_draws(draws: _DrawReplay, fits: list[float], pairs: int, n: int, cfg: GAConfig):
-    """Winners (2 per pair), crossover points and mutation bits (2 per pair) of a generation.
+def _pair_draws(draws: _DrawReplay, size: int, pairs: int, n: int, cfg: GAConfig):
+    """Tournament index pairs (2 per pair), crossover points and mutation bits (2 per pair).
 
-    A pair that does not cross over gets point n and a child that does not
-    mutate gets bit -1, so neither changes anything.
+    The tournaments are a flat list i, j, i, j, ...: tournament t is
+    between the population rows at entries 2t and 2t + 1. A pair that does
+    not cross over gets point n and a child that does not mutate gets bit
+    -1, so neither changes anything.
     """
-    size = len(fits)
-    winners, points, bits = [], [], []
+    tournaments, points, bits = [], [], []
     for _ in range(pairs):
         for _ in range(2):
-            i, j = draws.integers(0, size), draws.integers(0, size)
-            winners.append(i if fits[i] >= fits[j] else j)
+            tournaments += draws.integers(0, size), draws.integers(0, size)
         crosses = draws.random() < cfg.crossover_prob and n > 1
         points.append(draws.integers(1, n) if crosses else n)
         for _ in range(2):
             bits.append(draws.integers(0, n) if draws.random() < cfg.mutation_prob else -1)
-    return winners, points, bits
+    return tournaments, points, bits
 
 
 def _breed(
@@ -243,8 +264,11 @@ def _breed(
     """The next population: the elites by rank, then children in pairs."""
     size, n = population.shape
     pairs = (size - cfg.elitism + 1) // 2
-    winners, points, bits = _pair_draws(draws, fits.tolist(), pairs, n, cfg)
-    parents = population[np.reshape(winners, (pairs, 2))]
+    tournaments, points, bits = _pair_draws(draws, size, pairs, n, cfg)
+    i, j = np.reshape(tournaments, (2 * pairs, 2)).T
+    # a tie goes to the first index drawn
+    winners = np.where(fits[i] >= fits[j], i, j)
+    parents = population[winners.reshape(pairs, 2)]
     cols = np.arange(n)
     # child A takes B's genes from the point on and child B takes A's
     offspring = np.where(cols >= np.reshape(points, (pairs, 1, 1)), parents[:, ::-1], parents)
@@ -271,7 +295,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
                 stop_reason = "stagnation"
                 break
             population = _breed(population, fits, cfg, draws)
-        hits, nfs, fits = np.array([objective(ind) for ind in population]).T
+        hits, nfs, fits = objective.score(population)
         best = int(np.argmax(fits))
         history.append(
             GenerationStats(
@@ -293,7 +317,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         generations_run=history[-1].generation,
         stop_reason=stop_reason,
         cache_hits=objective.cache_hits,
-        evaluations=len(objective.cache),
+        evaluations=len(objective.seen),
         distance_sums=len(objective.hits_by_live),
     )
 

@@ -150,10 +150,11 @@ def generate_texture(spec: TextureSpec, size: int, seed) -> ColorImage:
     rad, val = rad.astype(np.int64), val.astype(np.int64)
     owner = _paint(cx, cy, rad, size, min(2 * rmax + 2, size))
     # owner -1 (no grain) picks the background at the end of the table; each
-    # entry is tinted once, with the float64 arithmetic a pixel of it would get
+    # entry is tinted once, with the float64 arithmetic a pixel of it would get;
+    # np.take gathers the same rows as indexing by owner, faster
     grey = np.append(np.clip(val, 0, 255), spec.background_intensity).astype(np.int32)
     table = np.clip(np.floor(grey[:, None] * np.array(spec.rgb_tint) + 0.5), 0, 255)
-    return ColorImage(table.astype(np.uint8)[owner].reshape(size, size, 3))
+    return ColorImage(np.take(table.astype(np.uint8), owner, axis=0).reshape(size, size, 3))
 
 
 def _paint(cx, cy, rad, size: int, side: int) -> np.ndarray:

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -12,6 +14,7 @@ from granulom.classify import (
     squared_difference_table,
     summed_rows,
 )
+from granulom.draws import _DrawReplay
 from granulom.errors import DataError
 from granulom.features import Dataset
 from granulom.select import (
@@ -23,6 +26,8 @@ from granulom.select import (
     run_ga,
     write_mask,
     _WrapperObjective,
+    _breed,
+    _pair_draws,
 )
 
 
@@ -81,7 +86,7 @@ def test_wrapper_objective_separable_and_sentinel():
     train, eval_set = _separable_pair()
     cfg = GAConfig(seed=1)
     objective = _WrapperObjective(train, eval_set, cfg)
-    hits, nf, fit = objective(np.ones(4, dtype=bool))
+    hits, nf, fit = objective.score(np.ones(4, dtype=bool)[None])
     # verify against the independent brute-force 1-NN oracle
     rows = list(zip(train.sample_ids, train.labels, train.matrix))
     expected = sum(
@@ -92,7 +97,7 @@ def test_wrapper_objective_separable_and_sentinel():
     assert nf == 4
     assert fit == fitness(hits, 4, cfg.alpha, cfg.beta)
 
-    hits, nf, fit = objective(np.zeros(4, dtype=bool))
+    hits, nf, fit = objective.score(np.zeros(4, dtype=bool)[None])
     assert fit == EMPTY_MASK_FITNESS and nf == 0
 
 
@@ -103,7 +108,7 @@ def test_wrapper_objective_matches_evaluate():
         if not any(bits):
             continue
         mask = FeatureMask(np.array(bits))
-        hits, nf, _ = objective(mask.bits)
+        hits, nf, _ = objective.score(mask.bits[None])
         assert hits == evaluate(train, eval_set, KnnConfig(1), mask).hits
         assert nf == sum(bits)
 
@@ -112,9 +117,9 @@ def test_objective_cache_single_entry():
     train, eval_set = _separable_pair()
     objective = _WrapperObjective(train, eval_set, GAConfig(seed=0))
     bits = np.array([True, True, False, False])
-    first = objective(bits)
-    assert objective(bits.copy()) == first
-    assert len(objective.cache) == 1
+    first = objective.score(bits[None])
+    assert objective.score(bits.copy()[None]) == first
+    assert len(objective.seen) == 1
 
 
 def test_run_ga_deterministic(tmp_path):
@@ -153,7 +158,7 @@ def test_run_ga_cache_coherence():
     train, eval_set = _separable_pair()
     cfg = GAConfig(population_size=8, generations=20, seed=7)
     rep = run_ga(train, eval_set, cfg)
-    hits, nf, fit = _WrapperObjective(train, eval_set, cfg)(rep.best_mask.bits)
+    hits, nf, fit = _WrapperObjective(train, eval_set, cfg).score(rep.best_mask.bits[None])
     assert fit == rep.best_fitness
     assert hits == rep.best_hits
     assert nf == rep.best_mask.n_selected
@@ -206,22 +211,47 @@ def test_mask_file_roundtrip(tmp_path):
     assert read_mask(p) == mask
 
 
-def test_wrapper_objective_matches_evaluate_lot117_shape(rng):
-    # 117 features, 187 train / 50 eval and 14 classes, as in the shipped split
+def _lot117_pair(rng):
+    """117 features, 187 train / 50 eval and 14 classes, as in the shipped split."""
     scale = rng.uniform(0.01, 100, size=117)
     def block(n, tag):
         labels = [f"c{i % 14:02d}" for i in range(n)]
         ids = [f"{tag}{i:03d}" for i in rng.permutation(n)]
         return Dataset(ids, labels, rng.normal(size=(n, 117)) * scale)
-    train, eval_set = block(187, "tr"), block(50, "ev")
+    return block(187, "tr"), block(50, "ev")
+
+
+def test_wrapper_objective_matches_evaluate_lot117_shape(rng):
+    train, eval_set = _lot117_pair(rng)
     objective = _WrapperObjective(train, eval_set, GAConfig(seed=0))
     for p in (0.03, 0.1, 0.5, 0.9, 1.0):
         bits = rng.random(117) < p
         bits[int(rng.integers(0, 117))] = True
         mask = FeatureMask(bits)
-        hits, nf, _ = objective(mask.bits)
+        hits, nf, _ = objective.score(mask.bits[None])
         assert hits == evaluate(train, eval_set, KnnConfig(1), mask).hits
         assert nf == mask.n_selected
+
+
+# Bytes a GA run may hold per distinct mask scored, beyond the distance table.
+# The packed memos need under 300 here; a bool-bytes key with a
+# (hits, nf, fitness) tuple per mask needed about 580.
+BYTES_PER_MASK = 400
+
+
+def test_run_ga_memory_is_the_table_plus_a_few_bytes_per_mask():
+    train, eval_set = _lot117_pair(np.random.default_rng(117))
+    run_ga(train, eval_set, GAConfig(generations=1, seed=3))  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        rep = run_ga(train, eval_set, GAConfig(generations=60, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # normal draws make every column live: one (eval, train) float64 row per feature
+    table = train.n_features * eval_set.n_samples * train.n_samples * 8
+    assert rep.evaluations > 2500
+    assert peak <= table + BYTES_PER_MASK * rep.evaluations
 
 
 # --- golden GA edge-config record ---------------------------------------------------
@@ -290,6 +320,8 @@ def _pair_with_dead_columns(rng, n=12):
 
 def _every_row_score(train, eval_set, bits, cfg):
     """(hits, nf, fitness) of 1-NN over every selected row of the full table."""
+    if not bits.any():
+        return 0, 0, EMPTY_MASK_FITNESS
     order = sorted(range(train.n_samples), key=lambda i: train.sample_ids[i])
     sq = squared_difference_table(eval_set.matrix, train.matrix[order])
     nearest = summed_rows(sq, np.flatnonzero(bits), np.empty(sq.shape[1:])).argmin(axis=1)
@@ -307,14 +339,14 @@ def test_mask_of_only_constant_features_scores_first_training_sample(rng):
     hits = eval_set.labels.count(first)
     assert hits > 0
     expected = (hits, len(DEAD), fitness(hits, len(DEAD), cfg.alpha, cfg.beta))
-    assert _WrapperObjective(train, eval_set, cfg)(bits) == expected
+    assert _WrapperObjective(train, eval_set, cfg).score(bits[None]) == expected
     assert _every_row_score(train, eval_set, bits, cfg) == expected
     # after a live mask has filled the reused distance buffer
     objective = _WrapperObjective(train, eval_set, cfg)
     live_bits = np.zeros(train.n_features, dtype=bool)
     live_bits[[0, 2, 3]] = True
-    assert objective(live_bits)[0] != hits
-    assert objective(bits) == expected
+    assert objective.score(live_bits[None])[0] != hits
+    assert objective.score(bits[None]) == expected
 
 
 def test_masks_differing_in_dead_bits_share_one_distance_sum(rng):
@@ -328,8 +360,106 @@ def test_masks_differing_in_dead_bits_share_one_distance_sum(rng):
         for _ in range(3):  # the same live bits under different dead bits
             bits[DEAD] = rng.random(len(DEAD)) < 0.5
             if bits.any():
-                assert objective(bits.copy()) == _every_row_score(train, eval_set, bits, cfg)
+                expected = _every_row_score(train, eval_set, bits, cfg)
+                assert objective.score(bits.copy()[None]) == expected
                 projections.add(bits[objective.live].tobytes())
-    assert len(objective.hits_by_live) == len(projections) < len(objective.cache)
+    assert len(objective.hits_by_live) == len(projections) < len(objective.seen)
     rep = run_ga(train, eval_set, GAConfig(population_size=8, generations=15, seed=3))
     assert 0 < rep.distance_sums < rep.evaluations
+
+
+def test_score_of_a_population_matches_every_row_score():
+    rng = np.random.default_rng(31)
+    train, eval_set = _pair_with_dead_columns(rng)
+    cfg = GAConfig(seed=0)
+    objective = _WrapperObjective(train, eval_set, cfg)
+    population = rng.random((6, train.n_features)) < 0.5
+    population[2] = population[0]  # a duplicate
+    population[3] = False  # the empty mask
+    population[4] = False
+    population[4, DEAD] = True  # dead bits only: the same live key as the empty mask
+    assert len({row.tobytes() for row in population}) == 5
+    hits, nfs, fits = objective.score(population)
+    scores = list(zip(hits.tolist(), nfs.tolist(), fits.tolist()))
+    assert scores == [_every_row_score(train, eval_set, bits, cfg) for bits in population]
+    assert (objective.cache_hits, len(objective.seen)) == (1, 5)
+    # rows 0, 1, 4 and 5: row 2 repeats row 0, and the empty mask sums nothing
+    assert len(objective.hits_by_live) == 4
+    objective.score(population[4:])
+    assert (objective.cache_hits, len(objective.seen)) == (3, 5)
+    alone = _WrapperObjective(train, eval_set, cfg)
+    alone.score(population[3:4])
+    assert alone.hits_by_live == {}  # the empty mask alone sums nothing
+
+
+def test_pair_with_no_live_column_scores():
+    rows = np.tile([1.0, -0.0, 3.5], (5, 1))
+    rows[::2, 1] = 0.0
+    train = Dataset([f"tr{i}" for i in range(5)], ["a", "b", "a", "c", "b"], rows)
+    eval_set = Dataset(["ev0", "ev1", "ev2"], ["a", "b", "a"], rows[:3])
+    cfg = GAConfig(seed=0)
+    objective = _WrapperObjective(train, eval_set, cfg)
+    assert objective.live.size == 0
+    population = np.array(list(product((False, True), repeat=3)))
+    hits, nfs, fits = objective.score(population)
+    scores = list(zip(hits.tolist(), nfs.tolist(), fits.tolist()))
+    assert scores == [_every_row_score(train, eval_set, bits, cfg) for bits in population]
+    assert objective.hits_by_live == {b"": 2}  # every sample at distance 0: tr0 ("a") wins
+    rep = run_ga(train, eval_set, GAConfig(population_size=6, generations=5, seed=1))
+    assert (rep.best_hits, rep.best_mask.n_selected, rep.distance_sums) == (2, 1, 1)
+
+
+def test_memo_keys_are_packed_bits():
+    for train, eval_set in (_pair_with_dead_columns(np.random.default_rng(5)),
+                            _lot117_pair(np.random.default_rng(5))):
+        objective = _WrapperObjective(train, eval_set, GAConfig(seed=0))
+        population = np.random.default_rng(6).random((20, train.n_features)) < 0.5
+        population[0] = True
+        objective.score(population)
+        assert {len(key) for key in objective.seen} == {math.ceil(train.n_features / 8)}
+        width = math.ceil(objective.live.size / 8)
+        assert {len(key) for key in objective.hits_by_live} == {width}
+        assert np.packbits(population[0]).tobytes() in objective.seen
+
+
+def _contract_breed(population, fits, cfg, rng):
+    """Children, tournaments, points and bits from the documented numpy draws, pair by pair."""
+    size, n = population.shape
+    children, tournaments, points, bits = [], [], [], []
+    for _ in range((size - cfg.elitism + 1) // 2):
+        pair = []
+        for _ in range(2):
+            i, j = rng.integers(0, size, size=2).tolist()
+            tournaments += [i, j]
+            pair.append(population[i if fits[i] >= fits[j] else j].copy())
+        point = int(rng.integers(1, n)) if rng.random() < cfg.crossover_prob and n > 1 else n
+        points.append(point)
+        a, b = pair
+        pair = [np.concatenate([a[:point], b[point:]]), np.concatenate([b[:point], a[point:]])]
+        for child in pair:
+            bit = int(rng.integers(0, n)) if rng.random() < cfg.mutation_prob else -1
+            bits.append(bit)
+            if bit >= 0:
+                child[bit] = not child[bit]
+        children += pair
+    return np.array(children[: size - cfg.elitism]), (tournaments, points, bits)
+
+
+def test_breeding_draws_do_not_depend_on_the_fitnesses():
+    rng = np.random.default_rng(8)
+    population = rng.random((9, 12)) < 0.5
+    cfg = GAConfig(population_size=9, crossover_prob=0.7, mutation_prob=0.6, elitism=2)
+    fits_a = rng.normal(size=9)
+    fits_b = -fits_a
+    fits_b[[1, 4]] = EMPTY_MASK_FITNESS
+    results = []
+    for fits in (fits_a, fits_b):
+        expected, draws = _contract_breed(population, fits, cfg, np.random.default_rng(80))
+        assert _pair_draws(_DrawReplay(np.random.default_rng(80)), 9, 4, 12, cfg) == draws
+        replay = _DrawReplay(np.random.default_rng(80))
+        children = _breed(population, fits, cfg, replay)[cfg.elitism:]
+        np.testing.assert_array_equal(children, expected)
+        results.append((children, draws, replay.random()))
+    (children_a, draws_a, next_a), (children_b, draws_b, next_b) = results
+    assert draws_a == draws_b and next_a == next_b
+    assert not np.array_equal(children_a, children_b)
