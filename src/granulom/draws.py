@@ -16,6 +16,22 @@ u to `(u * r) >> 32` and rejects it while `(u * r) mod 2**32 < (2**32 -
 r) % r`. A range of one value (`integers(lo, lo + 1)`) returns lo and
 draws nothing.
 
+Besides the scalar calls there are two bulk forms, with the same values:
+
+- `block`, k repeats of a fixed pattern (synthesis's grains): some
+  uniform draws, then bounded draws in pairs. With the half buffer empty
+  at the start, each repeat takes one word per uniform draw and one word
+  per pair of bounded draws, its low half for the first and its high
+  half for the second, and leaves the buffer empty again. So numpy
+  computes the whole block from one fetch of raw words. It falls back to
+  the scalar calls when a half is already buffered, when a range holds
+  one value (that draw takes no half), or when any half is rejected; the
+  words it fetched are put back first.
+- `gated`, k repeats of steps that each draw a bounded integer, some only
+  when a `random()` falls below a probability (the GA's breeding). One
+  loop reads the words and the half buffer itself, with each step's
+  rejection threshold computed once and rejections handled inline.
+
 The words come from `bit_generator.random_raw` in bulk, so the generator
 runs ahead of the draws. Fetching ahead cannot be observed as long as
 nothing else draws from the generator once the replay holds it.
@@ -23,7 +39,8 @@ nothing else draws from the generator once the replay holds it.
 
 from __future__ import annotations
 
-from itertools import chain
+import math
+from itertools import chain, islice
 
 import numpy as np
 
@@ -36,17 +53,29 @@ class _DrawReplay:
     `random`, `uniform` and `integers` return what the generator's own
     `random()`, `uniform(low, high)` and `integers(low, high)` calls would
     return next, in the same order; a `size=k` call of `integers` is k
-    calls of `integers` here. The generator must not be used for anything
-    else afterwards.
+    calls of `integers` here. `block` and `gated` return what a sequence of
+    those calls would. The generator must not be used for anything else
+    afterwards.
     """
 
     def __init__(self, rng: np.random.Generator):
         state = rng.bit_generator.state
         assert state["bit_generator"] == "PCG64", state["bit_generator"]
-        fetch = rng.bit_generator.random_raw
+        self._fetch = rng.bit_generator.random_raw
+        self._held = False  # whether the stream may hold fetched words not yet drawn
         # an endless stream: iter(f, None) calls f for ever, since f never returns None
-        self._words = chain.from_iterable(iter(lambda: fetch(WORDS_PER_FETCH).tolist(), None))
+        self._words = chain.from_iterable(iter(self._chunk, None))
         self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _chunk(self) -> list[int]:
+        self._held = True
+        return self._fetch(WORDS_PER_FETCH).tolist()
+
+    def _raw(self, count: int) -> np.ndarray:
+        """The stream's next `count` words as uint64, fetched in one call if none is held."""
+        if self._held:
+            return np.fromiter(islice(self._words, count), np.uint64, count)
+        return self._fetch(count)
 
     def random(self) -> float:
         """A double in [0, 1) from the top 53 bits of one word."""
@@ -72,3 +101,73 @@ class _DrawReplay:
             m = half * span
             if m & 0xFFFFFFFF >= reject_below:
                 return low + (m >> 32)
+
+    def block(self, count: int, uniforms, integers) -> tuple[np.ndarray, np.ndarray]:
+        """`count` repeats of `uniform(low, high)` for each (low, high) of `uniforms`,
+        then `integers(low, high)` for each (low, high) of `integers`.
+
+        Returns the uniform draws as a (len(uniforms), count) float64 array
+        and the integer draws as a (len(integers), count) int64 array. The
+        integer draws come in pairs, each pair sharing one word's halves.
+        """
+        assert len(integers) % 2 == 0, integers
+        spans = [high - low for low, high in integers]
+        if self._half is None and all(span > 1 for span in spans):
+            words = self._raw(count * (len(uniforms) + len(integers) // 2))
+            table = words.reshape(count, len(uniforms) + len(integers) // 2).T
+            bounds = np.array(uniforms, dtype=np.float64).reshape(-1, 2)
+            start, stop = bounds[:, :1], bounds[:, 1:]
+            floats = start + (stop - start) * ((table[: len(uniforms)] >> 11) * 2.0**-53)
+            paired = table[len(uniforms) :]
+            halves = np.stack([paired & 0xFFFFFFFF, paired >> 32], axis=1)
+            m = halves.reshape(len(spans), count) * np.array(spans, dtype=np.uint64)[:, None]
+            reject_below = np.array([(2**32 - s) % s for s in spans], dtype=np.uint64)
+            if (m & 0xFFFFFFFF >= reject_below[:, None]).all():
+                lows = np.array([low for low, _ in integers], dtype=np.int64)[:, None]
+                return floats, lows + (m >> 32).astype(np.int64)
+            self._words = chain(words.tolist(), self._words)  # put them back for the scalar calls
+            self._held = True
+        rows = [[self.uniform(*b) for b in uniforms] + [self.integers(*b) for b in integers]
+                for _ in range(count)]
+        floats = np.array([row[: len(uniforms)] for row in rows], dtype=np.float64)
+        ints = np.array([row[len(uniforms) :] for row in rows], dtype=np.int64)
+        return floats.reshape(count, len(uniforms)).T, ints.reshape(count, len(integers)).T
+
+    def gated(self, count: int, steps) -> list[int]:
+        """The integers of `count` repeats of `steps`, in draw order.
+
+        Each step is (gate, low, high, skip). With gate None it draws
+        `integers(low, high)`. Otherwise it draws `random()` and then
+        `integers(low, high)` when that double is below gate; if not, it
+        gives skip and draws nothing more. `random() < gate` holds exactly
+        when the word is below ceil(gate * 2**53) * 2**11, since
+        `random()` is `(word >> 11) * 2**-53` and scaling by 2**53 is exact.
+        """
+        plan = []
+        for gate, low, high, skip in steps:
+            span = high - low
+            limit = None if gate is None else math.ceil(gate * 2.0**53) << 11
+            assert limit == 0 or 1 <= span <= 2**32, span  # as in `integers`
+            plan.append((limit, low, span, (2**32 - span) % span if span > 1 else 0, skip))
+        words, half = self._words, self._half
+        out = []
+        append = out.append
+        for limit, low, span, reject_below, skip in plan * count:
+            if limit is not None and next(words) >= limit:
+                append(skip)
+                continue
+            if span == 1:
+                append(low)  # numpy draws nothing for a single value
+                continue
+            while True:
+                if half is None:
+                    word = next(words)
+                    u, half = word & 0xFFFFFFFF, word >> 32
+                else:
+                    u, half = half, None
+                m = u * span
+                if m & 0xFFFFFFFF >= reject_below:
+                    break
+            append(low + (m >> 32))
+        self._half = half
+        return out

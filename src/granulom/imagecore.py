@@ -243,9 +243,12 @@ def histogram(values, bins: int, vmax: int = 255) -> np.ndarray:
     if arr.size == 0:
         raise DataError("histogram of empty input")
     _check_integers(arr, "histogram")
-    arr = arr.astype(np.int64)
     if arr.min() < 0 or arr.max() > vmax:
         raise DataError(f"histogram values must lie in [0, {vmax}]")
-    idx = np.minimum(arr * bins // max(vmax, 1), bins - 1)
-    counts = np.bincount(idx, minlength=bins).astype(np.float64)
+    counts = np.bincount(bin_index(arr, bins, vmax), minlength=bins).astype(np.float64)
     return counts / arr.size
+
+
+def bin_index(values: np.ndarray, bins: int, vmax: int) -> np.ndarray:
+    """The `histogram` bin of each integer value in [0, vmax]: min(bins-1, v*bins // vmax)."""
+    return np.minimum(values.astype(np.int64) * bins // max(vmax, 1), bins - 1)

@@ -22,9 +22,11 @@ from raw words fetched in bulk (synthesis draws its grains through it
 too). Fetching words ahead cannot be observed, since the generator
 belongs to `run_ga` and nothing else draws from it. No draw depends on a
 mask or on a fitness: a tournament draws its two indices whichever wins.
-So one Python pass gives a generation's tournament pairs, crossover
-points and mutation bits; the winners are then picked from the fitnesses
-and the children built in a fixed number of array operations.
+So one `_DrawReplay.gated` loop over the raw words gives a generation's
+tournament pairs, crossover points and mutation bits, from the step
+list in `_pair_draws` that spells out the order above; the winners are
+then picked from the fitnesses and the children built in a fixed number
+of array operations.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "GAConfig",
     "GenerationStats",
     "GARunReport",
-    "fitness",
     "run_ga",
     "write_mask",
     "read_mask",
@@ -145,15 +146,6 @@ class GARunReport:
         write_lines(path, lines)
 
 
-def fitness(hits: int, nf: int, alpha: float, beta: float) -> float:
-    """Linear wrapper objective: alpha*hits - beta*nf."""
-    if hits < 0:
-        raise DataError("hits must be >= 0")
-    if nf < 1:
-        raise DataError("nf must be >= 1")
-    return alpha * hits - beta * nf
-
-
 class _WrapperObjective:
     """1-NN hit counting for populations of masks over a fixed train/eval pair, memoized twice.
 
@@ -201,8 +193,8 @@ class _WrapperObjective:
         """(hits, nfs, fits) of each row of a (rows, n) bool population.
 
         A row scored before, in an earlier call or an earlier row, is a
-        cache hit. fits is alpha*hits - beta*nf, as `fitness` computes it,
-        and EMPTY_MASK_FITNESS where nf is 0.
+        cache hit. fits is the wrapper fitness alpha*hits - beta*nf, and
+        EMPTY_MASK_FITNESS where nf is 0.
         """
         keys = _packed_keys(population)
         before = len(self.seen)
@@ -239,23 +231,18 @@ def _packed_keys(bits: np.ndarray) -> list[bytes]:
     return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
-def _pair_draws(draws: _DrawReplay, size: int, pairs: int, n: int, cfg: GAConfig):
-    """Tournament index pairs (2 per pair), crossover points and mutation bits (2 per pair).
+def _pair_draws(draws: _DrawReplay, size: int, pairs: int, n: int, cfg: GAConfig) -> np.ndarray:
+    """A (pairs, 7) table of each pair's draws, in draw order: tournament A's
+    rows i and j, tournament B's i and j, the crossover point, and child A's
+    and child B's mutation bits.
 
-    The tournaments are a flat list i, j, i, j, ...: tournament t is
-    between the population rows at entries 2t and 2t + 1. A pair that does
-    not cross over gets point n and a child that does not mutate gets bit
-    -1, so neither changes anything.
+    A pair that does not cross over gets point n and a child that does not
+    mutate gets bit -1, so neither changes anything.
     """
-    tournaments, points, bits = [], [], []
-    for _ in range(pairs):
-        for _ in range(2):
-            tournaments += draws.integers(0, size), draws.integers(0, size)
-        crosses = draws.random() < cfg.crossover_prob and n > 1
-        points.append(draws.integers(1, n) if crosses else n)
-        for _ in range(2):
-            bits.append(draws.integers(0, n) if draws.random() < cfg.mutation_prob else -1)
-    return tournaments, points, bits
+    # at n == 1 no point is drawn after the random(): random() < 0.0 never holds
+    cross = cfg.crossover_prob if n > 1 else 0.0
+    steps = [(None, 0, size, None)] * 4 + [(cross, 1, n, n)] + [(cfg.mutation_prob, 0, n, -1)] * 2
+    return np.reshape(draws.gated(pairs, steps), (pairs, len(steps)))
 
 
 def _breed(
@@ -264,15 +251,15 @@ def _breed(
     """The next population: the elites by rank, then children in pairs."""
     size, n = population.shape
     pairs = (size - cfg.elitism + 1) // 2
-    tournaments, points, bits = _pair_draws(draws, size, pairs, n, cfg)
-    i, j = np.reshape(tournaments, (2 * pairs, 2)).T
+    table = _pair_draws(draws, size, pairs, n, cfg)
+    i, j = table[:, :4].reshape(2 * pairs, 2).T
     # a tie goes to the first index drawn
     winners = np.where(fits[i] >= fits[j], i, j)
     parents = population[winners.reshape(pairs, 2)]
     cols = np.arange(n)
     # child A takes B's genes from the point on and child B takes A's
-    offspring = np.where(cols >= np.reshape(points, (pairs, 1, 1)), parents[:, ::-1], parents)
-    offspring ^= cols == np.reshape(bits, (pairs, 2, 1))
+    offspring = np.where(cols >= table[:, 4, None, None], parents[:, ::-1], parents)
+    offspring ^= cols == table[:, 5:, None]
     # stable: equal fitnesses keep population order, so ties go to the lower row
     elites = population[np.argsort(-fits, kind="stable")[: cfg.elitism]]
     # child B of the last pair is dropped when only one slot is left for it

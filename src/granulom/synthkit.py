@@ -10,14 +10,16 @@ from the corpus seed and the class/sample indices.
 
 An image's generator first draws its grain count with numpy's
 `poisson`. Every grain's centre x, centre y, radius and grey value are
-then drawn in that order through `draws._DrawReplay`, which returns what
-numpy's scalar `uniform(0, size)`, `uniform(0, size)`, `integers(rmin,
-rmax + 1)` and `integers(mean - spread, mean + spread + 1)` calls would,
-bit for bit, from raw words fetched in bulk; batched numpy draws would
-change the stream. All grains of an image are then painted in one
-vectorised pass, in chunks of bounded size: each pixel takes the grain
-of highest index whose disc covers it, which is the same as later discs
-overwriting earlier ones.
+then the values of numpy's scalar calls `uniform(0, size)`, `uniform(0,
+size)`, `integers(rmin, rmax + 1)` and `integers(mean - spread, mean +
+spread + 1)`, in that order, bit for bit. Batched numpy draws would
+change the stream, so one `draws._DrawReplay.block` call computes them
+from the generator's raw words: three words per grain, the third split
+into the radius half and the value half (or the scalar replay, in the
+fallback cases `draws` lists). All grains of an image are then painted
+in one vectorised pass, in chunks of bounded size: each pixel takes the
+grain of highest index whose disc covers it, which is the same as later
+discs overwriting earlier ones.
 """
 
 from __future__ import annotations
@@ -139,15 +141,9 @@ def generate_texture(spec: TextureSpec, size: int, seed) -> ColorImage:
     count = int(rng.poisson(spec.grain_density * size * size / 1000.0))
     rmin, rmax = spec.grain_radius
     mean, spread = spec.grain_intensity
-    draws = _DrawReplay(rng)
-    grains = [
-        (draws.uniform(0.0, size), draws.uniform(0.0, size), draws.integers(rmin, rmax + 1),
-         draws.integers(mean - spread, mean + spread + 1))
-        for _ in range(count)
-    ]
-    # the integer draws lie within 2**32 of zero, so float64 holds them exactly
-    cx, cy, rad, val = np.array(grains, dtype=np.float64).reshape(count, 4).T
-    rad, val = rad.astype(np.int64), val.astype(np.int64)
+    (cx, cy), (rad, val) = _DrawReplay(rng).block(
+        count, [(0.0, size)] * 2, [(rmin, rmax + 1), (mean - spread, mean + spread + 1)]
+    )
     owner = _paint(cx, cy, rad, size, min(2 * rmax + 2, size))
     # owner -1 (no grain) picks the background at the end of the table; each
     # entry is tinted once, with the float64 arithmetic a pixel of it would get;

@@ -7,6 +7,7 @@ to HLS at a time) so they can act as ground truth for the fast
 implementations.
 """
 
+import hashlib
 from typing import NamedTuple
 
 import numpy as np
@@ -317,11 +318,38 @@ def hls_pixel(r: int, g: int, b: int) -> HlsPixel:
     return HlsPixel(h_out, l_out, s_out)
 
 
+# --- GA fitness ------------------------------------------------------------------
+
+def wrapper_fitness(hits: int, nf: int, alpha: float, beta: float, total: int = 50) -> float:
+    """The GA objective's fitness of the all-features mask on a pair built so
+    that 1-NN gets `hits` of `total` evaluation samples right over `nf` features.
+
+    Training holds one sample at the origin and one at the all-ones point;
+    every evaluation sample lies at the origin, and `hits` of them carry the
+    origin sample's label.
+    """
+    from granulom.features import Dataset
+    from granulom.select import GAConfig, _WrapperObjective
+
+    train = Dataset(["t0", "t1"], ["near", "far"], np.array([np.zeros(nf), np.ones(nf)]))
+    labels = ["near"] * hits + ["far"] * (total - hits)
+    eval_set = Dataset([f"e{i:03d}" for i in range(total)], labels, np.zeros((total, nf)))
+    objective = _WrapperObjective(train, eval_set, GAConfig(alpha=alpha, beta=beta))
+    (got_hits,), (got_nf,), (fit,) = objective.score(np.ones((1, nf), dtype=bool))
+    assert (got_hits, got_nf) == (hits, nf)
+    return float(fit)
+
+
 # --- fixtures --------------------------------------------------------------------
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20260811)
+@pytest.fixture
+def rng(request):
+    """A generator of the test's own, seeded from its node id.
+
+    A test gets the same data whether it runs alone or in the suite.
+    """
+    digest = hashlib.sha256(request.node.nodeid.encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 @pytest.fixture(scope="session")

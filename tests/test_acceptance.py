@@ -18,6 +18,7 @@ from conftest import (
     translate_opening_binary,
     translate_opening_grey,
     umbra_si_cell,
+    wrapper_fitness,
 )
 from granulom import cli
 from granulom.analyze import export_scatter, fit_pca, project, transform
@@ -186,10 +187,8 @@ def test_criterion_4_knn_oracle(rng):
 # --- criterion 5: fitness arithmetic ---------------------------------------------------
 
 def test_criterion_5_fitness_arithmetic():
-    from granulom.select import fitness
-
-    ok = abs(fitness(49, 117, 0.6, 0.4) - (-17.4)) <= 1e-12
-    ok &= abs(fitness(50, 3, 0.6, 0.4) - 28.8) <= 1e-12
+    ok = abs(wrapper_fitness(49, 117, 0.6, 0.4) - (-17.4)) <= 1e-12
+    ok &= abs(wrapper_fitness(50, 3, 0.6, 0.4) - 28.8) <= 1e-12
     _verdict(5, "wrapper fitness: alpha*hits - beta*nf exact to 1e-12", ok)
 
 

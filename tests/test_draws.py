@@ -94,3 +94,108 @@ def test_draw_replay_rejects_64_bit_spans():
     draws = _DrawReplay(np.random.default_rng(0))
     with pytest.raises(AssertionError):
         draws.integers(0, 2**32 + 1)
+
+
+# --- bulk forms against numpy's own calls -------------------------------------------
+# `block` repeats uniform draws and then pairs of bounded draws; `gated` repeats
+# bounded draws, some behind a random() gate. Each must give what numpy's scalar
+# calls give in the same order, and leave the stream where those calls leave it.
+
+def _numpy_block(rng, count, uniforms, integers):
+    rows = [[rng.uniform(*b) for b in uniforms] + [int(rng.integers(*b)) for b in integers]
+            for _ in range(count)]
+    k = len(uniforms)
+    return [row[:k] for row in rows], [row[k:] for row in rows]
+
+
+def _check_block(seed, count, uniforms, integers, buffered=False):
+    """Assert that `block` gives numpy's draws; return whether it fell back to the scalar calls."""
+    reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # numpy now holds the high half of a word
+        assert int(reference.integers(0, 50)) == int(rng.integers(0, 50))
+        assert rng.bit_generator.state["has_uint32"] == 1
+    draws = _DrawReplay(rng)
+    floats, ints = draws.block(count, uniforms, integers)
+    assert floats.shape == (len(uniforms), count) and floats.dtype == np.float64
+    assert ints.shape == (len(integers), count) and ints.dtype == np.int64
+    want_floats, want_ints = _numpy_block(reference, count, uniforms, integers)
+    assert floats.T.tolist() == want_floats
+    assert ints.T.tolist() == want_ints
+    fell_back = draws._held  # only the scalar calls read words through the stream
+    # the stream goes on where numpy's does, half buffer included
+    after = [("scalar", 0, 117), ("random", 0, 0), ("scalar", 0, 2**31 + 1), ("pair", 0, 50)]
+    assert _replayed_draws(draws, after) == _numpy_draws(reference, after)
+    return fell_back
+
+
+GRAIN_BOUNDS = ([(0.0, 96.0), (0.0, 96.0)], [(2, 9), (-40, 201)])
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 500, WORDS_PER_FETCH])
+def test_block_equals_numpy(count):
+    for seed in range(20):
+        assert not _check_block(seed, count, *GRAIN_BOUNDS)
+    # no uniform draw; pairs over the widest 32-bit span, 2 values and 120 values
+    assert not _check_block(7, count, [], [(0, 2**32), (0, 2), (5, 7), (-3, 117)])
+
+
+def test_block_falls_back_with_a_buffered_half():
+    for seed in range(20):
+        assert _check_block(seed, 40, *GRAIN_BOUNDS, buffered=True)
+
+
+def test_block_falls_back_on_a_span_of_one():
+    for integers in ([(4, 5), (-40, 201)], [(2, 9), (7, 8)], [(1, 2), (0, 1)]):
+        for seed in range(10):
+            assert _check_block(seed, 40, GRAIN_BOUNDS[0], integers)
+
+
+def test_block_falls_back_on_a_rejected_half():
+    # over 2**31 + 1 values about half of the 32-bit halves are rejected
+    for integers in ([(2, 9), (0, 2**31 + 1)], [(0, 2**31 + 1), (2, 9)]):
+        for seed in range(10):
+            assert _check_block(seed, 20, GRAIN_BOUNDS[0], integers)
+    # over 2**32 - 2**24 values one half in 256 is rejected: about half of these
+    # blocks meet one late, after the words were fetched, and put them back
+    integers = [(0, 2**32 - 2**24), (0, 3)]
+    fallbacks = [_check_block(seed, 200, [(0.0, 1.0)], integers)
+                 for seed in range(40)]
+    assert 5 < sum(fallbacks) < 35
+def test_block_after_scalar_draws_takes_the_held_words_first():
+    for seed in range(20):
+        reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = _DrawReplay(rng)
+        assert draws.random() == reference.random()  # the stream now holds fetched words
+        floats, ints = draws.block(WORDS_PER_FETCH, *GRAIN_BOUNDS)
+        want_floats, want_ints = _numpy_block(reference, WORDS_PER_FETCH, *GRAIN_BOUNDS)
+        assert (floats.T.tolist(), ints.T.tolist()) == (want_floats, want_ints)
+        assert draws.random() == reference.random()
+
+
+def _numpy_gated(rng, count, steps):
+    out = []
+    for _ in range(count):
+        for gate, low, high, skip in steps:
+            if gate is None or rng.random() < gate:
+                out.append(int(rng.integers(low, high)))
+            else:
+                out.append(skip)
+    return out
+
+
+@pytest.mark.parametrize("steps", [
+    [(None, 0, 50, None)] * 4 + [(0.7, 1, 117, 117)] + [(0.9, 0, 117, -1)] * 2,
+    [(None, 0, 9, None), (0.0, 1, 1, 1), (1.0, 0, 1, -1), (0.5, 3, 4, -1)],
+    [(None, 0, 2**31 + 1, None), (0.5, 0, 2**32, -1), (0.25, -5, 2**31 - 4, -1)],
+    [(1e-300, 0, 7, -1), (0.999999, 0, 2, -1)],
+], ids=["ga", "single-values", "rejections", "extreme-gates"])
+def test_gated_equals_numpy(steps):
+    for seed in range(30):
+        reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:  # start with a high half in numpy's buffer
+            assert int(reference.integers(0, 50)) == int(rng.integers(0, 50))
+        draws = _DrawReplay(rng)
+        count = int(np.random.default_rng([seed, 2]).integers(0, 3 * WORDS_PER_FETCH // 7))
+        assert draws.gated(count, steps) == _numpy_gated(reference, count, steps), seed
+        after = [("scalar", 0, 117), ("random", 0, 0), ("pair", 0, 50)]
+        assert _replayed_draws(draws, after) == _numpy_draws(reference, after)

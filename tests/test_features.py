@@ -25,7 +25,7 @@ from granulom.features import (
     save_dataset,
     split,
 )
-from granulom.imagecore import ColorImage, histogram, write_ppm
+from granulom.imagecore import ColorImage, histogram, to_hls, write_ppm
 from granulom.synthkit import ManifestEntry, TextureSpec, generate_texture, write_manifest
 
 
@@ -76,6 +76,38 @@ def test_plane_histograms_match_the_oracle_planes(px):
             got = extract(FeatureRecipe("one", (PlaneHistogram(plane, bins),)), ColorImage(px))
             want = histogram(values, bins, vmax=359 if plane == "h" else 255)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (plane, bins)
+
+
+def _every_colour_image():
+    """A 96 x 96 image whose 9,216 pixels all differ in colour, spread over the RGB cube."""
+    codes = np.random.default_rng(3).permutation(9216) * 1820 + 5  # below 2**24
+    return ColorImage((codes[:, None] >> np.array([16, 8, 0]) & 255).reshape(96, 96, 3))
+
+
+def test_plane_histograms_of_a_batch_match_per_pixel_histograms():
+    """A batch's histograms come from its distinct colours; each image's row
+    must equal `histogram` over every pixel of its plane, to the bit."""
+    images = [ColorImage(np.full((96, 96, 3), [90, 200, 17])),
+              _every_colour_image(),
+              generate_texture(TextureSpec("t", (2, 6), (150, 60), 70, 30.0, (1.1, 0.9, 1.0)),
+                               96, 4),
+              ColorImage(np.zeros((96, 96, 3), dtype=np.uint8))]
+    assert [len(np.unique(img.pixels.reshape(-1, 3), axis=0)) for img in images][:2] == [1, 9216]
+    extractors = tuple(PlaneHistogram(plane, bins) for plane in "rgbhls" for bins in (1, 9, 32))
+    rows = features._extract_images(FeatureRecipe("planes", extractors), images)
+    for img, row in zip(images, rows):
+        hls = to_hls(img)
+        want = [histogram(img.pixels[..., "rgb".index(e.plane)] if e.plane in "rgb"
+                          else hls[..., "hls".index(e.plane)],
+                          e.bins, vmax=359 if e.plane == "h" else 255)
+                for e in extractors]
+        assert np.array_equal(row.view(np.int64), np.concatenate(want).view(np.int64))
+
+
+def test_plane_histogram_of_an_empty_image_is_a_data_error():
+    for shape in ((0, 5, 3), (5, 0, 3)):
+        with pytest.raises(DataError, match="histogram of empty input"):
+            extract(builtin_recipe("rgb27"), ColorImage(np.zeros(shape, dtype=np.uint8)))
 
 
 def test_extract_constant_image_lot117_granulometry_zero():

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import knn_oracle
+from conftest import knn_oracle, wrapper_fitness
 from granulom.classify import (
     FeatureMask,
     KnnConfig,
@@ -21,7 +21,6 @@ from granulom.select import (
     EMPTY_MASK_FITNESS,
     MAX_POPULATION,
     GAConfig,
-    fitness,
     read_mask,
     run_ga,
     write_mask,
@@ -32,13 +31,13 @@ from granulom.select import (
 
 
 def test_fitness_examples():
-    assert fitness(49, 117, 0.6, 0.4) == pytest.approx(-17.4, abs=1e-12)
-    assert fitness(50, 3, 0.6, 0.4) == pytest.approx(28.8, abs=1e-12)
-    assert fitness(33, 10, 1.0, 0.0) == 33.0
-    with pytest.raises(DataError):
-        fitness(-1, 5, 0.6, 0.4)
-    with pytest.raises(DataError):
-        fitness(10, 0, 0.6, 0.4)
+    assert wrapper_fitness(49, 117, 0.6, 0.4) == pytest.approx(-17.4, abs=1e-12)
+    assert wrapper_fitness(50, 3, 0.6, 0.4) == pytest.approx(28.8, abs=1e-12)
+    assert wrapper_fitness(33, 10, 1.0, 0.0) == 33.0
+    # a mask of no feature is never scored: it gets the sentinel
+    train, eval_set = _separable_pair()
+    objective = _WrapperObjective(train, eval_set, GAConfig())
+    assert objective.score(np.zeros((1, 4), dtype=bool))[2].tolist() == [EMPTY_MASK_FITNESS]
 
 
 def test_config_validation():
@@ -95,7 +94,7 @@ def test_wrapper_objective_separable_and_sentinel():
     )
     assert hits == expected == eval_set.n_samples
     assert nf == 4
-    assert fit == fitness(hits, 4, cfg.alpha, cfg.beta)
+    assert fit == cfg.alpha * hits - cfg.beta * 4
 
     hits, nf, fit = objective.score(np.zeros(4, dtype=bool)[None])
     assert fit == EMPTY_MASK_FITNESS and nf == 0
@@ -327,7 +326,7 @@ def _every_row_score(train, eval_set, bits, cfg):
     nearest = summed_rows(sq, np.flatnonzero(bits), np.empty(sq.shape[1:])).argmin(axis=1)
     hits = sum(train.labels[order[j]] == lab for j, lab in zip(nearest, eval_set.labels))
     nf = int(bits.sum())
-    return hits, nf, fitness(hits, nf, cfg.alpha, cfg.beta)
+    return hits, nf, cfg.alpha * hits - cfg.beta * nf
 
 
 def test_mask_of_only_constant_features_scores_first_training_sample(rng):
@@ -338,7 +337,7 @@ def test_mask_of_only_constant_features_scores_first_training_sample(rng):
     first = train.labels[train.sample_ids.index(min(train.sample_ids))]
     hits = eval_set.labels.count(first)
     assert hits > 0
-    expected = (hits, len(DEAD), fitness(hits, len(DEAD), cfg.alpha, cfg.beta))
+    expected = (hits, len(DEAD), cfg.alpha * hits - cfg.beta * len(DEAD))
     assert _WrapperObjective(train, eval_set, cfg).score(bits[None]) == expected
     assert _every_row_score(train, eval_set, bits, cfg) == expected
     # after a live mask has filled the reused distance buffer
@@ -455,7 +454,9 @@ def test_breeding_draws_do_not_depend_on_the_fitnesses():
     results = []
     for fits in (fits_a, fits_b):
         expected, draws = _contract_breed(population, fits, cfg, np.random.default_rng(80))
-        assert _pair_draws(_DrawReplay(np.random.default_rng(80)), 9, 4, 12, cfg) == draws
+        table = _pair_draws(_DrawReplay(np.random.default_rng(80)), 9, 4, 12, cfg)
+        assert (table[:, :4].ravel().tolist(), table[:, 4].tolist(),
+                table[:, 5:].ravel().tolist()) == draws
         replay = _DrawReplay(np.random.default_rng(80))
         children = _breed(population, fits, cfg, replay)[cfg.elitism:]
         np.testing.assert_array_equal(children, expected)
@@ -463,3 +464,42 @@ def test_breeding_draws_do_not_depend_on_the_fitnesses():
     (children_a, draws_a, next_a), (children_b, draws_b, next_b) = results
     assert draws_a == draws_b and next_a == next_b
     assert not np.array_equal(children_a, children_b)
+
+
+def _scalar_pair_draws(draws, size, pairs, n, cfg):
+    """Tournaments, points and bits of `pairs` pairs, one scalar replay call per draw."""
+    tournaments, points, bits = [], [], []
+    for _ in range(pairs):
+        for _ in range(2):
+            tournaments += draws.integers(0, size), draws.integers(0, size)
+        crosses = draws.random() < cfg.crossover_prob and n > 1
+        points.append(draws.integers(1, n) if crosses else n)
+        for _ in range(2):
+            bits.append(draws.integers(0, n) if draws.random() < cfg.mutation_prob else -1)
+    return tournaments, points, bits
+
+
+# (population size, elitism): the pair count is (size - elitism + 1) // 2. Size
+# 2**31 + 1 is no population a GAConfig accepts; passed straight to the parser,
+# it has about half of the tournament draws rejected.
+PARSER_SIZES = [(2, 0), (2, 1), (9, 0), (9, 3), (50, 1), (2**31 + 1, 2**31 - 80)]
+
+
+@pytest.mark.parametrize("size, elitism", PARSER_SIZES, ids=lambda v: str(v))
+@pytest.mark.parametrize("n", [1, 2, 117])
+def test_pair_draws_equal_the_scalar_replay(size, elitism, n):
+    pairs = (size - elitism + 1) // 2
+    for crossover, mutation in ((1.0, 0.9), (0.6, 0.0), (0.0, 1.0), (0.3, 0.5)):
+        cfg = GAConfig(crossover_prob=crossover, mutation_prob=mutation)
+        for seed in range(6):
+            draws = _DrawReplay(np.random.default_rng(seed))
+            table = _pair_draws(draws, size, pairs, n, cfg)
+            reference = _DrawReplay(np.random.default_rng(seed))
+            tournaments, points, bits = _scalar_pair_draws(reference, size, pairs, n, cfg)
+            assert table.shape == (pairs, 7)
+            assert table[:, :4].ravel().tolist() == tournaments
+            assert table[:, 4].tolist() == points
+            assert table[:, 5:].ravel().tolist() == bits
+            # the stream goes on where the scalar replay's does, half buffer included
+            assert [draws.integers(0, 7), draws.random()] == [reference.integers(0, 7),
+                                                             reference.random()]
