@@ -4,9 +4,13 @@ Distances are Euclidean over the coordinates a FeatureMask enables;
 comparisons happen on squared values, reported distances are the roots.
 
 Both entry points, `evaluate` (k-NN) and `evaluate_template`, rank
-through one path: reference rows in tie-break order, a stable sort of
-each query's squared distances, and a plurality vote over the k nearest
-that a split falls to the nearest tied class.
+through one path: reference rows in tie-break order, k argmin passes over
+the whole (queries, refs) squared-distance matrix, and a plurality vote
+over the k nearest that a split falls to the nearest tied class. Each
+pass picks every query's first smallest entry and sets it to +inf, so
+the passes pick the first k entries of a stable sort. +inf is a safe
+sentinel: `Dataset` bounds every value by MAX_FEATURE_MAGNITUDE, which
+keeps every squared distance finite.
 k-NN ranks the training rows sorted by sample id, so equal distances are
 ordered by sample id. The template (minimum-distance) rule is exactly 1-NN
 over the class means, each named by its label and sorted by it, so a
@@ -16,9 +20,13 @@ fully deterministic.
 Every squared distance comes from one engine. `squared_difference_table`
 lays out (q_f - t_f)**2 feature-major, as (features, queries, train), and
 `summed_rows` starts from +0.0 and adds the selected rows left to right
-in ascending feature index. That summation order is a contract: the GA's
-history and mask bytes depend on it, so no Gram-matrix form, pairwise or
-reordered sum, or incremental update may replace it.
+in ascending feature index. The GA sums rows of one table many times
+over. The classifiers use each row once, so they stream the rows
+(`_StreamedTable`): each is computed by the same subtract-then-square
+into one reused (queries, train) buffer just before it is added. That
+gives the same bits with no table. The summation order is a contract:
+the GA's history and mask bytes depend on it, so no Gram-matrix form,
+pairwise or reordered sum, or incremental update may replace it.
 
 Every value compared here comes from a `Dataset`, so it is finite. One
 fact makes both the start and the skipped rows exact: a square is never
@@ -36,7 +44,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -177,25 +184,47 @@ def _training_rows(train: Dataset) -> _Rows:
 def _mean_rows(train: Dataset) -> _Rows:
     """Per-class mean vectors, each named by its label, in label order."""
     labels = train.class_labels
+    row_labels = np.array(train.labels)
     means = np.zeros((len(labels), train.n_features))
     for row, lab in enumerate(labels):
-        means[row] = train.matrix[[i for i, l in enumerate(train.labels) if l == lab]].mean(axis=0)
+        means[row] = train.matrix[row_labels == lab].mean(axis=0)
     return labels, labels, means
+
+
+def _square_of_difference(a, b, out: np.ndarray) -> np.ndarray:
+    """out = (a - b) ** 2 element by element, broadcast: one subtraction, then one product."""
+    np.subtract(a, b, out=out)
+    return np.multiply(out, out, out=out)
 
 
 def squared_difference_table(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
     """Feature-major table sq[f, i, j] = (queries[i, f] - training[j, f]) ** 2."""
     sq = np.empty((queries.shape[1], queries.shape[0], training.shape[0]))
-    np.subtract(queries.T[:, :, None], training.T[:, None, :], out=sq)
-    sq *= sq
-    return sq
+    return _square_of_difference(queries.T[:, :, None], training.T[:, None, :], sq)
+
+
+class _StreamedTable:
+    """Row f of `squared_difference_table(queries, training)`, written into one reused buffer.
+
+    Each row read overwrites the one before it, so `summed_rows` can add
+    the rows one at a time without the table ever being built.
+    """
+
+    def __init__(self, queries: np.ndarray, training: np.ndarray):
+        # feature-major copies: each row then reads two contiguous vectors
+        self.queries = np.ascontiguousarray(queries.T)[:, :, None]
+        self.training = np.ascontiguousarray(training.T)[:, None, :]
+        self.row = np.empty((queries.shape[0], training.shape[0]))
+
+    def __getitem__(self, f: int) -> np.ndarray:
+        return _square_of_difference(self.queries[f], self.training[f], self.row)
 
 
 def summed_rows(sq, rows, out: np.ndarray) -> np.ndarray:
     """Squared distances over the table rows `rows` (ascending): +0.0 plus each row, left to right.
 
-    `sq` is the table or a list of its rows. The sum overwrites `out`,
-    which is returned.
+    `sq` is the table, a list of its rows or a `_StreamedTable`. The sum
+    overwrites `out`, which is returned.
     """
     out.fill(0.0)
     for f in rows:
@@ -215,14 +244,16 @@ def live_columns(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
-    """(queries, train) squared distances over the live columns of both inputs."""
-    live = live_columns(queries, training)
-    sq = squared_difference_table(queries[:, live], training[:, live])
-    return summed_rows(sq, range(live.size), np.empty(sq.shape[1:]))
+    """(queries, train) squared distances over the live columns of both inputs, streamed."""
+    live = live_columns(queries, training).tolist()
+    out = np.empty((queries.shape[0], training.shape[0]))
+    return summed_rows(_StreamedTable(queries, training), live, out)
 
 
 def _vote(top: list[str]) -> str:
     """Plurality among the nearest labels; ties fall to the nearest tied class."""
+    if len(top) == 1:
+        return top[0]
     counts = Counter(top)
     best = max(counts.values())
     return next(lab for lab in top if counts[lab] == best)
@@ -241,21 +272,28 @@ def _rank(
 ) -> list[tuple[str, tuple[Neighbour, ...]]]:
     """Vote and k nearest reference rows of every query row.
 
-    Equal distances keep the reference order (stable sort), so the earlier
-    row ranks first.
+    The k argmin passes (see the module docstring) pick the first k
+    entries of a stable sort: equal distances keep the reference order,
+    so the earlier row ranks first.
     """
     ids, labels, matrix = refs
     check_k(k, matrix.shape[0])
     sel = _selected_columns(matrix.shape[1], mask)
     if queries.shape[1:] != matrix.shape[1:]:
         raise DataError(f"query rows {queries.shape[1:]} do not match {matrix.shape[1]} features")
+    d2 = _squared_distances(queries[:, sel], matrix[:, sel])  # this call's own: overwritten below
+    rows = np.arange(d2.shape[0])
+    nearest = np.empty((d2.shape[0], k), dtype=np.intp)
+    picked = np.empty((d2.shape[0], k))
+    for j in range(k):
+        col = d2.argmin(axis=1)
+        nearest[:, j], picked[:, j] = col, d2[rows, col]
+        d2[rows, col] = np.inf
+    # IEEE square roots are correctly rounded, so every root is rounded once, as math.sqrt's
     ranked = []
-    for d2 in _squared_distances(queries[:, sel], matrix[:, sel]):
-        nearest = tuple(
-            Neighbour(ids[i], labels[i], sqrt(float(d2[i])))
-            for i in np.argsort(d2, kind="stable")[:k].tolist()
-        )
-        ranked.append((_vote([n.label for n in nearest]), nearest))
+    for cols, dists in zip(nearest.tolist(), np.sqrt(picked).tolist()):
+        top = tuple(Neighbour(ids[i], labels[i], d) for i, d in zip(cols, dists))
+        ranked.append((_vote([labels[i] for i in cols]), top))
     return ranked
 
 
@@ -263,6 +301,8 @@ def _report(
     refs: _Rows, test: Dataset, k: int, mask: FeatureMask | None, listed: int
 ) -> EvalReport:
     """Classify every test sample; rows sorted by sample id, `listed` neighbours each."""
+    if test.n_samples == 0:
+        raise DataError("empty test set")
     order = sorted(range(test.n_samples), key=lambda i: test.sample_ids[i])
     per_sample = [
         SampleOutcome(test.sample_ids[i], test.labels[i], predicted, nearest[:listed])

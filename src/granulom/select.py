@@ -266,6 +266,17 @@ def _breed(
     return np.concatenate([elites, offspring.reshape(2 * pairs, n)[: size - cfg.elitism]])
 
 
+def _median(fits: np.ndarray) -> float:
+    """np.median's value, bit for bit, from one sort: the middle entry, or the mean of the two.
+
+    Exact because no fitness is -0.0 (alpha*hits - beta*nf is +0.0 where
+    the terms are equal), so the sort has no zeros of two signs to order.
+    """
+    ranked = np.sort(fits)
+    mid = ranked.size // 2
+    return float(ranked[mid] if ranked.size % 2 else (ranked[mid - 1] + ranked[mid]) / 2)
+
+
 def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
     """Evolve feature masks; deterministic given cfg.seed."""
     objective = _WrapperObjective(train, eval_set, cfg)
@@ -285,9 +296,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         hits, nfs, fits = objective.score(population)
         best = int(np.argmax(fits))
         history.append(
-            GenerationStats(
-                gen, float(fits[best]), float(np.median(fits)), float(fits.min()), int(nfs[best])
-            )
+            GenerationStats(gen, float(fits[best]), _median(fits), float(fits.min()), int(nfs[best]))
         )
         if gen == 0 or fits[best] > best_fit:
             best_bits, best_fit, best_hits = population[best], float(fits[best]), int(hits[best])

@@ -318,6 +318,20 @@ def hls_pixel(r: int, g: int, b: int) -> HlsPixel:
     return HlsPixel(h_out, l_out, s_out)
 
 
+# --- classifier inputs -------------------------------------------------------------
+
+def lot117_pair(rng):
+    """117 features, 187 train / 50 eval and 14 classes, as in the shipped split."""
+    from granulom.features import Dataset
+
+    scale = rng.uniform(0.01, 100, size=117)
+    def block(n, tag):
+        labels = [f"c{i % 14:02d}" for i in range(n)]
+        ids = [f"{tag}{i:03d}" for i in rng.permutation(n)]
+        return Dataset(ids, labels, rng.normal(size=(n, 117)) * scale)
+    return block(187, "tr"), block(50, "ev")
+
+
 # --- GA fitness ------------------------------------------------------------------
 
 def wrapper_fitness(hits: int, nf: int, alpha: float, beta: float, total: int = 50) -> float:

@@ -1,9 +1,11 @@
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import knn_oracle, left_to_right_d2
+from conftest import knn_oracle, left_to_right_d2, lot117_pair
 from granulom.classify import (
     EvalReport,
     FeatureMask,
@@ -113,6 +115,86 @@ def test_full_mask_equals_unmasked(rng):
     assert evaluate(train, queries, KnnConfig(3)).per_sample == evaluate(
         train, queries, KnnConfig(3), full
     ).per_sample
+
+
+def _tied_split(rng, n_train, n_feat):
+    """Small-integer rows, so distances tie often and every sum is exact in any order.
+
+    Some training rows are copies of others under another id and label, and
+    the first query repeats a training row.
+    """
+    matrix = rng.integers(-2, 3, size=(n_train, n_feat)).astype(np.float64)
+    for i in rng.choice(n_train, size=n_train // 3, replace=False):
+        matrix[i] = matrix[int(rng.integers(0, n_train))]
+    labels = [f"c{int(v)}" for v in rng.integers(0, 3, n_train)]
+    train = Dataset([f"s{i:02d}" for i in rng.permutation(n_train)], labels, matrix)
+    queries = rng.integers(-2, 3, size=(6, n_feat)).astype(np.float64)
+    queries[0] = matrix[int(rng.integers(0, n_train))]
+    return train, queries
+
+
+def _assert_ranked_as_oracle(train, queries, k, mask):
+    """Vote, neighbour ids, labels and distance bits of every query, against the plain scan."""
+    mask_idx = None if mask is None else mask.indices()
+    sel = np.arange(train.n_features) if mask is None else mask_idx
+    d2 = left_to_right_d2(queries, train.matrix, sel)
+    row_of = {sid: i for i, sid in enumerate(train.sample_ids)}
+    report = evaluate(train, _queries(queries), KnnConfig(k), mask)
+    for q, outcome in enumerate(report.per_sample):
+        label, ids = knn_oracle(list(zip(train.sample_ids, train.labels, train.matrix)),
+                                queries[q], k, mask_idx)
+        assert outcome.predicted == label
+        assert [n.sample_id for n in outcome.neighbours] == ids
+        assert [n.label for n in outcome.neighbours] == [train.labels[row_of[i]] for i in ids]
+        assert [n.distance.hex() for n in outcome.neighbours] == [
+            math.sqrt(d2[q, row_of[i]]).hex() for i in ids]
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_ranking_with_planted_ties_matches_oracle_for_every_k(rng, masked):
+    splits = [_tied_split(rng, n_train, n_feat) for n_train, n_feat in ((5, 1), (9, 3), (12, 6))]
+    # every training row equal, so every query is equidistant from all of them
+    same = Dataset([f"s{i}" for i in (3, 0, 4, 1, 2)], list("babca"), np.full((5, 4), 1.5))
+    splits.append((same, rng.integers(-2, 3, size=(4, 4)).astype(np.float64)))
+    for train, queries in splits:
+        mask = None
+        if masked:
+            bits = rng.random(train.n_features) < 0.5
+            bits[int(rng.integers(0, train.n_features))] = True
+            mask = FeatureMask(bits)
+        for k in range(1, train.n_samples + 1):
+            _assert_ranked_as_oracle(train, queries, k, mask)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_template_with_two_equal_class_means_goes_to_the_smaller_label(masked):
+    # "lo" and "mid" have the same mean (1, 1), "hi" is far from every query
+    train = _dataset([[2, 0], [0, 2], [1, 1], [9, 9]], ["mid", "mid", "lo", "hi"])
+    queries = np.array([[1.0, 1.0], [3.0, -4.0], [0.0, 0.0]])
+    mask = FeatureMask(np.array([1, 0])) if masked else None
+    means = _means_dataset(train)
+    mask_idx = None if mask is None else mask.indices()
+    expected = [knn_oracle(list(zip(means.sample_ids, means.labels, means.matrix)), q, 1, mask_idx)
+                for q in queries]
+    assert [label for label, _ in expected] == ["lo"] * 3
+    template = evaluate_template(train, _queries(queries), mask)
+    assert [s.predicted for s in template.per_sample] == ["lo"] * 3
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_evaluate_memory_is_a_few_distance_matrices(k):
+    train, test = lot117_pair(np.random.default_rng(117))
+    evaluate(train, test, KnnConfig(k))  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        evaluate(train, test, KnnConfig(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # normal draws make every column live: a (features, queries, train) table would be 8.75 MB
+    table = train.n_features * test.n_samples * train.n_samples * 8
+    assert table > 8e6
+    assert peak <= 1.5e6
 
 
 # --- template classifier -----------------------------------------------------------
@@ -459,6 +541,7 @@ def _call_entry_point(name, train, test, k, mask):
 ENTRY_POINTS = ["evaluate", "evaluate_template"]
 BAD_INPUTS = {  # case -> the start of its message
     "empty training set": "empty training set",
+    "empty test set": "empty test set",
     "mask length": "mask length",
     "all-zero mask": "empty feature mask",
     "feature count": "query rows",
@@ -476,6 +559,8 @@ def test_entry_points_reject_bad_inputs(name, bad):
     k, mask = 1, None
     if bad == "empty training set":
         train = Dataset([], [], np.zeros((0, 3)))
+    elif bad == "empty test set":
+        test = Dataset([], [], np.zeros((0, 3)))
     elif bad == "mask length":
         mask = FeatureMask(np.array([1, 1]))
     elif bad == "all-zero mask":

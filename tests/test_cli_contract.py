@@ -160,6 +160,7 @@ SELECT = "--quiet select --train d.csv --eval d.csv --pop 4 --gens 2"
 SPLIT = "--quiet split --dataset d.csv --train-out tr.csv --test-out te.csv"
 EXTRACT = "--quiet extract --dir corpus --out a.csv"
 MASK_FILE = {**D, "m.txt": "11\n"}
+HEADER_ONLY = {**D, "head.csv": TINY_DATASET.splitlines()[0] + "\n"}
 
 CASES = [
     # usage
@@ -237,8 +238,11 @@ CASES = [
     Case("select-eval-of-another-width", SELECT.replace("--eval d.csv", "--eval narrow.csv"), 2,
          "error: train and eval sets must share the feature layout", {**D, "narrow.csv": NARROW}),
     Case("select-header-only-eval", SELECT.replace("--eval d.csv", "--eval head.csv"), 2,
-         "error: train and eval sets must be non-empty",
-         {**D, "head.csv": TINY_DATASET.splitlines()[0] + "\n"}),
+         "error: train and eval sets must be non-empty", HEADER_ONLY),
+    *[Case(f"knn-header-only-test-{name}",
+           f"--quiet knn --train d.csv --test head.csv --report r.csv {rule}", 2,
+           "error: empty test set", HEADER_ONLY)
+      for name, rule in (("k2", "--k 2"), ("template", "--template"))],
     Case("knn-k-0", f"{KNN} --k 0", 2, "error: k must be >= 1, got 0", D),
     Case("knn-nan-dataset", f"--quiet {KNN}", 2,
          "error: d.csv: non-finite feature value nan (sample 'b', feature 'f0001')",

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import knn_oracle, wrapper_fitness
+from conftest import knn_oracle, lot117_pair, wrapper_fitness
 from granulom.classify import (
     FeatureMask,
     KnnConfig,
@@ -26,6 +26,7 @@ from granulom.select import (
     write_mask,
     _WrapperObjective,
     _breed,
+    _median,
     _pair_draws,
 )
 
@@ -210,18 +211,8 @@ def test_mask_file_roundtrip(tmp_path):
     assert read_mask(p) == mask
 
 
-def _lot117_pair(rng):
-    """117 features, 187 train / 50 eval and 14 classes, as in the shipped split."""
-    scale = rng.uniform(0.01, 100, size=117)
-    def block(n, tag):
-        labels = [f"c{i % 14:02d}" for i in range(n)]
-        ids = [f"{tag}{i:03d}" for i in rng.permutation(n)]
-        return Dataset(ids, labels, rng.normal(size=(n, 117)) * scale)
-    return block(187, "tr"), block(50, "ev")
-
-
 def test_wrapper_objective_matches_evaluate_lot117_shape(rng):
-    train, eval_set = _lot117_pair(rng)
+    train, eval_set = lot117_pair(rng)
     objective = _WrapperObjective(train, eval_set, GAConfig(seed=0))
     for p in (0.03, 0.1, 0.5, 0.9, 1.0):
         bits = rng.random(117) < p
@@ -239,7 +230,7 @@ BYTES_PER_MASK = 400
 
 
 def test_run_ga_memory_is_the_table_plus_a_few_bytes_per_mask():
-    train, eval_set = _lot117_pair(np.random.default_rng(117))
+    train, eval_set = lot117_pair(np.random.default_rng(117))
     run_ga(train, eval_set, GAConfig(generations=1, seed=3))  # numpy's first-call set-up
     tracemalloc.start()
     try:
@@ -251,6 +242,16 @@ def test_run_ga_memory_is_the_table_plus_a_few_bytes_per_mask():
     table = train.n_features * eval_set.n_samples * train.n_samples * 8
     assert rep.evaluations > 2500
     assert peak <= table + BYTES_PER_MASK * rep.evaluations
+
+
+def test_generation_median_is_numpys_median():
+    rng = np.random.default_rng(8)
+    for size in range(2, 12):
+        for _ in range(50):
+            # few distinct values, so the middle pair is often a tie or straddles -inf
+            fits = 0.6 * rng.integers(0, 6, size) - 0.4 * rng.integers(0, 6, size)
+            fits[rng.random(size) < 0.3] = EMPTY_MASK_FITNESS
+            assert _median(fits).hex() == float(np.median(fits)).hex()
 
 
 # --- golden GA edge-config record ---------------------------------------------------
@@ -410,7 +411,7 @@ def test_pair_with_no_live_column_scores():
 
 def test_memo_keys_are_packed_bits():
     for train, eval_set in (_pair_with_dead_columns(np.random.default_rng(5)),
-                            _lot117_pair(np.random.default_rng(5))):
+                            lot117_pair(np.random.default_rng(5))):
         objective = _WrapperObjective(train, eval_set, GAConfig(seed=0))
         population = np.random.default_rng(6).random((20, train.n_features)) < 0.5
         population[0] = True
