@@ -17,16 +17,15 @@ for the bit; then the same for child B. Child B draws even when only one
 slot is left for it.
 
 After the first population these draws are not numpy calls: they come
-from `draws._DrawReplay`, which computes numpy's PCG64 draws bit for bit
-from raw words fetched in bulk (synthesis draws its grains through it
-too). Fetching words ahead cannot be observed, since the generator
-belongs to `run_ga` and nothing else draws from it. No draw depends on a
-mask or on a fitness: a tournament draws its two indices whichever wins.
-So one `_DrawReplay.gated` loop over the raw words gives a generation's
-tournament pairs, crossover points and mutation bits, from the step
-list in `_pair_draws` that spells out the order above; the winners are
-then picked from the fitnesses and the children built in a fixed number
-of array operations.
+from `draws.gated`, which computes numpy's PCG64 draws bit for bit from
+raw words fetched in bulk. Fetching words ahead cannot be observed,
+since the generator belongs to `run_ga` and nothing else draws from it.
+No draw depends on a mask or on a fitness: a tournament draws its two
+indices whichever wins. So `_pair_draws` gives one iterator of every
+later generation's tournament pairs, crossover points and mutation bits,
+from a step list that spells out the order above; the winners are then
+picked from the fitnesses and the children built in a fixed number of
+array operations.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import draws
 from .classify import (
     FeatureMask,
     _training_rows,
@@ -43,7 +43,6 @@ from .classify import (
     summed_rows,
 )
 from .csvrows import read_text, write_lines
-from .draws import _DrawReplay
 from .errors import DataError
 from .features import Dataset
 
@@ -231,10 +230,10 @@ def _packed_keys(bits: np.ndarray) -> list[bytes]:
     return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
-def _pair_draws(draws: _DrawReplay, size: int, pairs: int, n: int, cfg: GAConfig) -> np.ndarray:
-    """A (pairs, 7) table of each pair's draws, in draw order: tournament A's
-    rows i and j, tournament B's i and j, the crossover point, and child A's
-    and child B's mutation bits.
+def _pair_draws(rng: np.random.Generator, size: int, pairs: int, n: int, cfg: GAConfig):
+    """An endless iterator of per-generation (pairs, 7) tables of each pair's
+    draws, in draw order: tournament A's rows i and j, tournament B's i and
+    j, the crossover point, and child A's and child B's mutation bits.
 
     A pair that does not cross over gets point n and a child that does not
     mutate gets bit -1, so neither changes anything.
@@ -242,16 +241,14 @@ def _pair_draws(draws: _DrawReplay, size: int, pairs: int, n: int, cfg: GAConfig
     # at n == 1 no point is drawn after the random(): random() < 0.0 never holds
     cross = cfg.crossover_prob if n > 1 else 0.0
     steps = [(None, 0, size, None)] * 4 + [(cross, 1, n, n)] + [(cfg.mutation_prob, 0, n, -1)] * 2
-    return np.reshape(draws.gated(pairs, steps), (pairs, len(steps)))
+    return (np.reshape(ints, (pairs, len(steps))) for ints in draws.gated(rng, pairs, steps))
 
 
-def _breed(
-    population: np.ndarray, fits: np.ndarray, cfg: GAConfig, draws: _DrawReplay
-) -> np.ndarray:
-    """The next population: the elites by rank, then children in pairs."""
+def _breed(population: np.ndarray, fits: np.ndarray, cfg: GAConfig, table: np.ndarray) -> np.ndarray:
+    """The next population: the elites by rank, then children in pairs from
+    one `_pair_draws` table."""
     size, n = population.shape
-    pairs = (size - cfg.elitism + 1) // 2
-    table = _pair_draws(draws, size, pairs, n, cfg)
+    pairs = len(table)
     i, j = table[:, :4].reshape(2 * pairs, 2).T
     # a tie goes to the first index drawn
     winners = np.where(fits[i] >= fits[j], i, j)
@@ -281,8 +278,9 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
     """Evolve feature masks; deterministic given cfg.seed."""
     objective = _WrapperObjective(train, eval_set, cfg)
     rng = np.random.default_rng(cfg.seed)
-    population = rng.random((cfg.population_size, train.n_features)) < 0.5
-    draws = _DrawReplay(rng)
+    size = cfg.population_size
+    population = rng.random((size, train.n_features)) < 0.5
+    tables = _pair_draws(rng, size, (size - cfg.elitism + 1) // 2, train.n_features, cfg)
     history = []
     stale = 0
     stop_reason = "max_generations"
@@ -292,7 +290,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
             if cfg.stagnation_limit and stale >= cfg.stagnation_limit:
                 stop_reason = "stagnation"
                 break
-            population = _breed(population, fits, cfg, draws)
+            population = _breed(population, fits, cfg, next(tables))
         hits, nfs, fits = objective.score(population)
         best = int(np.argmax(fits))
         history.append(
@@ -324,4 +322,9 @@ def write_mask(mask: FeatureMask, path) -> None:
 
 
 def read_mask(path) -> FeatureMask:
-    return FeatureMask.from_string(read_text(path))
+    """The mask in a text file; a malformed one is a DataError naming the file."""
+    text = read_text(path)
+    try:
+        return FeatureMask.from_string(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

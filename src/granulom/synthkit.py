@@ -13,9 +13,9 @@ An image's generator first draws its grain count with numpy's
 then the values of numpy's scalar calls `uniform(0, size)`, `uniform(0,
 size)`, `integers(rmin, rmax + 1)` and `integers(mean - spread, mean +
 spread + 1)`, in that order, bit for bit. Batched numpy draws would
-change the stream, so one `draws._DrawReplay.block` call computes them
-from the generator's raw words: three words per grain, the third split
-into the radius half and the value half (or the scalar replay, in the
+change the stream, so one `draws.block` call computes them from the
+generator's raw words: three words per grain, the third split into the
+radius half and the value half (or numpy's own scalar calls, in the
 fallback cases `draws` lists). All grains of an image are then painted
 in one vectorised pass, in chunks of bounded size: each pixel takes the
 grain of highest index whose disc covers it, which is the same as later
@@ -30,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import draws
 from .csvrows import (checked, identifier, parse_config, read_csv_rows, read_text, reject_unread,
                       setting, write_lines)
-from .draws import _DrawReplay
 from .errors import DataError
 from .imagecore import ColorImage, write_ppm
 
@@ -141,8 +141,8 @@ def generate_texture(spec: TextureSpec, size: int, seed) -> ColorImage:
     count = int(rng.poisson(spec.grain_density * size * size / 1000.0))
     rmin, rmax = spec.grain_radius
     mean, spread = spec.grain_intensity
-    (cx, cy), (rad, val) = _DrawReplay(rng).block(
-        count, [(0.0, size)] * 2, [(rmin, rmax + 1), (mean - spread, mean + spread + 1)]
+    (cx, cy), (rad, val) = draws.block(
+        rng, count, [(0.0, size)] * 2, [(rmin, rmax + 1), (mean - spread, mean + spread + 1)]
     )
     owner = _paint(cx, cy, rad, size, min(2 * rmax + 2, size))
     # owner -1 (no grain) picks the background at the end of the table; each

@@ -296,6 +296,9 @@ CASES = [
          "error: alpha and beta must be finite, got nan and nan", D),
     Case("knn-empty-mask", f"{KNN} --report r.csv --mask ''", 2,
          "error: mask string must be non-empty and contain only 0/1", D),
+    Case("knn-mask-file-two-lines", f"{KNN} --mask-file m.txt", 2,
+         "error: m.txt: mask string must be non-empty and contain only 0/1",
+         {**D, "m.txt": "011\n011\n"}),
     Case("knn-mask-length", f"--quiet {KNN} --mask 0101", 2,
          "error: mask length 4 != feature count 2", D),
     # manifests and corpora
