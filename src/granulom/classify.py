@@ -17,25 +17,25 @@ over the class means, each named by its label and sorted by it, so a
 query equidistant from two means goes to the smaller label. Reports are
 fully deterministic.
 
-Every squared distance comes from one engine. `squared_difference_table`
-lays out (q_f - t_f)**2 feature-major, as (features, queries, train), and
-`summed_rows` starts from +0.0 and adds the selected rows left to right
-in ascending feature index. The GA sums rows of one table many times
-over. The classifiers use each row once, so they stream the rows
-(`_StreamedTable`): each is computed by the same subtract-then-square
-into one reused (queries, train) buffer just before it is added. That
-gives the same bits with no table. The summation order is a contract:
-the GA's history and mask bytes depend on it, so no Gram-matrix form,
-pairwise or reordered sum, or incremental update may replace it.
+Every squared distance comes from one engine. `squared_rows` yields the
+(queries, train) row (q_f - t_f)**2 of each column it is given, in turn,
+one subtraction and then one product, and `summed_rows` starts from +0.0
+and adds rows left to right in ascending feature index. The generator has
+two consumers. The classifiers stream the rows through one reused buffer,
+each added just after it is computed, so no table is built. The GA keeps
+the list of fresh rows and sums a subset of it for each mask. Both get
+the same bits from the same arithmetic. The summation order is a
+contract: the GA's history and mask bytes depend on it, so no
+Gram-matrix form, pairwise or reordered sum, or incremental update may
+replace it.
 
 Every value compared here comes from a `Dataset`, so it is finite. One
 fact makes both the start and the skipped rows exact: a square is never
 -0.0, and +0.0 + x is x bit for bit for every x but -0.0. So a sum
 started at +0.0 equals the sum started at its first row, and a sum of
-no rows is +0.0. Rows of
-single-valued columns are left out of the table and of every sum
-(`live_columns`): where a column holds one value v over the queries
-and the training rows, every difference is v - v = +0.0 and so
+no rows is +0.0. Rows of single-valued columns are neither computed nor
+summed (`live_columns`): where a column holds one value v over the
+queries and the training rows, every difference is v - v = +0.0 and so
 is every square, and adding it changes no bit of a sum of squares. With
 no live column, every distance is +0.0 and the nearest row is the first.
 """
@@ -191,44 +191,25 @@ def _mean_rows(train: Dataset) -> _Rows:
     return labels, labels, means
 
 
-def _square_of_difference(a, b, out: np.ndarray) -> np.ndarray:
-    """out = (a - b) ** 2 element by element, broadcast: one subtraction, then one product."""
-    np.subtract(a, b, out=out)
-    return np.multiply(out, out, out=out)
+def squared_rows(queries: np.ndarray, training: np.ndarray, columns, out: np.ndarray | None = None):
+    """Yield row f = (queries[:, f, None] - training[:, f]) ** 2 for each f of `columns` in order.
 
-
-def squared_difference_table(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
-    """Feature-major table sq[f, i, j] = (queries[i, f] - training[j, f]) ** 2."""
-    sq = np.empty((queries.shape[1], queries.shape[0], training.shape[0]))
-    return _square_of_difference(queries.T[:, :, None], training.T[:, None, :], sq)
-
-
-class _StreamedTable:
-    """Row f of `squared_difference_table(queries, training)`, written into one reused buffer.
-
-    Each row read overwrites the one before it, so `summed_rows` can add
-    the rows one at a time without the table ever being built.
+    Each row is one subtraction, then one product of the row by itself,
+    written into `out` when it is given (so each row overwrites the one
+    before it) and into a fresh (queries, train) array otherwise. The
+    rows are read through views, so no column is copied.
     """
-
-    def __init__(self, queries: np.ndarray, training: np.ndarray):
-        # feature-major copies: each row then reads two contiguous vectors
-        self.queries = np.ascontiguousarray(queries.T)[:, :, None]
-        self.training = np.ascontiguousarray(training.T)[:, None, :]
-        self.row = np.empty((queries.shape[0], training.shape[0]))
-
-    def __getitem__(self, f: int) -> np.ndarray:
-        return _square_of_difference(self.queries[f], self.training[f], self.row)
+    query_columns, training_columns = queries.T[:, :, None], training.T
+    for f in columns:
+        row = np.subtract(query_columns[f], training_columns[f], out=out)
+        yield np.multiply(row, row, out=row)
 
 
-def summed_rows(sq, rows, out: np.ndarray) -> np.ndarray:
-    """Squared distances over the table rows `rows` (ascending): +0.0 plus each row, left to right.
-
-    `sq` is the table, a list of its rows or a `_StreamedTable`. The sum
-    overwrites `out`, which is returned.
-    """
+def summed_rows(rows, out: np.ndarray) -> np.ndarray:
+    """+0.0 plus each of the rows, left to right; the sum overwrites `out`, which is returned."""
     out.fill(0.0)
-    for f in rows:
-        out += sq[f]
+    for row in rows:
+        out += row
     return out
 
 
@@ -245,9 +226,9 @@ def live_columns(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
 
 def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
     """(queries, train) squared distances over the live columns of both inputs, streamed."""
-    live = live_columns(queries, training).tolist()
-    out = np.empty((queries.shape[0], training.shape[0]))
-    return summed_rows(_StreamedTable(queries, training), live, out)
+    live = live_columns(queries, training).tolist()  # Python ints index fastest
+    shape = (queries.shape[0], training.shape[0])
+    return summed_rows(squared_rows(queries, training, live, np.empty(shape)), np.empty(shape))
 
 
 def _vote(top: list[str]) -> str:
@@ -279,8 +260,10 @@ def _rank(
     ids, labels, matrix = refs
     check_k(k, matrix.shape[0])
     sel = _selected_columns(matrix.shape[1], mask)
-    if queries.shape[1:] != matrix.shape[1:]:
-        raise DataError(f"query rows {queries.shape[1:]} do not match {matrix.shape[1]} features")
+    if queries.shape[1] != matrix.shape[1]:
+        raise DataError(
+            f"test set has {queries.shape[1]} features, the training set {matrix.shape[1]}"
+        )
     d2 = _squared_distances(queries[:, sel], matrix[:, sel])  # this call's own: overwritten below
     rows = np.arange(d2.shape[0])
     nearest = np.empty((d2.shape[0], k), dtype=np.intp)

@@ -39,7 +39,7 @@ from .classify import (
     FeatureMask,
     _training_rows,
     live_columns,
-    squared_difference_table,
+    squared_rows,
     summed_rows,
 )
 from .csvrows import read_text, write_lines
@@ -148,15 +148,16 @@ class GARunReport:
 class _WrapperObjective:
     """1-NN hit counting for populations of masks over a fixed train/eval pair, memoized twice.
 
-    The squared-difference table is built once, over the live columns only
+    The squared-difference rows come from `classify.squared_rows`, the
+    classifiers' own generator, over the live columns only
     (`classify.live_columns`): a column that holds one value adds +0.0 to
-    every distance, which changes no bit of it. A mask's distances are the
-    sum of its live rows from +0.0 (none for a mask of dead bits only),
-    added into one reused buffer. Two masks with the
-    same live bits therefore have bitwise equal distances, the same nearest
-    neighbours and the same hits, so hits are memoized by the live bits and
-    each live projection is summed once. `nf` still counts every selected
-    bit.
+    every distance, which changes no bit of it. A mask's distances are
+    `classify.summed_rows` of its live rows (none for a mask of dead bits
+    only) into one reused buffer: the sum the classifiers stream, so the
+    bits are theirs. Two masks with the same live bits therefore have
+    bitwise equal distances, the same nearest neighbours and the same hits,
+    so hits are memoized by the live bits and each live projection is
+    summed once. `nf` still counts every selected bit.
 
     Both memos are keyed by packed bits: a row of n bits packed eight to a
     byte (`np.packbits`) is one ceil(n/8)-byte key. `seen` is the set of
@@ -177,10 +178,7 @@ class _WrapperObjective:
         codes = {lab: i for i, lab in enumerate(sorted(set(train_labels)))}
         self.train_codes = np.array([codes[lab] for lab in train_labels])
         self.live = live_columns(eval_set.matrix, train_matrix)
-        # one (eval, train) view per live feature: a list indexes faster than the table
-        self.sq = list(
-            squared_difference_table(eval_set.matrix[:, self.live], train_matrix[:, self.live])
-        )
+        self.sq = list(squared_rows(eval_set.matrix, train_matrix, self.live))
         self.d2 = np.empty((eval_set.n_samples, train.n_samples))
         self.eval_codes = np.array([codes.get(lab, -1) for lab in eval_set.labels])
         self.eval_total = eval_set.n_samples
@@ -213,9 +211,9 @@ class _WrapperObjective:
         """1-NN hits over the live rows `live_bits` selects, summed once per projection."""
         hits = self.hits_by_live.get(key)
         if hits is None:
-            rows = live_bits.nonzero()[0].tolist()  # Python ints index the table fastest
+            rows = live_bits.nonzero()[0].tolist()  # Python ints index a list fastest
             # argmin takes the first occurrence: the smallest sample id among ties
-            nearest = summed_rows(self.sq, rows, out=self.d2).argmin(axis=1)
+            nearest = summed_rows(map(self.sq.__getitem__, rows), out=self.d2).argmin(axis=1)
             hits = int(np.count_nonzero(self.train_codes[nearest] == self.eval_codes))
             self.hits_by_live[key] = hits
         return hits

@@ -14,7 +14,7 @@ from granulom.classify import (
     evaluate,
     evaluate_template,
     live_columns,
-    squared_difference_table,
+    squared_rows,
     summed_rows,
 )
 from granulom.errors import DataError
@@ -287,8 +287,8 @@ def _engine_inputs(rng, n_features):
 @pytest.mark.parametrize("n_features", [1, 9, 117, 150])
 def test_engine_matches_left_to_right_reference(rng, n_features):
     queries, training = _engine_inputs(rng, n_features)
-    sq = squared_difference_table(queries, training)
-    assert sq.shape == (n_features, 7, 11)
+    sq = list(squared_rows(queries, training, range(n_features)))
+    assert len(sq) == n_features and all(row.shape == (7, 11) for row in sq)
     masks = [np.ones(n_features, dtype=bool), np.eye(1, n_features, n_features - 1, dtype=bool)[0]]
     masks += [rng.random(n_features) < p for p in (0.1, 0.5, 0.9)]
     for bits in masks:
@@ -296,7 +296,7 @@ def test_engine_matches_left_to_right_reference(rng, n_features):
         if sel.size == 0:
             continue
         expected = left_to_right_d2(queries, training, sel)
-        assert np.array_equal(summed_rows(sq, sel, np.empty((7, 11))), expected)
+        assert np.array_equal(summed_rows(map(sq.__getitem__, sel), np.empty((7, 11))), expected)
         assert np.array_equal(_squared_distances(queries[:, sel], training[:, sel]), expected)
 
 
@@ -372,8 +372,8 @@ def test_skipping_single_valued_rows_is_bitwise_exact(rng):
         share = (0.0, 0.5, 1.0)[trial % 3]  # none, some or every column planted
         planted = rng.choice(n_features, size=int(share * n_features), replace=False)
         queries, training, dead = _planted_inputs(rng, n_features, planted)
-        table = squared_difference_table(queries, training)
-        every_row = summed_rows(table, range(n_features), np.empty(table.shape[1:]))
+        every_row = summed_rows(squared_rows(queries, training, range(n_features)),
+                                np.empty((7, 11)))
         skipped = _squared_distances(queries, training)
         assert skipped.shape == every_row.shape
         assert np.array_equal(skipped.view(np.int64), every_row.view(np.int64))
@@ -383,19 +383,24 @@ def test_skipping_single_valued_rows_is_bitwise_exact(rng):
     assert live_columns(queries, training).size == 0
     d2 = _squared_distances(queries, training)
     assert d2.shape == (3, 5) and not d2.view(np.int64).any()
-    # a sum of no rows is +0.0 everywhere, over the table or its row list, and
-    # `out` is overwritten, never added to
-    table = squared_difference_table(queries, training)
-    for sq in (table, list(table)):
-        for fill in (np.nan, -0.0):
-            out = np.full((3, 5), fill)
-            assert summed_rows(sq, [], out) is out and not out.view(np.int64).any()
-    queries, training = _engine_inputs(rng, 5)
-    table = squared_difference_table(queries, training)
+    # a sum of no rows is +0.0 everywhere, from a list or from the generator over
+    # no column, and `out` is overwritten, never added to
     for fill in (np.nan, -0.0):
-        out = summed_rows(list(table), [1, 3, 4], np.full((7, 11), fill))
-        fresh = summed_rows(table, [1, 3, 4], np.empty((7, 11)))
-        assert np.array_equal(out.view(np.int64), fresh.view(np.int64))
+        for rows in ([], squared_rows(queries, training, [])):
+            out = np.full((3, 5), fill)
+            assert summed_rows(rows, out) is out and not out.view(np.int64).any()
+    # rows written into one reused `out` and summed as a stream equal a list of
+    # fresh rows, however dirty either buffer starts
+    queries, training = _engine_inputs(rng, 5)
+    fresh = list(squared_rows(queries, training, range(5)))
+    picked = [1, 3, 4]
+    for fill in (np.nan, -0.0):
+        listed = summed_rows(map(fresh.__getitem__, picked), np.full((7, 11), fill))
+        row = np.full((7, 11), fill)
+        streamed = summed_rows(squared_rows(queries, training, picked, row), np.full((7, 11), fill))
+        assert np.array_equal(listed.view(np.int64), streamed.view(np.int64))
+        assert all(r is row for r in squared_rows(queries, training, range(5), row))
+        assert np.array_equal(row.view(np.int64), fresh[-1].view(np.int64))
 
 
 def test_mask_of_only_constant_features_picks_first_training_sample_by_id(rng):
@@ -544,7 +549,7 @@ BAD_INPUTS = {  # case -> the start of its message
     "empty test set": "empty test set",
     "mask length": "mask length",
     "all-zero mask": "empty feature mask",
-    "feature count": "query rows",
+    "feature count": "test set has 4 features, the training set 3",
     "k too large": "k=4 exceeds",
 }
 

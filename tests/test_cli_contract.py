@@ -237,6 +237,15 @@ CASES = [
          "error: alpha and beta must be non-negative", D),
     Case("select-eval-of-another-width", SELECT.replace("--eval d.csv", "--eval narrow.csv"), 2,
          "error: train and eval sets must share the feature layout", {**D, "narrow.csv": NARROW}),
+    *[Case(f"knn{name}-test-of-another-width", f"--quiet knn --train d.csv --test narrow.csv "
+           f"--report r.csv{flag}", 2, f"error: {message}", {**D, "narrow.csv": NARROW})
+      for name, flag, message in (
+          ("", "", "test set has 1 features, the training set 2"),
+          ("-template", " --template", "test set has 1 features, the training set 2"),
+          ("-normalize", " --normalize", "dataset has 1 features, the scaler 2"))],
+    Case("select-normalize-eval-of-another-width",
+         SELECT.replace("--eval d.csv", "--eval narrow.csv --normalize"), 2,
+         "error: dataset has 1 features, the scaler 2", {**D, "narrow.csv": NARROW}),
     Case("select-header-only-eval", SELECT.replace("--eval d.csv", "--eval head.csv"), 2,
          "error: train and eval sets must be non-empty", HEADER_ONLY),
     *[Case(f"knn-header-only-test-{name}",

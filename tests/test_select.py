@@ -10,8 +10,9 @@ from conftest import knn_oracle, lot117_pair, wrapper_fitness
 from granulom.classify import (
     FeatureMask,
     KnnConfig,
+    _squared_distances,
     evaluate,
-    squared_difference_table,
+    squared_rows,
     summed_rows,
 )
 from granulom.errors import DataError
@@ -322,8 +323,8 @@ def _every_row_score(train, eval_set, bits, cfg):
     if not bits.any():
         return 0, 0, EMPTY_MASK_FITNESS
     order = sorted(range(train.n_samples), key=lambda i: train.sample_ids[i])
-    sq = squared_difference_table(eval_set.matrix, train.matrix[order])
-    nearest = summed_rows(sq, np.flatnonzero(bits), np.empty(sq.shape[1:])).argmin(axis=1)
+    rows = squared_rows(eval_set.matrix, train.matrix[order], np.flatnonzero(bits))
+    nearest = summed_rows(rows, np.empty((eval_set.n_samples, train.n_samples))).argmin(axis=1)
     hits = sum(train.labels[order[j]] == lab for j, lab in zip(nearest, eval_set.labels))
     nf = int(bits.sum())
     return hits, nf, cfg.alpha * hits - cfg.beta * nf
@@ -365,6 +366,33 @@ def test_masks_differing_in_dead_bits_share_one_distance_sum(rng):
     assert len(objective.hits_by_live) == len(projections) < len(objective.seen)
     rep = run_ga(train, eval_set, GAConfig(population_size=8, generations=15, seed=3))
     assert 0 < rep.distance_sums < rep.evaluations
+
+
+def test_ga_distances_are_the_classifiers_bit_for_bit(rng):
+    # mixed magnitudes expose any other summation order; DEAD columns are single-valued
+    n = 40
+    scale = rng.uniform(0.1, 1000.0, size=n)
+    train_rows, eval_rows = rng.normal(size=(10, n)) * scale, rng.normal(size=(7, n)) * scale
+    train_rows[:, DEAD] = eval_rows[:, DEAD] = [2.0, -7.5, 1e-3, 0.0]
+    eval_rows[::2, DEAD[-1]] = -0.0
+    train_rows[:, 11] = 4.0  # single-valued in the training rows only: live
+    train = Dataset([f"tr{i:02d}" for i in rng.permutation(10)],
+                    [f"c{i % 3}" for i in range(10)], train_rows)
+    eval_set = Dataset([f"ev{i}" for i in range(7)], [f"c{i % 3}" for i in range(7)], eval_rows)
+    order = sorted(range(10), key=train.sample_ids.__getitem__)
+    for trial in range(100):
+        bits = rng.random(n) < (0.05, 0.5, 0.95)[trial % 3]
+        if trial == 0:  # dead bits only
+            bits[:] = False
+            bits[DEAD] = True
+        if not bits.any():
+            continue
+        objective = _WrapperObjective(train, eval_set, GAConfig(seed=0))
+        assert objective.live.tolist() == [f for f in range(n) if f not in DEAD]
+        objective.score(bits[None])  # leaves the mask's distances in objective.d2
+        sel = np.flatnonzero(bits)
+        expected = _squared_distances(eval_rows[:, sel], train_rows[order][:, sel])
+        assert np.array_equal(objective.d2.view(np.int64), expected.view(np.int64))
 
 
 def test_score_of_a_population_matches_every_row_score():
