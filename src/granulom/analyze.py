@@ -131,25 +131,21 @@ def _sweep(w: np.ndarray, m: int) -> None:
 @dataclass(frozen=True, eq=False)
 class PcaModel:
     mean: np.ndarray  # (n_features,)
-    components: np.ndarray  # (n_components, n_features), orthonormal rows
+    components: np.ndarray  # (n_components, n_features), orthonormal rows, n_components >= 2
     eigenvalues: np.ndarray  # (n_components,), descending, non-negative
-    scale: np.ndarray | None = None  # per-feature divisor when fitted on correlations
-
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
+    scale: np.ndarray  # (n_features,) divisor: the standard deviations on correlations, else ones
 
 
-def check_components(n_components: int, n_samples: int, n_features: int, least: int = 1):
-    """A DataError unless least <= n_components <= most, where
-    most = min(n_samples - 1, n_features); when most < least it names what is short."""
-    if n_samples <= least:
-        raise DataError(f"PCA needs {least + 1} or more samples, got {n_samples}")
-    if n_features < least:
-        raise DataError(f"PCA needs {least} or more features, got {n_features}")
+def check_components(n_components: int, n_samples: int, n_features: int):
+    """A DataError unless 2 <= n_components <= most, where
+    most = min(n_samples - 1, n_features); when most < 2 it names what is short."""
+    if n_samples <= 2:
+        raise DataError(f"PCA needs 3 or more samples, got {n_samples}")
+    if n_features < 2:
+        raise DataError(f"PCA needs 2 or more features, got {n_features}")
     most = min(n_samples - 1, n_features)
-    if not least <= n_components <= most:
-        raise DataError(f"n_components must lie in [{least}, {most}], got {n_components}")
+    if not 2 <= n_components <= most:
+        raise DataError(f"n_components must lie in [2, {most}], got {n_components}")
 
 
 def fit_pca(ds: Dataset, n_components: int = 2, correlation: bool = False) -> PcaModel:
@@ -162,11 +158,11 @@ def fit_pca(ds: Dataset, n_components: int = 2, correlation: bool = False) -> Pc
     check_components(n_components, n, d)
     mean = ds.matrix.mean(axis=0)
     centered = ds.matrix - mean
-    scale = None
+    scale = np.ones(d)  # x / 1.0 is x, bit for bit
     if correlation:
         std = centered.std(axis=0, ddof=1)
         scale = np.where(std == 0.0, 1.0, std)
-        centered = centered / scale
+    centered = centered / scale
     cov = centered.T @ centered / (n - 1)
     eigenvalues, vectors = jacobi_eigh(cov)
 
@@ -177,27 +173,19 @@ def fit_pca(ds: Dataset, n_components: int = 2, correlation: bool = False) -> Pc
         raise DataError("covariance produced a significantly negative eigenvalue")
     values = np.maximum(values, 0.0)
 
+    # a C-order copy: BLAS may sum `transform`'s product in another order on another layout
     comps = vectors[:, order].T.copy()
-    for row in comps:
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            row *= -1.0
+    largest = np.take_along_axis(comps, np.abs(comps).argmax(axis=1)[:, None], axis=1)
+    comps *= np.where(largest < 0, -1.0, 1.0)
     return PcaModel(mean, comps, values, scale)
 
 
 def transform(model: PcaModel, matrix) -> np.ndarray:
-    """Scores of each row on every retained component."""
+    """Scores on every retained component of each row of a (rows, features) matrix."""
     x = real_array(matrix, "transform matrix")
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != model.mean.size:
+    if x.ndim != 2 or x.shape[1] != model.mean.size:
         raise DataError("feature count does not match the fitted model")
-    centered = x - model.mean
-    if model.scale is not None:
-        centered = centered / model.scale
-    scores = centered @ model.components.T
-    return scores[0] if single else scores
+    return ((x - model.mean) / model.scale) @ model.components.T
 
 
 class ScatterRow(NamedTuple):
@@ -207,15 +195,15 @@ class ScatterRow(NamedTuple):
     y: float
 
 
+def _scatter_rows(ds: Dataset, xy: np.ndarray) -> list[ScatterRow]:
+    """One scatter row per sample from an (n_samples, 2) array of coordinates."""
+    return [ScatterRow(sid, lab, x, y)
+            for sid, lab, (x, y) in zip(ds.sample_ids, ds.labels, xy.tolist())]
+
+
 def project(model: PcaModel, ds: Dataset) -> list[ScatterRow]:
     """Scatter rows on the first two principal components."""
-    if model.n_components < 2:
-        raise DataError("projection needs a model with at least 2 components")
-    scores = transform(model, ds.matrix)
-    return [
-        ScatterRow(sid, lab, float(scores[i, 0]), float(scores[i, 1]))
-        for i, (sid, lab) in enumerate(zip(ds.sample_ids, ds.labels))
-    ]
+    return _scatter_rows(ds, transform(model, ds.matrix)[:, :2])
 
 
 def feature_pair_rows(ds: Dataset, i: int, j: int) -> list[ScatterRow]:
@@ -223,10 +211,7 @@ def feature_pair_rows(ds: Dataset, i: int, j: int) -> list[ScatterRow]:
     for idx in (i, j):
         if not 1 <= idx <= ds.n_features:
             raise DataError(f"feature index {idx} outside 1..{ds.n_features}")
-    return [
-        ScatterRow(sid, lab, float(ds.matrix[r, i - 1]), float(ds.matrix[r, j - 1]))
-        for r, (sid, lab) in enumerate(zip(ds.sample_ids, ds.labels))
-    ]
+    return _scatter_rows(ds, ds.matrix[:, [i - 1, j - 1]])
 
 
 # One style per class, in class order: circle, square, triangle, diamond, cross, plus, ring.

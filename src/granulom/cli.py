@@ -194,7 +194,6 @@ def _cmd_select(args) -> int:
 
 def _cmd_pca(args) -> int:
     ds = features.load_dataset(args.dataset)
-    analyze.check_components(args.components, ds.n_samples, ds.n_features, least=2)
     model = analyze.fit_pca(ds, n_components=args.components, correlation=args.correlation)
     rows = analyze.project(model, ds)
     analyze.export_scatter(rows, args.out, svg_path=args.svg)
@@ -292,7 +291,7 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     cfg = checked(cp, "ga", None, select.GAConfig, **ga_settings) if ga_enabled else None
     if pca_enabled:  # the stage projects onto the first two components
         checked(cp, "pca", "components", analyze.check_components, n_comp, n_train,
-                recipe.total_features, least=2)
+                recipe.total_features)
 
     os.makedirs(out_dir, exist_ok=True)
     for pattern in _RUN_ARTEFACTS:  # a rerun into the directory leaves only its own files

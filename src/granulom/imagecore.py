@@ -203,8 +203,8 @@ def _half_up(n, q):
 
 def intensity(img: ColorImage) -> GreyImage:
     """Average the three channels, rounding half up."""
-    s = img.pixels.astype(np.int32).sum(axis=2)
-    return GreyImage(_half_up(s, 3).astype(np.uint8))
+    r, g, b = (img.pixels[..., c].astype(np.int32) for c in range(3))
+    return GreyImage(_half_up(r + g + b, 3).astype(np.uint8))
 
 
 def to_hls(img: ColorImage) -> np.ndarray:

@@ -268,8 +268,8 @@ def format_corpus_config(spec: CorpusSpec) -> str:
                   f"grain_radius = {ts.grain_radius[0]} {ts.grain_radius[1]}",
                   f"grain_intensity = {ts.grain_intensity[0]} {ts.grain_intensity[1]}",
                   f"background = {ts.background_intensity}",
-                  f"density = {ts.grain_density:g}",
-                  f"tint = {ts.rgb_tint[0]:g} {ts.rgb_tint[1]:g} {ts.rgb_tint[2]:g}"]
+                  f"density = {float(ts.grain_density)!r}",
+                  "tint = " + " ".join(repr(float(v)) for v in ts.rgb_tint)]
     return "\n".join(lines) + "\n"
 
 

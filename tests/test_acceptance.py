@@ -23,7 +23,7 @@ from conftest import (
 from granulom import cli
 from granulom.analyze import export_scatter, fit_pca, project, transform
 from granulom.classify import FeatureMask, KnnConfig, evaluate
-from granulom.features import Dataset, builtin_recipe, extract_corpus, split
+from granulom.features import Dataset, builtin_recipe, extract_corpus, save_dataset, split
 from granulom.granulometry import export_curve, granulometry_openings, size_intensity
 from granulom.imagecore import GreyImage, intensity, read_ppm
 from granulom.morphology import FAMILIES, StructuringElement, closing, opening
@@ -288,7 +288,7 @@ def test_criterion_8_pca(rng):
         oracle = charpoly_eigenvalues(sample_cov)
         ok &= np.abs(np.sort(model.eigenvalues) - oracle).max() < 1e-8
         ok &= abs(model.eigenvalues.sum() - np.trace(sample_cov)) < 1e-8
-        ok &= np.all(transform(model, model.mean) == 0.0)
+        ok &= np.all(transform(model, model.mean[None]) == 0.0)
     _verdict(8, "PCA orthonormality 1e-9, eigen oracle 1e-8, trace 1e-8, mean->origin", ok)
 
 
@@ -423,6 +423,18 @@ GOLDEN_PCA_SHA256 = {
     "pca_train.csv": "bd3a63b42b9661ac9276e550fbf3e339007b1f9a8376e175e1062a502c22e620",
     "pca_train.svg": "a8fbf568b90555a667429af759bdb08a65d4066b9c537f811c7675d921a91264",
 }
+# `granulom pca` on the seed-12957 training set, for the paths the pipeline's default does not
+# take: a correlation fit, and more components than the two the scatter shows
+GOLDEN_PCA_CLI_SHA256 = {
+    "correlation-5": {
+        "pca.csv": "47e4eed66e0e29fa269f2e3a25597c1718eae02c2b4b17af4fb58295f3ae6aa1",
+        "pca.svg": "10e1b399c13c77fdc84239ab1ddb69b7ef02660864351beb044a3d1f7605c25a",
+    },
+    "covariance-7": {
+        "pca.csv": "3c4dcfc046d385698ad35c400440f9f95a6705fdae743470b9fbe0b3743cde36",
+        "pca.svg": "a8fbf568b90555a667429af759bdb08a65d4066b9c537f811c7675d921a91264",
+    },
+}
 GOLDEN_HELD_OUT_PCA_SHA256 = {
     "pca_train.csv": "5ad5cce5896dbae386ce7920dc4a2a93dd9909af5faaedcb82c93a2edfdf57d4",
     "pca_train.svg": "a4b2f584757f194239456e12b1e87e9cd296b133c1e85a20e3d921e32ff09535",
@@ -435,6 +447,16 @@ def test_pca_golden_bytes(granite14_run, tmp_path):
     export_scatter(project(model, train), tmp_path / "pca_train.csv",
                    svg_path=tmp_path / "pca_train.svg")
     for name, digest in GOLDEN_PCA_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("case, flags", [("correlation-5", ["--correlation", "--components", "5"]),
+                                         ("covariance-7", ["--components", "7"])])
+def test_pca_cli_golden_bytes(granite14_run, tmp_path, case, flags):
+    save_dataset(granite14_run["train"], tmp_path / "train.csv")
+    assert cli.main(["--quiet", "pca", "--dataset", str(tmp_path / "train.csv"), *flags,
+                     "--out", str(tmp_path / "pca.csv"), "--svg", str(tmp_path / "pca.svg")]) == 0
+    for name, digest in GOLDEN_PCA_CLI_SHA256[case].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 

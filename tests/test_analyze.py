@@ -87,7 +87,7 @@ def test_jacobi_rejects_entries_whose_squares_overflow(matrix):
 def test_jacobi_and_transform_reject_entries_that_are_not_real_numbers(matrix):
     with pytest.raises(DataError, match="^jacobi_eigh matrix must hold real numbers: "):
         jacobi_eigh(matrix)
-    model = fit_pca(_dataset(np.eye(3)), 1)
+    model = fit_pca(_dataset(np.eye(3)), 2)
     with pytest.raises(DataError, match="^transform matrix must hold real numbers: "):
         transform(model, matrix)
 
@@ -209,7 +209,15 @@ def test_full_reconstruction(rng):
 def test_project_mean_is_origin(rng):
     ds = _dataset(rng.normal(size=(15, 4)))
     model = fit_pca(ds, 2)
-    assert transform(model, model.mean) == pytest.approx([0.0, 0.0], abs=0.0)
+    assert transform(model, model.mean[None])[0] == pytest.approx([0.0, 0.0], abs=0.0)
+
+
+def test_transform_takes_only_a_matrix_of_the_fitted_width(rng):
+    ds = _dataset(rng.normal(size=(15, 4)))
+    model = fit_pca(ds, 2)
+    for bad in (model.mean, ds.matrix[:, :3], ds.matrix[None]):
+        with pytest.raises(DataError, match="^feature count does not match the fitted model$"):
+            transform(model, bad)
 
 
 def test_pc1_score_variance_equals_eigenvalue(rng):
@@ -234,6 +242,8 @@ def test_rotation_leaves_score_distances(rng):
 def test_fit_pca_preconditions(rng):
     with pytest.raises(DataError):
         fit_pca(_dataset(np.zeros((1, 3))), 1)
+    with pytest.raises(DataError, match=r"^n_components must lie in \[2, 3\], got 1$"):
+        fit_pca(_dataset(rng.normal(size=(5, 3))), 1)
     with pytest.raises(DataError):
         fit_pca(_dataset(rng.normal(size=(5, 3))), 5)
 
@@ -242,7 +252,8 @@ def test_correlation_flag(rng):
     base = rng.normal(size=(30, 3)) * np.array([1.0, 100.0, 0.01])
     ds = _dataset(base)
     model = fit_pca(ds, 3, correlation=True)
-    assert model.scale is not None
+    assert model.scale == pytest.approx(base.std(axis=0, ddof=1), rel=1e-12)
+    assert np.array_equal(fit_pca(ds, 3).scale, np.ones(3))  # a covariance fit divides by 1
     assert model.eigenvalues.sum() == pytest.approx(3.0, abs=1e-8)
 
 

@@ -156,6 +156,16 @@ def test_intensity_examples():
     assert intensity(ColorImage(np.array([[[1, 1, 2]]]))).pixels[0, 0] == 1  # round(4/3)
 
 
+def test_intensity_rounds_every_channel_sum_half_up():
+    s = np.arange(766)
+    first = np.minimum(s, 255)
+    second = np.minimum(s - first, 255)
+    split = np.stack([first, second, s - first - second], axis=-1)  # every sum 0..765
+    img = ColorImage(np.stack([np.roll(split, shift, axis=-1) for shift in range(3)]))
+    expected = np.floor(s / 3 + 0.5)
+    assert all(np.array_equal(row, expected) for row in intensity(img).pixels)
+
+
 def test_intensity_equal_planes_identity(rng):
     plane = rng.integers(0, 256, (6, 5))
     img = ColorImage(np.stack([plane, plane, plane], axis=-1))

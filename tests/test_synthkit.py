@@ -228,6 +228,11 @@ def test_read_manifest_accepts_paths_inside_the_corpus(tmp_path):
 def test_corpus_config_roundtrip():
     spec = builtin_corpus_spec("granite14")
     assert parse_corpus_config(format_corpus_config(spec)) == spec
+    # more significant digits than %g keeps
+    first = dataclasses.replace(spec.classes[0], grain_density=14.123456789,
+                                rgb_tint=(1.0734567891, 0.7 + 0.2, 1.0))
+    spec = dataclasses.replace(spec, classes=(first,) + spec.classes[1:])
+    assert parse_corpus_config(format_corpus_config(spec)) == spec
 
 
 def test_config_reader_kinds_and_errors():
