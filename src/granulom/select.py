@@ -146,7 +146,7 @@ class GARunReport:
 
 
 class _WrapperObjective:
-    """1-NN hit counting for populations of masks over a fixed train/eval pair, memoized twice.
+    """1-NN hit counting for populations of masks over a fixed train/eval pair, memoized.
 
     The squared-difference rows come from `classify.squared_rows`, the
     classifiers' own generator, over the live columns only
@@ -159,11 +159,13 @@ class _WrapperObjective:
     so hits are memoized by the live bits and each live projection is
     summed once. `nf` still counts every selected bit.
 
-    Both memos are keyed by packed bits: a row of n bits packed eight to a
-    byte (`np.packbits`) is one ceil(n/8)-byte key. `seen` is the set of
-    every full mask scored; it only counts `cache_hits` and `evaluations`,
-    since a mask's score follows from its live key and bit count.
-    `hits_by_live` maps each summed live projection to its hits.
+    Masks are kept as packed bits: a row of n bits packed eight to a byte
+    (`np.packbits`) takes ceil(n/8) bytes, 15 for 117 features.
+    `hits_by_live` maps each summed live projection's packed bits to its
+    hits. The full masks serve only to count repeats, since a mask's
+    score follows from its live key and bit count: `scored` is one buffer
+    of every row scored, packed, and `counts` sorts it once, at the end of
+    a run.
     """
 
     def __init__(self, train: Dataset, eval_set: Dataset, cfg: GAConfig):
@@ -182,21 +184,17 @@ class _WrapperObjective:
         self.d2 = np.empty((eval_set.n_samples, train.n_samples))
         self.eval_codes = np.array([codes.get(lab, -1) for lab in eval_set.labels])
         self.eval_total = eval_set.n_samples
-        self.seen: set[bytes] = set()
+        self.row_bytes = -(-train.n_features // 8)
+        self.scored = bytearray()
         self.hits_by_live: dict[bytes, int] = {}
-        self.cache_hits = 0
 
     def score(self, population: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(hits, nfs, fits) of each row of a (rows, n) bool population.
 
-        A row scored before, in an earlier call or an earlier row, is a
-        cache hit. fits is the wrapper fitness alpha*hits - beta*nf, and
+        fits is the wrapper fitness alpha*hits - beta*nf, and
         EMPTY_MASK_FITNESS where nf is 0.
         """
-        keys = _packed_keys(population)
-        before = len(self.seen)
-        self.seen.update(keys)
-        self.cache_hits += len(keys) - (len(self.seen) - before)
+        self.scored += np.packbits(population, axis=1).tobytes()
         nfs = np.count_nonzero(population, axis=1)
         live = population[:, self.live]
         hits = np.array(
@@ -206,6 +204,22 @@ class _WrapperObjective:
         )
         fits = np.where(nfs == 0, EMPTY_MASK_FITNESS, self.cfg.alpha * hits - self.cfg.beta * nfs)
         return hits, nfs, fits
+
+    def counts(self) -> tuple[int, int]:
+        """(cache_hits, evaluations) of every row scored so far: the rows
+        whose mask an earlier row, in this call or an earlier one, already
+        had, and the distinct masks."""
+        packed = np.frombuffer(self.scored, np.uint8).reshape(-1, self.row_bytes)
+        rows = len(packed)
+        # a copy, so that no view of the buffer outlives the call (the next
+        # += would raise BufferError), zero-padded to whole 8-byte words so
+        # that neighbours compare as a few integers
+        words = np.zeros((rows, -(-self.row_bytes // 8)), dtype=np.uint64)
+        words.view(np.uint8)[:, : self.row_bytes] = packed
+        # sorted in place as one bytes-compared item per row: equal rows end up side by side
+        words.view(f"V{8 * words.shape[1]}").sort(axis=0)
+        cache_hits = int(np.count_nonzero((words[1:] == words[:-1]).all(axis=1)))
+        return cache_hits, rows - cache_hits
 
     def _hits(self, key: bytes, live_bits: np.ndarray) -> int:
         """1-NN hits over the live rows `live_bits` selects, summed once per projection."""
@@ -300,6 +314,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         else:
             stale += 1
 
+    cache_hits, evaluations = objective.counts()
     return GARunReport(
         history=history,
         best_mask=FeatureMask(best_bits),
@@ -308,8 +323,8 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         eval_total=objective.eval_total,
         generations_run=history[-1].generation,
         stop_reason=stop_reason,
-        cache_hits=objective.cache_hits,
-        evaluations=len(objective.seen),
+        cache_hits=cache_hits,
+        evaluations=evaluations,
         distance_sums=len(objective.hits_by_live),
     )
 

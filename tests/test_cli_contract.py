@@ -231,6 +231,8 @@ CASES = [
          "error: test_fraction must lie in (0, 1), got 1.5", D),
     Case("split-one-row", f"{SPLIT} --fraction 0.5", 2, "error: need at least 2 samples to split",
          {"d.csv": "sample_id,label,f0001\na-1,a,0\n"}),
+    Case("select-writes-a-mask", f"{SELECT} --out m.txt", 0, files=D,
+         out=re.compile(r"^generations_run = 2$", re.M)),
     Case("select-negative-generations", f"{SELECT} --gens -1", 2,
          "error: generations must be >= 0", D),
     Case("select-negative-alpha", f"{SELECT} --alpha -0.5 --beta 1.5", 2,

@@ -119,7 +119,7 @@ def test_objective_cache_single_entry():
     bits = np.array([True, True, False, False])
     first = objective.score(bits[None])
     assert objective.score(bits.copy()[None]) == first
-    assert len(objective.seen) == 1
+    assert objective.counts() == (1, 1)  # (cache_hits, evaluations)
 
 
 def test_run_ga_deterministic(tmp_path):
@@ -172,6 +172,7 @@ def test_run_ga_stagnation_stop():
     rep = run_ga(train, eval_set, cfg)
     assert rep.stop_reason == "stagnation"
     assert rep.generations_run < 200
+    assert rep.cache_hits + rep.evaluations == cfg.population_size * (rep.generations_run + 1)
 
 
 def _exhaustive_optimum(train, eval_set, cfg):
@@ -224,8 +225,9 @@ def test_wrapper_objective_matches_evaluate_lot117_shape(rng):
 
 
 # Bytes a GA run may hold per distinct mask scored, beyond the distance table.
-# The packed memos need under 300 here; a bool-bytes key with a
-# (hits, nf, fitness) tuple per mask needed about 580.
+# The packed memos and buffer need about 213 here (a set of the packed masks
+# needed about 289); a bool-bytes key with a (hits, nf, fitness) tuple per mask
+# needed about 580.
 BYTES_PER_MASK = 400
 
 
@@ -242,6 +244,40 @@ def test_run_ga_memory_is_the_table_plus_a_few_bytes_per_mask():
     table = train.n_features * eval_set.n_samples * train.n_samples * 8
     assert rep.evaluations > 2500
     assert peak <= table + BYTES_PER_MASK * rep.evaluations
+
+
+# Bytes a GA run may hold beyond the distance table, per distance sum (an entry
+# of `hits_by_live`, about 71 here) and per scored row. With 120 counted per
+# sum, the rest comes to about 29 bytes per scored row here, the packed buffer
+# included; with a set of the distinct masks in place of the buffer it came to
+# about 80.
+BYTES_PER_SUM = 120
+BYTES_PER_SCORED_ROW = 48
+
+
+def test_run_ga_memory_is_a_few_bytes_per_scored_row():
+    # 65 of 117 columns hold one value, so masks that differ only there share
+    # one distance sum: the run scores twice as many distinct masks as it sums
+    rng = np.random.default_rng(65)
+    dead = rng.permutation(117)[:65]
+    def block(count, tag):
+        rows = rng.normal(size=(count, 117)) + np.arange(count)[:, None] % 3
+        rows[:, dead] = 1.5
+        return Dataset([f"{tag}{i:02d}" for i in range(count)],
+                       [f"c{i % 3}" for i in range(count)], rows)
+    train, eval_set = block(60, "tr"), block(20, "ev")
+    run_ga(train, eval_set, GAConfig(generations=1, seed=3))  # numpy's first-call set-up
+    cfg = GAConfig(generations=300, seed=3)
+    tracemalloc.start()
+    try:
+        rep = run_ga(train, eval_set, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = (117 - 65) * eval_set.n_samples * train.n_samples * 8
+    rows = cfg.population_size * (rep.generations_run + 1)
+    assert rep.evaluations > 2 * rep.distance_sums
+    assert peak <= table + BYTES_PER_SUM * rep.distance_sums + BYTES_PER_SCORED_ROW * rows
 
 
 def test_generation_median_is_numpys_median():
@@ -363,7 +399,7 @@ def test_masks_differing_in_dead_bits_share_one_distance_sum(rng):
                 expected = _every_row_score(train, eval_set, bits, cfg)
                 assert objective.score(bits.copy()[None]) == expected
                 projections.add(bits[objective.live].tobytes())
-    assert len(objective.hits_by_live) == len(projections) < len(objective.seen)
+    assert len(objective.hits_by_live) == len(projections) < objective.counts()[1]
     rep = run_ga(train, eval_set, GAConfig(population_size=8, generations=15, seed=3))
     assert 0 < rep.distance_sums < rep.evaluations
 
@@ -409,11 +445,11 @@ def test_score_of_a_population_matches_every_row_score():
     hits, nfs, fits = objective.score(population)
     scores = list(zip(hits.tolist(), nfs.tolist(), fits.tolist()))
     assert scores == [_every_row_score(train, eval_set, bits, cfg) for bits in population]
-    assert (objective.cache_hits, len(objective.seen)) == (1, 5)
+    assert objective.counts() == (1, 5)  # (cache_hits, evaluations)
     # rows 0, 1, 4 and 5: row 2 repeats row 0, and the empty mask sums nothing
     assert len(objective.hits_by_live) == 4
     objective.score(population[4:])
-    assert (objective.cache_hits, len(objective.seen)) == (3, 5)
+    assert objective.counts() == (3, 5)
     alone = _WrapperObjective(train, eval_set, cfg)
     alone.score(population[3:4])
     assert alone.hits_by_live == {}  # the empty mask alone sums nothing
@@ -443,10 +479,35 @@ def test_memo_keys_are_packed_bits():
         population = np.random.default_rng(6).random((20, train.n_features)) < 0.5
         population[0] = True
         objective.score(population)
-        assert {len(key) for key in objective.seen} == {math.ceil(train.n_features / 8)}
+        # ceil(n/8) bytes per row, in the order scored
+        assert bytes(objective.scored) == b"".join(np.packbits(row).tobytes() for row in population)
         width = math.ceil(objective.live.size / 8)
         assert {len(key) for key in objective.hits_by_live} == {width}
-        assert np.packbits(population[0]).tobytes() in objective.seen
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 64, 65, 117])
+def test_counts_match_a_set_of_the_scored_rows(n):
+    # widths on each side of a byte and of an 8-byte word, where a row's padding starts
+    rng = np.random.default_rng(n)
+    train = Dataset([f"tr{i}" for i in range(4)], ["a", "b"] * 2, rng.normal(size=(4, n)))
+    eval_set = Dataset(["ev0", "ev1"], ["a", "b"], rng.normal(size=(2, n)))
+    objective = _WrapperObjective(train, eval_set, GAConfig(seed=0))
+    scored = np.zeros((0, n), dtype=bool)
+    for _ in range(4):
+        population = rng.random((12, n)) < 0.5
+        population[0] = False  # the empty mask: zero bytes like the padding
+        population[1] = population[0]
+        population[1, -1] = True  # the last bit only, next to the padding
+        population[2] = population[3]  # a repeat within the call
+        population[4] = population[5]
+        population[4, min(n, 64) - 1] ^= True  # differs in the first word's last bit only
+        if len(scored):  # repeats of rows of earlier calls
+            population[6:8] = scored[rng.integers(0, len(scored), 2)]
+        objective.score(population)
+        scored = np.concatenate([scored, population])
+        distinct = len({row.tobytes() for row in scored})
+        assert objective.counts() == (len(scored) - distinct, distinct)
+    assert len(objective.scored) == len(scored) * math.ceil(n / 8)
 
 
 def _contract_breed(population, fits, cfg, rng):
