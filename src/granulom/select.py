@@ -164,8 +164,8 @@ class _WrapperObjective:
     `hits_by_live` maps each summed live projection's packed bits to its
     hits. The full masks serve only to count repeats, since a mask's
     score follows from its live key and bit count: `scored` is one buffer
-    of every row scored, packed, and `counts` sorts it once, at the end of
-    a run.
+    of every row scored, packed, and `counts` sorts a copy of it once, at
+    the end of a run.
     """
 
     def __init__(self, train: Dataset, eval_set: Dataset, cfg: GAConfig):
