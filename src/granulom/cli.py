@@ -80,7 +80,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_extract(args) -> int:
     recipe = features.builtin_recipe(args.recipe)
-    ds = features.extract_corpus(args.dir, recipe, threads=args.threads)
+    ds = features.extract_corpus(args.dir, recipe)
     features.save_dataset(ds, args.out)
     _info(args, f"extracted {ds.n_samples} samples x {ds.n_features} features -> {args.out}")
     return 0
@@ -223,7 +223,7 @@ def _cmd_recipe(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    pipeline(args.config, args.out, threads=args.threads, quiet=args.quiet)
+    pipeline(args.config, args.out, quiet=args.quiet)
     return 0
 
 
@@ -248,12 +248,14 @@ _RUN_ARTEFACTS = ("run.txt", "all.csv", "train.csv", "test.csv", "baseline_k*.cs
                   "pca_train.csv", "pca_train.svg", "corpus/manifest.csv", "corpus/*.ppm")
 
 
-def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> None:
+def pipeline(config_path, out_dir, quiet: bool = False) -> None:
     """Run synth -> extract -> split -> baseline -> GA -> PCA, writing a run dir.
 
     Every config value is read and checked before the first stage runs:
     its kind, an unknown section or key, and each range that the corpus
     size, the split's test size or the recipe's feature count bounds.
+    Extraction runs on the calling thread; `features.extract_corpus` keeps
+    its `threads` keyword only for perfbench's equality probe.
     """
     cp = parse_config(read_text(config_path), "pipeline", config_path)
     spec_name = setting(cp, "synth", "spec", "text", "granite14")
@@ -272,7 +274,6 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
         raise config_error(cp, "split", "test_count", "test_fraction is set too; set only one")
     if len(set(ks)) != len(ks):
         raise config_error(cp, "baseline", "ks", "each k may appear only once")
-    features.check_threads(threads)
 
     corpus_spec = synthkit.load_corpus_spec(spec_name)
     recipe = checked(cp, "extract", "recipe", features.builtin_recipe, recipe_name)
@@ -313,7 +314,7 @@ def pipeline(config_path, out_dir, threads: int = 1, quiet: bool = False) -> Non
     ]
 
     with _stage("extract", quiet):
-        ds = features.extract_corpus(out("corpus"), recipe, threads=threads)
+        ds = features.extract_corpus(out("corpus"), recipe)
         features.save_dataset(ds, out("all.csv"))
     summary += [("recipe", recipe_name), ("n_original_features", recipe.total_features)]
 
@@ -408,9 +409,6 @@ def build_parser() -> _Parser:
     p.add_argument("--recipe", default="lot117", help="rgb27 or lot117")
     p.add_argument("--dir", required=True, help="corpus directory (with manifest.csv)")
     p.add_argument("--out", required=True, help="output dataset CSV")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads, each taking whole chunks of the image batch; "
-                        "never changes output bytes")
 
     p = add_parser("split", _cmd_split, help="stratified train/test split of a dataset")
     p.add_argument("--dataset", required=True)
@@ -488,9 +486,6 @@ def build_parser() -> _Parser:
     p = add_parser("pipeline", _cmd_pipeline, help="run the full workflow from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="extraction worker threads, each taking whole chunks of the image "
-                        "batch; never changes output bytes")
 
     return parser
 

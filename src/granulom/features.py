@@ -226,22 +226,19 @@ def extract(recipe: FeatureRecipe, img: ColorImage) -> np.ndarray:
     return _extract_images(recipe, [img])[0]
 
 
-def check_threads(threads: int) -> None:
-    """A DataError unless `threads` is a worker count of at least 1."""
-    if threads < 1:
-        raise DataError(f"threads must be >= 1, got {threads}")
-
-
 def extract_corpus(corpus_dir, recipe: FeatureRecipe, threads: int = 1) -> "Dataset":
     """Extract every image listed in `corpus_dir`/manifest.csv into one dataset.
 
     Rows are ordered by sample id. The sorted manifest is read in chunks
-    of STACK_CHUNK images, each extracted as one batch; a pool of `threads`
-    workers takes whole chunks, or the calling thread does if `threads` is 1.
-    Rows never depend on the chunking or the worker count. A DataError names
-    the first bad image in sample-id order as `corpus_dir` joined to its path.
+    of STACK_CHUNK images, each extracted as one batch by the calling
+    thread. `threads` > 1 hands whole chunks to a pool instead; it stays
+    only for perfbench's traced probe, which checks that two workers return
+    the serial rows. Rows never depend on the chunking or the worker count.
+    A DataError names the first bad image in sample-id order as `corpus_dir`
+    joined to its path.
     """
-    check_threads(threads)
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads}")
     entries = sorted(read_manifest(os.path.join(corpus_dir, "manifest.csv")),
                      key=lambda e: e.sample_id)
 

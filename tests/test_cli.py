@@ -108,7 +108,7 @@ def test_full_cli_workflow(tmp_path, corpus_cfg, capsys):
 
     all_csv = tmp_path / "all.csv"
     assert main(["--quiet", "extract", "--recipe", "lot117", "--dir", str(corpus),
-                 "--out", str(all_csv), "--threads", "2"]) == 0
+                 "--out", str(all_csv)]) == 0
     ds = load_dataset(all_csv)
     assert ds.n_samples == 18 and ds.n_features == 117
 
@@ -170,8 +170,7 @@ def test_pipeline_runs_and_is_deterministic(tmp_path, corpus_cfg):
     cfg.write_text(PIPELINE_CFG.format(corpus_cfg=corpus_cfg))
     r1, r2 = tmp_path / "run1", tmp_path / "run2"
     assert main(["--quiet", "pipeline", "--config", str(cfg), "--out", str(r1)]) == 0
-    assert main(["--quiet", "pipeline", "--config", str(cfg), "--out", str(r2),
-                 "--threads", "3"]) == 0
+    assert main(["--quiet", "pipeline", "--config", str(cfg), "--out", str(r2)]) == 0
     files1 = sorted(p.relative_to(r1) for p in r1.rglob("*") if p.is_file())
     files2 = sorted(p.relative_to(r2) for p in r2.rglob("*") if p.is_file())
     assert files1 == files2

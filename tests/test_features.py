@@ -199,6 +199,13 @@ def test_extract_corpus_at_one_thread_runs_on_the_calling_thread(tmp_path, monke
     assert seen == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_extract_corpus_rejects_a_worker_count_below_one(tmp_path, threads):
+    _small_corpus(tmp_path, 2)
+    with pytest.raises(DataError, match=f"^threads must be >= 1, got {threads}$"):
+        extract_corpus(tmp_path, builtin_recipe("lot117"), threads=threads)
+
+
 # the bytes of an unreadable PPM and of an all-black one (zero opening volume)
 CORRUPT = b"P9\n12 12\n255\n"
 BLACK = b"P6\n12 12\n255\n" + bytes(12 * 12 * 3)
