@@ -122,8 +122,6 @@ class GARunReport:
     eval_total: int
     generations_run: int
     stop_reason: str  # "max_generations" | "stagnation"
-    cache_hits: int  # scored rows whose mask an earlier row already had
-    evaluations: int  # distinct masks scored
     distance_sums: int  # masks whose distances were summed: one per distinct live projection
 
     @property
@@ -133,7 +131,7 @@ class GARunReport:
 
     @property
     def final_recognition_rate(self) -> float:
-        return self.best_hits / self.eval_total if self.eval_total else 0.0
+        return self.best_hits / self.eval_total
 
     def to_csv(self, path) -> None:
         lines = ["gen,best,median,min,best_nf"]
@@ -159,13 +157,11 @@ class _WrapperObjective:
     so hits are memoized by the live bits and each live projection is
     summed once. `nf` still counts every selected bit.
 
-    Masks are kept as packed bits: a row of n bits packed eight to a byte
-    (`np.packbits`) takes ceil(n/8) bytes, 15 for 117 features.
+    Live keys are packed bits: a row of n bits packed eight to a byte
+    (`np.packbits`) takes ceil(n/8) bytes, 7 for the shipped run's 52
+    live columns.
     `hits_by_live` maps each summed live projection's packed bits to its
-    hits. The full masks serve only to count repeats, since a mask's
-    score follows from its live key and bit count: `scored` is one buffer
-    of every row scored, packed, and `counts` sorts a copy of it once, at
-    the end of a run.
+    hits, and is the one record of the masks scored.
     """
 
     def __init__(self, train: Dataset, eval_set: Dataset, cfg: GAConfig):
@@ -184,8 +180,6 @@ class _WrapperObjective:
         self.d2 = np.empty((eval_set.n_samples, train.n_samples))
         self.eval_codes = np.array([codes.get(lab, -1) for lab in eval_set.labels])
         self.eval_total = eval_set.n_samples
-        self.row_bytes = -(-train.n_features // 8)
-        self.scored = bytearray()
         self.hits_by_live: dict[bytes, int] = {}
 
     def score(self, population: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,7 +188,6 @@ class _WrapperObjective:
         fits is the wrapper fitness alpha*hits - beta*nf, and
         EMPTY_MASK_FITNESS where nf is 0.
         """
-        self.scored += np.packbits(population, axis=1).tobytes()
         nfs = np.count_nonzero(population, axis=1)
         live = population[:, self.live]
         hits = np.array(
@@ -204,22 +197,6 @@ class _WrapperObjective:
         )
         fits = np.where(nfs == 0, EMPTY_MASK_FITNESS, self.cfg.alpha * hits - self.cfg.beta * nfs)
         return hits, nfs, fits
-
-    def counts(self) -> tuple[int, int]:
-        """(cache_hits, evaluations) of every row scored so far: the rows
-        whose mask an earlier row, in this call or an earlier one, already
-        had, and the distinct masks."""
-        packed = np.frombuffer(self.scored, np.uint8).reshape(-1, self.row_bytes)
-        rows = len(packed)
-        # a copy, so that no view of the buffer outlives the call (the next
-        # += would raise BufferError), zero-padded to whole 8-byte words so
-        # that neighbours compare as a few integers
-        words = np.zeros((rows, -(-self.row_bytes // 8)), dtype=np.uint64)
-        words.view(np.uint8)[:, : self.row_bytes] = packed
-        # sorted in place as one bytes-compared item per row: equal rows end up side by side
-        words.view(f"V{8 * words.shape[1]}").sort(axis=0)
-        cache_hits = int(np.count_nonzero((words[1:] == words[:-1]).all(axis=1)))
-        return cache_hits, rows - cache_hits
 
     def _hits(self, key: bytes, live_bits: np.ndarray) -> int:
         """1-NN hits over the live rows `live_bits` selects, summed once per projection."""
@@ -314,7 +291,6 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         else:
             stale += 1
 
-    cache_hits, evaluations = objective.counts()
     return GARunReport(
         history=history,
         best_mask=FeatureMask(best_bits),
@@ -323,8 +299,6 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         eval_total=objective.eval_total,
         generations_run=history[-1].generation,
         stop_reason=stop_reason,
-        cache_hits=cache_hits,
-        evaluations=evaluations,
         distance_sums=len(objective.hits_by_live),
     )
 

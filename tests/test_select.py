@@ -12,6 +12,7 @@ from granulom.classify import (
     KnnConfig,
     _squared_distances,
     evaluate,
+    live_columns,
     squared_rows,
     summed_rows,
 )
@@ -119,7 +120,7 @@ def test_objective_cache_single_entry():
     bits = np.array([True, True, False, False])
     first = objective.score(bits[None])
     assert objective.score(bits.copy()[None]) == first
-    assert objective.counts() == (1, 1)  # (cache_hits, evaluations)
+    assert len(objective.hits_by_live) == 1
 
 
 def test_run_ga_deterministic(tmp_path):
@@ -129,9 +130,8 @@ def test_run_ga_deterministic(tmp_path):
     rep2 = run_ga(train, eval_set, cfg)
     assert rep1.best_mask == rep2.best_mask
     assert rep1.history == rep2.history
-    assert (rep1.cache_hits, rep1.evaluations) == (rep2.cache_hits, rep2.evaluations)
-    assert rep1.cache_hits + rep1.evaluations == cfg.population_size * (cfg.generations + 1)
-    assert 0 < rep1.evaluations <= 2 ** train.n_features
+    assert rep1.distance_sums == rep2.distance_sums
+    assert 0 < rep1.distance_sums < 2 ** train.n_features
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     rep1.to_csv(p1)
     rep2.to_csv(p2)
@@ -172,7 +172,7 @@ def test_run_ga_stagnation_stop():
     rep = run_ga(train, eval_set, cfg)
     assert rep.stop_reason == "stagnation"
     assert rep.generations_run < 200
-    assert rep.cache_hits + rep.evaluations == cfg.population_size * (rep.generations_run + 1)
+    assert len(rep.history) == rep.generations_run + 1
 
 
 def _exhaustive_optimum(train, eval_set, cfg):
@@ -224,40 +224,9 @@ def test_wrapper_objective_matches_evaluate_lot117_shape(rng):
         assert nf == mask.n_selected
 
 
-# Bytes a GA run may hold per distinct mask scored, beyond the distance table.
-# The packed memos and buffer need about 213 here (a set of the packed masks
-# needed about 289); a bool-bytes key with a (hits, nf, fitness) tuple per mask
-# needed about 580.
-BYTES_PER_MASK = 400
-
-
-def test_run_ga_memory_is_the_table_plus_a_few_bytes_per_mask():
-    train, eval_set = lot117_pair(np.random.default_rng(117))
-    run_ga(train, eval_set, GAConfig(generations=1, seed=3))  # numpy's first-call set-up
-    tracemalloc.start()
-    try:
-        rep = run_ga(train, eval_set, GAConfig(generations=60, seed=3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # normal draws make every column live: one (eval, train) float64 row per feature
-    table = train.n_features * eval_set.n_samples * train.n_samples * 8
-    assert rep.evaluations > 2500
-    assert peak <= table + BYTES_PER_MASK * rep.evaluations
-
-
-# Bytes a GA run may hold beyond the distance table, per distance sum (an entry
-# of `hits_by_live`, about 71 here) and per scored row. With 120 counted per
-# sum, the rest comes to about 29 bytes per scored row here, the packed buffer
-# included; with a set of the distinct masks in place of the buffer it came to
-# about 80.
-BYTES_PER_SUM = 120
-BYTES_PER_SCORED_ROW = 48
-
-
-def test_run_ga_memory_is_a_few_bytes_per_scored_row():
+def _dead_column_pair():
     # 65 of 117 columns hold one value, so masks that differ only there share
-    # one distance sum: the run scores twice as many distinct masks as it sums
+    # one distance sum: the run scores far more rows than it sums
     rng = np.random.default_rng(65)
     dead = rng.permutation(117)[:65]
     def block(count, tag):
@@ -265,19 +234,37 @@ def test_run_ga_memory_is_a_few_bytes_per_scored_row():
         rows[:, dead] = 1.5
         return Dataset([f"{tag}{i:02d}" for i in range(count)],
                        [f"c{i % 3}" for i in range(count)], rows)
-    train, eval_set = block(60, "tr"), block(20, "ev")
+    return block(60, "tr"), block(20, "ev")
+
+
+# Bytes a GA run may hold beyond the distance table: BYTES_PER_SUM per entry
+# of `hits_by_live` (about 71 here), and SLACK for what does not grow with the
+# run (the distance buffer, the populations, numpy's temporaries), none of it
+# per scored row. The runs below peak about 25 KB (dead columns) and 225 KB
+# (all live) above table + 120 per sum; a packed buffer of every scored row
+# put the dead-column run 434 KB above it.
+BYTES_PER_SUM = 120
+SLACK = 320_000
+
+
+@pytest.mark.parametrize("pair, generations", [
+    (lambda: lot117_pair(np.random.default_rng(117)), 60),
+    (_dead_column_pair, 300),
+], ids=["all-live", "dead-columns"])
+def test_run_ga_memory_is_the_table_plus_a_few_bytes_per_sum(pair, generations):
+    train, eval_set = pair()
     run_ga(train, eval_set, GAConfig(generations=1, seed=3))  # numpy's first-call set-up
-    cfg = GAConfig(generations=300, seed=3)
     tracemalloc.start()
     try:
-        rep = run_ga(train, eval_set, cfg)
+        rep = run_ga(train, eval_set, GAConfig(generations=generations, seed=3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = (117 - 65) * eval_set.n_samples * train.n_samples * 8
-    rows = cfg.population_size * (rep.generations_run + 1)
-    assert rep.evaluations > 2 * rep.distance_sums
-    assert peak <= table + BYTES_PER_SUM * rep.distance_sums + BYTES_PER_SCORED_ROW * rows
+    # one (eval, train) float64 row per live column
+    live = live_columns(eval_set.matrix, train.matrix).size
+    table = live * eval_set.n_samples * train.n_samples * 8
+    assert rep.distance_sums > 2500
+    assert peak <= table + BYTES_PER_SUM * rep.distance_sums + SLACK
 
 
 def test_generation_median_is_numpys_median():
@@ -296,9 +283,9 @@ def test_generation_median_is_numpys_median():
 # reaches: n = 1 (no crossover point), elitism 0, an even and an odd number of
 # offspring slots, crossover and mutation branches that draw nothing, and a
 # stagnation stop. Each run hashes its history rows, mask, best hits, stop
-# reason and work counts, so any change to the RNG draws shows up here.
+# reason and distance sums, so any change to the RNG draws shows up here.
 
-GOLDEN_GA_GRID_SHA256 = "b61038c412c92523de12a4bc19629a2a7f4fd49130eaead57cde505ba1c47938"
+GOLDEN_GA_GRID_SHA256 = "a6fef8617f41845f2595485cc069b043b33b6c16848da4a8257d8632a2c941ad"
 
 
 def _grid_pair(n):
@@ -327,7 +314,7 @@ def test_ga_edge_config_golden():
         ]
         lines.append(
             f"{rep.best_mask.to_string()} {rep.best_hits} {rep.stop_reason} "
-            f"{rep.cache_hits} {rep.evaluations}"
+            f"{rep.distance_sums}"
         )
         digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_GA_GRID_SHA256
@@ -390,7 +377,7 @@ def test_masks_differing_in_dead_bits_share_one_distance_sum(rng):
     cfg = GAConfig(seed=0)
     objective = _WrapperObjective(train, eval_set, cfg)
     assert objective.live.tolist() == [f for f in range(train.n_features) if f not in DEAD]
-    projections = set()
+    projections, masks = set(), set()
     for _ in range(150):
         bits = rng.random(train.n_features) < 0.4
         for _ in range(3):  # the same live bits under different dead bits
@@ -399,9 +386,10 @@ def test_masks_differing_in_dead_bits_share_one_distance_sum(rng):
                 expected = _every_row_score(train, eval_set, bits, cfg)
                 assert objective.score(bits.copy()[None]) == expected
                 projections.add(bits[objective.live].tobytes())
-    assert len(objective.hits_by_live) == len(projections) < objective.counts()[1]
+                masks.add(bits.tobytes())
+    assert len(objective.hits_by_live) == len(projections) < len(masks)
     rep = run_ga(train, eval_set, GAConfig(population_size=8, generations=15, seed=3))
-    assert 0 < rep.distance_sums < rep.evaluations
+    assert 0 < rep.distance_sums < 8 * (rep.generations_run + 1)
 
 
 def test_ga_distances_are_the_classifiers_bit_for_bit(rng):
@@ -445,11 +433,10 @@ def test_score_of_a_population_matches_every_row_score():
     hits, nfs, fits = objective.score(population)
     scores = list(zip(hits.tolist(), nfs.tolist(), fits.tolist()))
     assert scores == [_every_row_score(train, eval_set, bits, cfg) for bits in population]
-    assert objective.counts() == (1, 5)  # (cache_hits, evaluations)
     # rows 0, 1, 4 and 5: row 2 repeats row 0, and the empty mask sums nothing
     assert len(objective.hits_by_live) == 4
-    objective.score(population[4:])
-    assert objective.counts() == (3, 5)
+    objective.score(population[4:])  # summed in the first call
+    assert len(objective.hits_by_live) == 4
     alone = _WrapperObjective(train, eval_set, cfg)
     alone.score(population[3:4])
     assert alone.hits_by_live == {}  # the empty mask alone sums nothing
@@ -479,15 +466,14 @@ def test_memo_keys_are_packed_bits():
         population = np.random.default_rng(6).random((20, train.n_features)) < 0.5
         population[0] = True
         objective.score(population)
-        # ceil(n/8) bytes per row, in the order scored
-        assert bytes(objective.scored) == b"".join(np.packbits(row).tobytes() for row in population)
         width = math.ceil(objective.live.size / 8)
         assert {len(key) for key in objective.hits_by_live} == {width}
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 64, 65, 117])
 def test_counts_match_a_set_of_the_scored_rows(n):
-    # widths on each side of a byte and of an 8-byte word, where a row's padding starts
+    # widths on each side of a byte, where a key's zero padding starts, and of 8 bytes;
+    # every column is live, so the memo holds each distinct non-empty row once
     rng = np.random.default_rng(n)
     train = Dataset([f"tr{i}" for i in range(4)], ["a", "b"] * 2, rng.normal(size=(4, n)))
     eval_set = Dataset(["ev0", "ev1"], ["a", "b"], rng.normal(size=(2, n)))
@@ -505,9 +491,8 @@ def test_counts_match_a_set_of_the_scored_rows(n):
             population[6:8] = scored[rng.integers(0, len(scored), 2)]
         objective.score(population)
         scored = np.concatenate([scored, population])
-        distinct = len({row.tobytes() for row in scored})
-        assert objective.counts() == (len(scored) - distinct, distinct)
-    assert len(objective.scored) == len(scored) * math.ceil(n / 8)
+        distinct = {row.tobytes() for row in scored if row.any()}
+        assert len(objective.hits_by_live) == len(distinct)
 
 
 def _contract_breed(population, fits, cfg, rng):
