@@ -157,9 +157,10 @@ class _WrapperObjective:
     so hits are memoized by the live bits and each live projection is
     summed once. `nf` still counts every selected bit.
 
-    Live keys are packed bits: a row of n bits packed eight to a byte
-    (`np.packbits`) takes ceil(n/8) bytes, 7 for the shipped run's 52
-    live columns.
+    Live keys are packed bits: `score` packs a population's live block
+    eight bits to a byte (`np.packbits`) into one byte string, and each
+    row's key is its ceil(n/8)-byte slice: 7 bytes for the shipped run's
+    52 live columns, and b"" when no column is live.
     `hits_by_live` maps each summed live projection's packed bits to its
     hits, and is the one record of the masks scored.
     """
@@ -173,13 +174,12 @@ class _WrapperObjective:
             raise DataError("no features to select from")
         self.cfg = cfg
         _, train_labels, train_matrix = _training_rows(train)
-        codes = {lab: i for i, lab in enumerate(sorted(set(train_labels)))}
-        self.train_codes = np.array([codes[lab] for lab in train_labels])
+        # object arrays compare labels as str ==, as classify does; a str dtype drops trailing NULs
+        self.train_labels = np.array(train_labels, dtype=object)
+        self.eval_labels = np.array(eval_set.labels, dtype=object)
         self.live = live_columns(eval_set.matrix, train_matrix)
         self.sq = list(squared_rows(eval_set.matrix, train_matrix, self.live))
         self.d2 = np.empty((eval_set.n_samples, train.n_samples))
-        self.eval_codes = np.array([codes.get(lab, -1) for lab in eval_set.labels])
-        self.eval_total = eval_set.n_samples
         self.hits_by_live: dict[bytes, int] = {}
 
     def score(self, population: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,9 +190,12 @@ class _WrapperObjective:
         """
         nfs = np.count_nonzero(population, axis=1)
         live = population[:, self.live]
+        packed = np.packbits(live, axis=1)
+        # row r's key is its slice: tobytes writes C order whatever order the column gather gives
+        width, keys = packed.shape[1], packed.tobytes()
         hits = np.array(
-            [self._hits(key, bits) if nf else 0
-             for key, bits, nf in zip(_packed_keys(live), live, nfs.tolist())],
+            [self._hits(keys[r * width:(r + 1) * width], bits) if nf else 0
+             for r, (bits, nf) in enumerate(zip(live, nfs.tolist()))],
             dtype=np.int64,
         )
         fits = np.where(nfs == 0, EMPTY_MASK_FITNESS, self.cfg.alpha * hits - self.cfg.beta * nfs)
@@ -205,18 +208,9 @@ class _WrapperObjective:
             rows = live_bits.nonzero()[0].tolist()  # Python ints index a list fastest
             # argmin takes the first occurrence: the smallest sample id among ties
             nearest = summed_rows(map(self.sq.__getitem__, rows), out=self.d2).argmin(axis=1)
-            hits = int(np.count_nonzero(self.train_codes[nearest] == self.eval_codes))
+            hits = int(np.count_nonzero(self.train_labels[nearest] == self.eval_labels))
             self.hits_by_live[key] = hits
         return hits
-
-
-def _packed_keys(bits: np.ndarray) -> list[bytes]:
-    """One key per row of a 2-D bool array: the row packed eight bits to a byte."""
-    # packbits keeps the input's memory order, and a column gather can give F order
-    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
-    if packed.shape[1] == 0:  # no void type is zero bytes wide
-        return [b""] * len(packed)
-    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
 def _pair_draws(rng: np.random.Generator, size: int, pairs: int, n: int, cfg: GAConfig):
@@ -296,7 +290,7 @@ def run_ga(train: Dataset, eval_set: Dataset, cfg: GAConfig) -> GARunReport:
         best_mask=FeatureMask(best_bits),
         best_fitness=best_fit,
         best_hits=best_hits,
-        eval_total=objective.eval_total,
+        eval_total=eval_set.n_samples,
         generations_run=history[-1].generation,
         stop_reason=stop_reason,
         distance_sums=len(objective.hits_by_live),

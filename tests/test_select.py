@@ -423,20 +423,28 @@ def test_score_of_a_population_matches_every_row_score():
     rng = np.random.default_rng(31)
     train, eval_set = _pair_with_dead_columns(rng)
     cfg = GAConfig(seed=0)
-    objective = _WrapperObjective(train, eval_set, cfg)
     population = rng.random((6, train.n_features)) < 0.5
     population[2] = population[0]  # a duplicate
     population[3] = False  # the empty mask
     population[4] = False
     population[4, DEAD] = True  # dead bits only: the same live key as the empty mask
     assert len({row.tobytes() for row in population}) == 5
-    hits, nfs, fits = objective.score(population)
-    scores = list(zip(hits.tolist(), nfs.tolist(), fits.tolist()))
-    assert scores == [_every_row_score(train, eval_set, bits, cfg) for bits in population]
-    # rows 0, 1, 4 and 5: row 2 repeats row 0, and the empty mask sums nothing
-    assert len(objective.hits_by_live) == 4
-    objective.score(population[4:])  # summed in the first call
-    assert len(objective.hits_by_live) == 4
+    # the last eval row relabelled to a class no training row has: never a hit, though
+    # a numpy str array drops trailing NULs and would read it as c0
+    assert eval_set.labels[-1] == "c0" and "c0\0" not in train.labels
+    unseen = Dataset(eval_set.sample_ids, eval_set.labels[:-1] + ["c0\0"], eval_set.matrix)
+    all_hits = []
+    for eval_rows in (eval_set, unseen):
+        objective = _WrapperObjective(train, eval_rows, cfg)
+        hits, nfs, fits = objective.score(population)
+        scores = list(zip(hits.tolist(), nfs.tolist(), fits.tolist()))
+        assert scores == [_every_row_score(train, eval_rows, bits, cfg) for bits in population]
+        # rows 0, 1, 4 and 5: row 2 repeats row 0, and the empty mask sums nothing
+        assert len(objective.hits_by_live) == 4
+        objective.score(population[4:])  # summed in the first call
+        assert len(objective.hits_by_live) == 4
+        all_hits.append(hits)
+    assert (all_hits[1] < all_hits[0]).any()  # that row was a hit under some mask
     alone = _WrapperObjective(train, eval_set, cfg)
     alone.score(population[3:4])
     assert alone.hits_by_live == {}  # the empty mask alone sums nothing
@@ -468,11 +476,15 @@ def test_memo_keys_are_packed_bits():
         objective.score(population)
         width = math.ceil(objective.live.size / 8)
         assert {len(key) for key in objective.hits_by_live} == {width}
+        # score's column gather can give F order; each key is still its own row's bits
+        assert set(objective.hits_by_live) == {
+            np.packbits(row[objective.live]).tobytes() for row in population if row.any()
+        }
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 64, 65, 117])
-def test_counts_match_a_set_of_the_scored_rows(n):
-    # widths on each side of a byte, where a key's zero padding starts, and of 8 bytes;
+def test_memo_holds_each_distinct_non_empty_row_once(n):
+    # widths on each side of a byte, where a key's zero padding starts;
     # every column is live, so the memo holds each distinct non-empty row once
     rng = np.random.default_rng(n)
     train = Dataset([f"tr{i}" for i in range(4)], ["a", "b"] * 2, rng.normal(size=(4, n)))
@@ -486,7 +498,7 @@ def test_counts_match_a_set_of_the_scored_rows(n):
         population[1, -1] = True  # the last bit only, next to the padding
         population[2] = population[3]  # a repeat within the call
         population[4] = population[5]
-        population[4, min(n, 64) - 1] ^= True  # differs in the first word's last bit only
+        population[4, min(n, 64) - 1] ^= True  # differs in one bit only
         if len(scored):  # repeats of rows of earlier calls
             population[6:8] = scored[rng.integers(0, len(scored), 2)]
         objective.score(population)
