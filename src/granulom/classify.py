@@ -184,10 +184,10 @@ def _training_rows(train: Dataset) -> _Rows:
 def _mean_rows(train: Dataset) -> _Rows:
     """Per-class mean vectors, each named by its label, in label order."""
     labels = train.class_labels
-    row_labels = np.array(train.labels)
     means = np.zeros((len(labels), train.n_features))
     for row, lab in enumerate(labels):
-        means[row] = train.matrix[row_labels == lab].mean(axis=0)
+        # str ==, not numpy's str dtype, which drops trailing NULs
+        means[row] = train.matrix[[label == lab for label in train.labels]].mean(axis=0)
     return labels, labels, means
 
 

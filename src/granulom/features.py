@@ -32,7 +32,7 @@ import numpy as np
 from .csvrows import identifier, read_csv_rows, write_lines
 from .errors import DataError, real_array
 from .granulometry import opening_curves
-from .imagecore import ColorImage, bin_index, intensity, read_ppm, to_hls
+from .imagecore import ColorImage, intensity, read_ppm, to_hls
 from .morphology import se_family
 from .synthkit import read_manifest
 
@@ -68,8 +68,10 @@ _PLANES = {
 class PlaneHistogram:
     """Histogram of one RGB channel (r g b) or HLS component (h l s).
 
-    Its bins and frequencies are those of `imagecore.histogram` over the
-    plane's pixels.
+    The plane's values lie in [0, vmax], vmax 359 for hue and 255 otherwise,
+    and `bins` equal-width bins span that range with the last bin closed:
+    value v falls in bin min(bins-1, v*bins // vmax). Each frequency is the
+    bin's pixel count divided by the image's pixel count.
     """
 
     plane: str
@@ -93,7 +95,8 @@ class PlaneHistogram:
         _, vmax, convert, channel = _PLANES[self.plane]
         colours, image, counts = batch.palette
         n = len(batch.images)
-        idx = image * self.bins + bin_index(convert(colours)[0, :, channel], self.bins, vmax)
+        values = convert(colours)[0, :, channel].astype(np.int64)
+        idx = image * self.bins + np.minimum(values * self.bins // vmax, self.bins - 1)
         # integer counts below 2**53: the weighted sums are the exact pixel counts
         binned = np.bincount(idx, weights=counts, minlength=n * self.bins)
         first = batch.images[0]

@@ -25,18 +25,13 @@ __all__ = [
     "write_ppm",
     "intensity",
     "to_hls",
-    "histogram",
 ]
-
-
-def _check_integers(arr: np.ndarray, what: str) -> None:
-    if not (np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_):
-        raise DataError(f"{what} values must be integers, got dtype {arr.dtype}")
 
 
 def _as_uint8(arr: np.ndarray, what: str) -> np.ndarray:
     """Read-only uint8 copy of an integer raster whose values lie in [0, 255]."""
-    _check_integers(arr, what)
+    if not (np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_):
+        raise DataError(f"{what} values must be integers, got dtype {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() > 255):
         raise DataError(f"{what} values must lie in [0, 255]")
     out = arr.astype(np.uint8, copy=True)
@@ -230,25 +225,3 @@ def to_hls(img: ColorImage) -> np.ndarray:
     out.flags.writeable = False
     return out
 
-
-def histogram(values, bins: int, vmax: int = 255) -> np.ndarray:
-    """Normalized frequencies over `bins` uniform-width bins spanning [0, vmax].
-
-    The last bin is closed, so the bin index of value v is
-    min(bins-1, v*bins // vmax). `values` must hold integers or bools.
-    """
-    if bins < 1:
-        raise DataError(f"bins must be >= 1, got {bins}")
-    arr = np.asarray(values).ravel()
-    if arr.size == 0:
-        raise DataError("histogram of empty input")
-    _check_integers(arr, "histogram")
-    if arr.min() < 0 or arr.max() > vmax:
-        raise DataError(f"histogram values must lie in [0, {vmax}]")
-    counts = np.bincount(bin_index(arr, bins, vmax), minlength=bins).astype(np.float64)
-    return counts / arr.size
-
-
-def bin_index(values: np.ndarray, bins: int, vmax: int) -> np.ndarray:
-    """The `histogram` bin of each integer value in [0, vmax]: min(bins-1, v*bins // vmax)."""
-    return np.minimum(values.astype(np.int64) * bins // max(vmax, 1), bins - 1)

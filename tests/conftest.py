@@ -3,8 +3,8 @@
 The neighbour tables and brute-force operators here are re-derived from
 first principles (explicit offset literals, BFS composition, set
 translation, full scans, one grain painted at a time, one pixel converted
-to HLS at a time) so they can act as ground truth for the fast
-implementations.
+to HLS at a time, histogram bins counted between their stated edges) so
+they can act as ground truth for the fast implementations.
 """
 
 import hashlib
@@ -316,6 +316,21 @@ def hls_pixel(r: int, g: int, b: int) -> HlsPixel:
         hue = 60.0 * (r - g) / d + 240.0
     h_out = int(hue + 0.5) % 360
     return HlsPixel(h_out, l_out, s_out)
+
+
+# --- plane histograms --------------------------------------------------------------
+
+def pixel_histogram(values, bins: int, vmax: int) -> np.ndarray:
+    """Frequencies of the integers `values` in [0, vmax] over `bins` equal-width bins.
+
+    Bin i holds every v with i*vmax <= v*bins < (i+1)*vmax, and the top value
+    v = vmax falls in the last bin. Each count is divided by the number of values.
+    """
+    scaled = np.asarray(values, dtype=np.int64).ravel() * bins
+    counts = [np.count_nonzero((i * vmax <= scaled) & (scaled < (i + 1) * vmax))
+              for i in range(bins)]
+    counts[-1] += np.count_nonzero(scaled == bins * vmax)
+    return np.array(counts, dtype=np.float64) / scaled.size
 
 
 # --- classifier inputs -------------------------------------------------------------

@@ -266,6 +266,13 @@ def test_evaluate_feature_count_mismatch():
         evaluate(train, test, KnnConfig(1))
 
 
+def test_template_means_tell_apart_labels_that_differ_in_trailing_nuls():
+    # numpy's str dtype drops trailing NULs, which would merge "x" and "x\0" into one class
+    train = _dataset([[0.0], [10.0], [5.0]], ["x", "x\0", "y"])
+    rep = evaluate_template(train, train)
+    assert (rep.hits, rep.total) == (3, 3)
+
+
 def test_evaluate_template_mode():
     train = _dataset(
         [[0, 0], [0, 2], [10, 10], [10, 12]],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hls_pixel
+from conftest import hls_pixel, pixel_histogram
 from granulom import features
 from granulom.errors import DataError
 from granulom.features import (
@@ -25,7 +25,7 @@ from granulom.features import (
     save_dataset,
     split,
 )
-from granulom.imagecore import ColorImage, histogram, to_hls, write_ppm
+from granulom.imagecore import ColorImage, to_hls, write_ppm
 from granulom.synthkit import ManifestEntry, TextureSpec, generate_texture, write_manifest
 
 
@@ -74,7 +74,7 @@ def test_plane_histograms_match_the_oracle_planes(px):
         values = px[..., "rgb".index(plane)] if plane in "rgb" else hls[:, "hls".index(plane)]
         for bins in (1, 7, 32):
             got = extract(FeatureRecipe("one", (PlaneHistogram(plane, bins),)), ColorImage(px))
-            want = histogram(values, bins, vmax=359 if plane == "h" else 255)
+            want = pixel_histogram(values, bins, 359 if plane == "h" else 255)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (plane, bins)
 
 
@@ -86,7 +86,7 @@ def _every_colour_image():
 
 def test_plane_histograms_of_a_batch_match_per_pixel_histograms():
     """A batch's histograms come from its distinct colours; each image's row
-    must equal `histogram` over every pixel of its plane, to the bit."""
+    must equal the oracle's histogram of every pixel of its plane, to the bit."""
     images = [ColorImage(np.full((96, 96, 3), [90, 200, 17])),
               _every_colour_image(),
               generate_texture(TextureSpec("t", (2, 6), (150, 60), 70, 30.0, (1.1, 0.9, 1.0)),
@@ -97,11 +97,41 @@ def test_plane_histograms_of_a_batch_match_per_pixel_histograms():
     rows = features._extract_images(FeatureRecipe("planes", extractors), images)
     for img, row in zip(images, rows):
         hls = to_hls(img)
-        want = [histogram(img.pixels[..., "rgb".index(e.plane)] if e.plane in "rgb"
-                          else hls[..., "hls".index(e.plane)],
-                          e.bins, vmax=359 if e.plane == "h" else 255)
+        want = [pixel_histogram(img.pixels[..., "rgb".index(e.plane)] if e.plane in "rgb"
+                                else hls[..., "hls".index(e.plane)],
+                                e.bins, 359 if e.plane == "h" else 255)
                 for e in extractors]
         assert np.array_equal(row.view(np.int64), np.concatenate(want).view(np.int64))
+
+
+def _red_histogram(values, bins):
+    """PlaneHistogram("r", bins) of a one-row image whose red channel holds `values`."""
+    px = np.zeros((1, len(values), 3), dtype=np.uint8)
+    px[0, :, 0] = values
+    return extract(FeatureRecipe("red", (PlaneHistogram("r", bins),)), ColorImage(px))
+
+
+def test_plane_histogram_examples():
+    assert _red_histogram([0] * 12, 9).tolist() == [1.0] + [0.0] * 8
+    assert _red_histogram([0, 255], 2).tolist() == [0.5, 0.5]
+    # stated bin edges 0-63, 64-127, 128-191, 192-255: 200 and 255 share the last bin
+    assert _red_histogram([0, 100, 200, 255], 4).tolist() == [0.25, 0.25, 0.0, 0.5]
+    assert _red_histogram([0, 100, 150, 200], 4).tolist() == [0.25] * 4
+
+
+def test_plane_histogram_edges_against_explicit_oracle():
+    # oracle: 4 equal integer bins of width 64, last closed
+    edges = [(0, 63), (64, 127), (128, 191), (192, 255)]
+    freq = _red_histogram(np.arange(256), 4)
+    for i, (lo, hi) in enumerate(edges):
+        assert freq[i] == pytest.approx((hi - lo + 1) / 256, abs=1e-15)
+
+
+def test_plane_histogram_rejects_an_unknown_plane_and_no_bins():
+    with pytest.raises(DataError, match="^unknown histogram plane 'x'$"):
+        PlaneHistogram("x", 4)
+    with pytest.raises(DataError, match="^bins must be >= 1$"):
+        PlaneHistogram("r", 0)
 
 
 def test_plane_histogram_of_an_empty_image_is_a_data_error():

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import hls_pixel
@@ -11,7 +11,6 @@ from granulom.imagecore import (
     ColorImage,
     GreyImage,
     _half_up,
-    histogram,
     intensity,
     read_pgm,
     read_ppm,
@@ -30,12 +29,19 @@ def test_grey_image_invariants():
         GreyImage(np.array([[-1, 0]]))
     with pytest.raises(DataError):
         GreyImage(np.array([0, 1, 2]))  # not 2-D
+    for values, dtype in ((np.array([[0.5, 1.7]]), "float64"), (np.array([["a"]]), "<U1")):
+        with pytest.raises(DataError, match=f"^GreyImage values must be integers, got dtype {dtype}$"):
+            GreyImage(values)
+    assert GreyImage(np.array([[True, False]])).pixels.tolist() == [[1, 0]]
 
 
 def test_color_image_invariants():
     ColorImage(np.zeros((2, 3, 3), dtype=np.uint8))
     with pytest.raises(DataError):
         ColorImage(np.zeros((2, 3, 4), dtype=np.uint8))
+    for values, dtype in ((np.zeros((1, 2, 3)), "float64"), (np.full((1, 1, 3), "a"), "<U1")):
+        with pytest.raises(DataError, match=f"^ColorImage values must be integers, got dtype {dtype}$"):
+            ColorImage(values)
 
 
 # --- PGM / PPM -----------------------------------------------------------------
@@ -228,42 +234,3 @@ def test_hls_ranges_and_achromatic_rule(r, g, b):
     assert (s == 0) == (r == g == b)
     if s == 0:
         assert h == 0
-
-
-# --- histogram ---------------------------------------------------------------------
-
-def test_histogram_examples():
-    nine = histogram(np.zeros(12, dtype=int), 9)
-    assert nine.tolist() == [1.0] + [0.0] * 8
-    assert histogram(np.array([0, 255]), 2).tolist() == [0.5, 0.5]
-    # stated bin edges 0-63, 64-127, 128-191, 192-255: 200 and 255 share the last bin
-    assert histogram(np.array([0, 100, 200, 255]), 4).tolist() == [0.25, 0.25, 0.0, 0.5]
-    assert histogram(np.array([0, 100, 150, 200]), 4).tolist() == [0.25] * 4
-
-
-def test_histogram_edges_against_explicit_oracle():
-    # oracle: 4 equal integer bins of width 64, last closed
-    edges = [(0, 63), (64, 127), (128, 191), (192, 255)]
-    values = np.arange(256)
-    freq = histogram(values, 4)
-    for i, (lo, hi) in enumerate(edges):
-        assert freq[i] == pytest.approx((hi - lo + 1) / 256, abs=1e-15)
-
-
-def test_histogram_errors():
-    with pytest.raises(DataError):
-        histogram(np.array([], dtype=int), 4)
-    with pytest.raises(DataError):
-        histogram(np.array([1, 2]), 0)
-    for values, dtype in ((np.array([0.5, 1.7]), "float64"), (["a"], "<U1")):
-        with pytest.raises(DataError, match=f"^histogram values must be integers, got dtype {dtype}$"):
-            histogram(values, 2)
-    assert histogram(np.array([True, False, True]), 2, vmax=1).tolist() == [1 / 3, 2 / 3]
-
-
-@settings(max_examples=50)
-@given(st.lists(st.integers(0, 255), min_size=1, max_size=64), st.integers(1, 32))
-def test_histogram_sums_to_one(values, bins):
-    freq = histogram(np.array(values), bins)
-    assert (freq >= 0).all()
-    assert abs(freq.sum() - 1.0) < 1e-12
