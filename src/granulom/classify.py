@@ -42,7 +42,6 @@ no live column, every distance is +0.0 and the nearest row is the first.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +182,13 @@ def _training_rows(train: Dataset) -> _Rows:
 
 def _mean_rows(train: Dataset) -> _Rows:
     """Per-class mean vectors, each named by its label, in label order."""
-    labels = train.class_labels
+    members: dict[str, list[int]] = {}  # str keys: numpy's str dtype drops trailing NULs
+    for i, label in enumerate(train.labels):
+        members.setdefault(label, []).append(i)
+    labels = sorted(members)
     means = np.zeros((len(labels), train.n_features))
     for row, lab in enumerate(labels):
-        # str ==, not numpy's str dtype, which drops trailing NULs
-        means[row] = train.matrix[[label == lab for label in train.labels]].mean(axis=0)
+        means[row] = train.matrix[members[lab]].mean(axis=0)
     return labels, labels, means
 
 
@@ -231,15 +232,6 @@ def _squared_distances(queries: np.ndarray, training: np.ndarray) -> np.ndarray:
     return summed_rows(squared_rows(queries, training, live, np.empty(shape)), np.empty(shape))
 
 
-def _vote(top: list[str]) -> str:
-    """Plurality among the nearest labels; ties fall to the nearest tied class."""
-    if len(top) == 1:
-        return top[0]
-    counts = Counter(top)
-    best = max(counts.values())
-    return next(lab for lab in top if counts[lab] == best)
-
-
 def check_k(k: int, n_train: int) -> None:
     """A DataError unless a training set of n_train rows holds k neighbours."""
     if n_train == 0:
@@ -272,12 +264,21 @@ def _rank(
         col = d2.argmin(axis=1)
         nearest[:, j], picked[:, j] = col, d2[rows, col]
         d2[rows, col] = np.inf
+    winner = nearest[:, 0]
+    if k > 1:
+        # plurality: count, at each position, the neighbours that share its label;
+        # argmax takes the first (nearest) position of a largest count
+        codes: dict[str, int] = {}
+        table = np.array([codes.setdefault(lab, len(codes)) for lab in labels])[nearest]
+        counts = np.zeros(table.shape, dtype=np.intp)
+        for j in range(k):
+            counts += table == table[:, j, None]
+        winner = nearest[rows, counts.argmax(axis=1)]
     # IEEE square roots are correctly rounded, so every root is rounded once, as math.sqrt's
-    ranked = []
-    for cols, dists in zip(nearest.tolist(), np.sqrt(picked).tolist()):
-        top = tuple(Neighbour(ids[i], labels[i], d) for i, d in zip(cols, dists))
-        ranked.append((_vote([labels[i] for i in cols]), top))
-    return ranked
+    return [
+        (labels[w], tuple(Neighbour(ids[i], labels[i], d) for i, d in zip(cols, dists)))
+        for w, cols, dists in zip(winner.tolist(), nearest.tolist(), np.sqrt(picked).tolist())
+    ]
 
 
 def _report(

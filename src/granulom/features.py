@@ -308,20 +308,21 @@ class Dataset:
             object.__setattr__(self, "feature_names", default_feature_names(matrix.shape[1]))
         if len(self.feature_names) != matrix.shape[1]:
             raise DataError("feature_names must match matrix columns")
-        bad = np.argwhere(~(np.abs(matrix) <= MAX_FEATURE_MAGNITUDE))
-        if bad.size:
-            row, col = bad[0]
+        bounded = np.abs(matrix) <= MAX_FEATURE_MAGNITUDE
+        if not bounded.all():
+            row, col = np.argwhere(~bounded)[0]
             value = matrix[row, col]
             what = (f"non-finite feature value {value}" if not np.isfinite(value) else
                     f"feature value {value} above {MAX_FEATURE_MAGNITUDE:g} in magnitude")
             raise DataError(
                 f"{what} (sample {self.sample_ids[row]!r}, feature {self.feature_names[col]!r})"
             )
-        seen = set()
-        for sid in self.sample_ids:
-            if sid in seen:
-                raise DataError(f"duplicate sample id {sid!r}")
-            seen.add(sid)
+        if len(set(self.sample_ids)) != n:
+            seen = set()
+            for sid in self.sample_ids:
+                if sid in seen:
+                    raise DataError(f"duplicate sample id {sid!r}")
+                seen.add(sid)
 
     @property
     def n_samples(self) -> int:
@@ -351,8 +352,9 @@ def save_dataset(ds: Dataset, path) -> None:
         identifier(sid, "sample id")
         identifier(lab, "label")
     lines = [",".join(["sample_id", "label", *ds.feature_names])]
+    template = "%s,%s" + ",%.12g" * ds.n_features  # %.12g prints as f"{v:.12g}"
     for sid, lab, row in zip(ds.sample_ids, ds.labels, ds.matrix):
-        lines.append(",".join([sid, lab, *(f"{v:.12g}" for v in row)]))
+        lines.append(template % (sid, lab, *row.tolist()))
     write_lines(path, lines)
 
 
@@ -478,6 +480,7 @@ def holdout_rows(labels: Sequence[str], test_fraction: float, seed: int):
 def split(ds: Dataset, test_fraction: float, seed: int) -> SplitResult:
     """Deterministic stratified split; both halves keep the original row order."""
     test_idx, stratified = holdout_rows(ds.labels, test_fraction, seed)
-    test_set = set(test_idx)
-    train_idx = [i for i in range(ds.n_samples) if i not in test_set]
+    train_rows = np.ones(ds.n_samples, dtype=bool)
+    train_rows[test_idx] = False
+    train_idx = np.flatnonzero(train_rows).tolist()
     return SplitResult(ds.subset(train_idx), ds.subset(test_idx), stratified)

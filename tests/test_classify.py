@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -164,6 +165,31 @@ def test_ranking_with_planted_ties_matches_oracle_for_every_k(rng, masked):
             mask = FeatureMask(bits)
         for k in range(1, train.n_samples + 1):
             _assert_ranked_as_oracle(train, queries, k, mask)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("classes", [("x", "x\0"), ("x", "x\0", "y"), ("b", "a", "c")],
+                         ids=["x-xnul", "x-xnul-y", "b-a-c"])
+def test_vote_matches_oracle_on_tie_heavy_data(rng, classes, masked):
+    # 0/1 rows over at most 3 features: many equal distances and many split votes
+    splits = 0
+    for _ in range(8):
+        n_train, n_feat = int(rng.integers(7, 16)), int(rng.integers(1, 4))
+        matrix = rng.integers(0, 2, size=(n_train, n_feat)).astype(np.float64)
+        labels = [classes[int(v)] for v in rng.integers(0, len(classes), n_train)]
+        train = Dataset([f"s{i:02d}" for i in rng.permutation(n_train)], labels, matrix)
+        queries = rng.integers(0, 2, size=(8, n_feat)).astype(np.float64)
+        mask = None
+        if masked:
+            bits = rng.random(n_feat) < 0.5
+            bits[int(rng.integers(0, n_feat))] = True
+            mask = FeatureMask(bits)
+        for k in range(2, 8):
+            _assert_ranked_as_oracle(train, queries, k, mask)
+            for outcome in evaluate(train, _queries(queries), KnnConfig(k), mask).per_sample:
+                counts = sorted(Counter(n.label for n in outcome.neighbours).values())
+                splits += len(counts) > 1 and counts[-1] == counts[-2]
+    assert splits >= 50  # the plurality tie rule decides many of the votes
 
 
 @pytest.mark.parametrize("masked", [False, True])

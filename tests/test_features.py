@@ -312,6 +312,17 @@ def test_dataset_shape_example(tmp_path):
     assert all(len(ln.split(",")) == 119 for ln in lines)
 
 
+def test_save_writes_each_value_as_its_12_significant_digit_format(tmp_path):
+    # 9.9999999999995e-05 rounds up at the 12th digit, to 0.0001
+    values = [-0.0, 5e-324, 1e70, -1e70, 0.1 + 0.2, 1 / 3, 9.9999999999995e-05]
+    p = tmp_path / "edge.csv"
+    save_dataset(Dataset(["s"], ["x"], np.array([values])), p)
+    names = [f"f{i:04d}" for i in range(1, len(values) + 1)]
+    expected = (",".join(["sample_id", "label", *names]) + "\n"
+                + ",".join(["s", "x", *(f"{v:.12g}" for v in values)]) + "\n")
+    assert p.read_bytes() == expected.encode("utf-8")
+
+
 def test_empty_dataset_roundtrip(tmp_path):
     ds = Dataset([], [], np.empty((0, 3)))
     p = tmp_path / "empty.csv"
@@ -351,6 +362,16 @@ def test_dataset_rejects_non_finite_values(value):
     matrix[1, 2] = value
     with pytest.raises(DataError, match="non-finite feature value .*'b'.*'f0003'"):
         Dataset(["a", "b"], ["x", "y"], matrix)
+
+
+def test_dataset_errors_name_the_first_offender():
+    matrix = np.zeros((3, 5))
+    matrix[2, 1], matrix[0, 3] = np.nan, np.inf
+    with pytest.raises(DataError, match="^non-finite feature value inf "
+                                        "\\(sample 'a', feature 'f0004'\\)$"):
+        Dataset(["a", "b", "c"], ["x", "y", "z"], matrix)  # row-major: row 0 before row 2
+    with pytest.raises(DataError, match="^duplicate sample id 'b'$"):
+        Dataset(["a", "b", "b", "a"], ["x"] * 4, np.zeros((4, 1)))
 
 
 @pytest.mark.parametrize("value", [1e300, -1e308, 1.5e70])
