@@ -8,10 +8,11 @@ import pytest
 
 from conftest import knn_oracle, left_to_right_d2, lot117_pair
 from granulom.classify import (
+    HEAD_SHARE,
     EvalReport,
     FeatureMask,
     KnnConfig,
-    _squared_distances,
+    _nearest_distances,
     evaluate,
     evaluate_template,
     live_columns,
@@ -207,9 +208,27 @@ def test_template_with_two_equal_class_means_goes_to_the_smaller_label(masked):
     assert [s.predicted for s in template.per_sample] == ["lo"] * 3
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_evaluate_memory_is_a_few_distance_matrices(k):
-    train, test = lot117_pair(np.random.default_rng(117))
+def _compact_pair(rng):
+    """`lot117_pair` with the head columns zeroed in the queries and in 2 of every 5
+    training rows, and set to 1000 in the rest: 40% of the pairs survive the bound."""
+    train, test = lot117_pair(rng)
+    head = math.ceil(train.n_features * HEAD_SHARE)
+    matrix, queries = train.matrix.copy(), test.matrix.copy()
+    matrix[:, :head] = np.where(np.arange(train.n_samples) % 5 < 2, 0.0, 1000.0)[:, None]
+    queries[:, :head] = 0.0
+    return (Dataset(train.sample_ids, train.labels, matrix),
+            Dataset(test.sample_ids, test.labels, queries))
+
+
+@pytest.mark.parametrize("k, pair", [(1, lot117_pair), (3, lot117_pair),
+                                     (1, _compact_pair), (3, _compact_pair)],
+                         ids=["1", "3", "compact-1", "compact-3"])
+def test_evaluate_memory_is_a_few_distance_matrices(k, pair):
+    train, test = pair(np.random.default_rng(117))
+    order = sorted(range(train.n_samples), key=train.sample_ids.__getitem__)
+    # lot117_pair takes the dense tail; the compact pair finishes 25-50% of its pairs
+    pruned = np.isinf(_nearest_distances(test.matrix, train.matrix[order], k)).mean()
+    assert pruned == 0.0 if pair is lot117_pair else 0.5 <= pruned <= 0.75
     evaluate(train, test, KnnConfig(k))  # numpy's first-call set-up
     tracemalloc.start()
     try:
@@ -317,6 +336,23 @@ def _engine_inputs(rng, n_features):
     return rng.normal(size=(7, n_features)) * scale, rng.normal(size=(11, n_features)) * scale
 
 
+def _assert_nearest_as_oracle(queries, refs, k):
+    """`_nearest_distances` against the left-to-right oracle; returns its count of +inf entries.
+
+    Every finite entry has the oracle's bits, every query keeps at least k
+    finite entries, and every other entry is +inf where the oracle's sum is
+    strictly larger than the query's k-th smallest.
+    """
+    d2 = _nearest_distances(queries, refs, k)
+    expected = left_to_right_d2(queries, refs, range(queries.shape[1]))
+    finite = np.isfinite(d2)
+    assert np.array_equal(d2[finite].view(np.int64), expected[finite].view(np.int64))
+    assert (finite.sum(axis=1) >= k).all()
+    kth = np.sort(expected, axis=1)[:, k - 1, None]
+    assert np.isposinf(d2[~finite]).all() and (expected > kth)[~finite].all()
+    return int(d2.size - finite.sum())
+
+
 @pytest.mark.parametrize("n_features", [1, 9, 117, 150])
 def test_engine_matches_left_to_right_reference(rng, n_features):
     queries, training = _engine_inputs(rng, n_features)
@@ -330,7 +366,9 @@ def test_engine_matches_left_to_right_reference(rng, n_features):
             continue
         expected = left_to_right_d2(queries, training, sel)
         assert np.array_equal(summed_rows(map(sq.__getitem__, sel), np.empty((7, 11))), expected)
-        assert np.array_equal(_squared_distances(queries[:, sel], training[:, sel]), expected)
+        for k in (1, 3):
+            _assert_nearest_as_oracle(queries[:, sel], training[:, sel], k)
+        assert _assert_nearest_as_oracle(queries[:, sel], training[:, sel], 11) == 0
 
 
 @pytest.mark.parametrize("n_features", [1, 117, 150])
@@ -353,10 +391,109 @@ def test_knn_and_template_distances_are_left_to_right(rng, n_features):
         means = np.stack([training[[i for i, l in enumerate(labels) if l == c]].mean(axis=0)
                           for c in train.class_labels])
         expected = left_to_right_d2(queries, means, sel)
-        assert np.array_equal(_squared_distances(queries[:, sel], means[:, sel]), expected)
+        _assert_nearest_as_oracle(queries[:, sel], means[:, sel], 1)
         template = evaluate_template(train, _queries(queries), mask)
         assert [s.predicted for s in template.per_sample] == [
             train.class_labels[int(np.argmin(row))] for row in expected]
+
+
+# --- pruning ---------------------------------------------------------------------
+
+def _bound_case():
+    """One query at the origin over eight live columns, and rows built around its bounds.
+
+    Head and final squared distances of each row, and what each one pins:
+    s00 1, 1; s01 0, 1, the one pair that sets the k = 1 bound (1), yet
+    s00 ranks before it; s02 1, 5, its head equals the k = 1 bound, so it
+    must survive; s03 1, 1 and s04 1, 1 tie the k-th distance under a
+    larger sample id (s04 at k = 3, whose bound is 5). The far rows s05 to
+    s11 have head 8 and are pruned at k = 1 and k = 3.
+    """
+    near = [[0, 1] + [0] * 6, [0, 0, 1] + [0] * 5, [1, 0] + [0] * 5 + [2],
+            [0, 1] + [0] * 6, [1, 0] + [0] * 6]
+    far = [[2, 2] + [(i + j) % 3 for j in range(6)] for i in range(7)]
+    train = Dataset([f"s{i:02d}" for i in range(12)], list("abcabcabcabc"),
+                    np.array(near + far, dtype=np.float64))
+    return train, np.zeros((1, 8))
+
+
+def test_pruning_keeps_a_head_sum_equal_to_the_bound():
+    train, queries = _bound_case()
+    assert math.ceil(8 * HEAD_SHARE) == 2  # the head is the first two columns
+    for k, ids in ((1, ["s00"]), (3, ["s00", "s01", "s03"])):
+        d2 = _nearest_distances(queries, train.matrix, k)
+        assert d2[0].tolist() == [1.0, 1.0, 5.0, 1.0, 1.0] + [np.inf] * 7
+        _assert_nearest_as_oracle(queries, train.matrix, k)
+        _assert_ranked_as_oracle(train, queries, k, None)
+        [outcome] = evaluate(train, _queries(queries), KnnConfig(k)).per_sample
+        assert [n.sample_id for n in outcome.neighbours] == ids
+    # k = n_train takes the dense path
+    assert _assert_nearest_as_oracle(queries, train.matrix, 12) == 0
+    _assert_ranked_as_oracle(train, queries, 12, None)
+
+
+def test_pruning_falls_back_to_the_dense_tail_when_most_pairs_survive():
+    train, queries = _bound_case()
+    # head sum 2 in s00 to s07, 8 in the rest: 8 of the 12 pairs survive the bound of
+    # k = 1 (2) and of k = 3 (6), so the tail is summed over the whole matrix, and no
+    # entry is +inf, not even those of s08 to s11
+    matrix = train.matrix.copy()
+    matrix[:8, :2] = 1.0
+    dense = Dataset(train.sample_ids, train.labels, matrix)
+    for k in (1, 3):
+        assert _assert_nearest_as_oracle(queries, matrix, k) == 0
+        _assert_ranked_as_oracle(dense, queries, k, None)
+    # one live column is all head and no tail: nothing is pruned
+    column = Dataset(train.sample_ids, train.labels, train.matrix[:, 1:2])
+    assert math.ceil(1 * HEAD_SHARE) == 1
+    assert _assert_nearest_as_oracle(queries[:, :1], column.matrix, 1) == 0
+    _assert_ranked_as_oracle(column, queries[:, :1], 1, None)
+
+
+def _clustered_tied_split(rng, n_train, n_feat):
+    """Small-integer rows near three class centres, so that a head sum prunes many pairs.
+
+    Distances tie often: some training rows are copies of others under
+    another id, and the first query repeats a training row.
+    """
+    centres = rng.integers(0, 3, size=(3, n_feat)) * 4
+    classes = rng.integers(0, 3, n_train)
+    matrix = (centres[classes] + rng.integers(-1, 2, size=(n_train, n_feat))).astype(np.float64)
+    for i in rng.choice(n_train, size=n_train // 3, replace=False):
+        matrix[i] = matrix[int(rng.integers(0, n_train))]
+    train = Dataset([f"s{i:02d}" for i in rng.permutation(n_train)],
+                    [f"c{v}" for v in classes], matrix)
+    queries = centres[rng.integers(0, 3, 6)] + rng.integers(-1, 2, size=(6, n_feat))
+    queries[0] = matrix[int(rng.integers(0, n_train))]
+    return train, queries.astype(np.float64)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_pruning_on_tie_heavy_data_matches_oracle(rng, masked):
+    paths = Counter()
+    for _ in range(16):
+        n_train, n_feat = int(rng.integers(12, 30)), int(rng.integers(1, 25))
+        train, queries = _clustered_tied_split(rng, n_train, n_feat)
+        mask = None
+        if masked:
+            bits = rng.random(n_feat) < 0.6
+            bits[int(rng.integers(0, n_feat))] = True
+            mask = FeatureMask(bits)
+        sel = np.arange(n_feat) if mask is None else mask.indices()
+        means = _means_dataset(train)
+        for refs, ks in ((train, (1, 3, n_train)), (means, (1,))):
+            order = sorted(range(refs.n_samples), key=refs.sample_ids.__getitem__)
+            for k in ks:
+                pruned = _assert_nearest_as_oracle(queries[:, sel], refs.matrix[order][:, sel], k)
+                paths["compact" if pruned else "dense"] += 1
+        for k in (1, 3, n_train):
+            _assert_ranked_as_oracle(train, queries, k, mask)
+        mask_idx = None if mask is None else mask.indices()
+        template = evaluate_template(train, _queries(queries), mask)
+        assert [s.predicted for s in template.per_sample] == [
+            knn_oracle(list(zip(means.sample_ids, means.labels, means.matrix)), q, 1, mask_idx)[0]
+            for q in queries]
+    assert paths["compact"] >= 10 and paths["dense"] >= 10
 
 
 # --- single-valued columns -----------------------------------------------------
@@ -405,16 +542,17 @@ def test_skipping_single_valued_rows_is_bitwise_exact(rng):
         share = (0.0, 0.5, 1.0)[trial % 3]  # none, some or every column planted
         planted = rng.choice(n_features, size=int(share * n_features), replace=False)
         queries, training, dead = _planted_inputs(rng, n_features, planted)
-        every_row = summed_rows(squared_rows(queries, training, range(n_features)),
-                                np.empty((7, 11)))
-        skipped = _squared_distances(queries, training)
+        every_row = left_to_right_d2(queries, training, range(n_features))
+        skipped = _nearest_distances(queries, training, training.shape[0])  # the dense path
         assert skipped.shape == every_row.shape
         assert np.array_equal(skipped.view(np.int64), every_row.view(np.int64))
+        for k in (1, 3):
+            _assert_nearest_as_oracle(queries, training, k)
     # no live column at all: every distance is +0.0
     queries, training = np.full((3, 4), 2.5), np.full((5, 4), 2.5)
     queries[:, 1], training[:, 1] = -0.0, 0.0
     assert live_columns(queries, training).size == 0
-    d2 = _squared_distances(queries, training)
+    d2 = _nearest_distances(queries, training, 1)
     assert d2.shape == (3, 5) and not d2.view(np.int64).any()
     # a sum of no rows is +0.0 everywhere, from a list or from the generator over
     # no column, and `out` is overwritten, never added to

@@ -6,11 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import knn_oracle, lot117_pair, wrapper_fitness
+from conftest import knn_oracle, left_to_right_d2, lot117_pair, wrapper_fitness
 from granulom.classify import (
     FeatureMask,
     KnnConfig,
-    _squared_distances,
     evaluate,
     live_columns,
     squared_rows,
@@ -415,7 +414,7 @@ def test_ga_distances_are_the_classifiers_bit_for_bit(rng):
         assert objective.live.tolist() == [f for f in range(n) if f not in DEAD]
         objective.score(bits[None])  # leaves the mask's distances in objective.d2
         sel = np.flatnonzero(bits)
-        expected = _squared_distances(eval_rows[:, sel], train_rows[order][:, sel])
+        expected = left_to_right_d2(eval_rows, train_rows[order], sel)
         assert np.array_equal(objective.d2.view(np.int64), expected.view(np.int64))
 
 
