@@ -41,9 +41,11 @@ at least the query's k-th smallest sum, so no pruned pair is among the
 first k of a stable sort. The bound's own pairs survive, so every query
 keeps at least k finite entries. Each finite entry is the dense sum's
 sequence of additions, pair by pair, so its bits are the dense sum's and
-every report is the one a dense matrix gives. Where k is the reference
-count, or more than half of the pairs survive, the tail rows are added
-to the whole matrix instead.
+every report is the one a dense matrix gives. The tail rows are added to
+the whole matrix instead where the survivors' gathers cost more than they
+save: where the references are no more than the tail columns (the class
+means of `evaluate_template`, say), and where more than 3 in 10 pairs
+survive the bound (k equal to the reference count, say).
 
 Every value compared here comes from a `Dataset`, so it is finite. One
 fact makes both the start and the skipped rows exact: a square is never
@@ -286,7 +288,11 @@ def _nearest_distances(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndar
     buf = np.empty(shape)
     d2 = summed_rows(squared_rows(queries, refs, live[:head], buf), np.empty(shape))
     tail = live[head:]
-    if tail and k < shape[1]:
+    # The survivors' gathers beat the dense tail only where a chunk holds more than one
+    # pair per query, so more reference rows than tail columns (on lot117's 14 class
+    # means the gathers were 1.3 to 5 times slower at every share), and where at most
+    # 3 in 10 pairs survive (on lot117 splits the two cost the same at 30-35%)
+    if 0 < len(tail) < shape[1]:
         # the bound: the largest finished sum of each query's k smallest head sums
         np.copyto(buf, d2)
         offsets = np.arange(shape[0]) * shape[1]
@@ -297,7 +303,7 @@ def _nearest_distances(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndar
         tail_q, tail_r = queries[:, tail], refs[:, tail]
         bound = _tail_sums(d2, tail_q, tail_r, first.ravel()).reshape(first.shape).max(axis=1)
         survive = d2 <= bound[:, None]
-        if 2 * np.count_nonzero(survive) <= d2.size:  # finish only the survivors
+        if 10 * np.count_nonzero(survive) <= 3 * d2.size:  # finish only the survivors
             pairs = np.flatnonzero(survive)
             sums = _tail_sums(d2, tail_q, tail_r, pairs)
             d2.fill(np.inf)

@@ -209,12 +209,12 @@ def test_template_with_two_equal_class_means_goes_to_the_smaller_label(masked):
 
 
 def _compact_pair(rng):
-    """`lot117_pair` with the head columns zeroed in the queries and in 2 of every 5
-    training rows, and set to 1000 in the rest: 40% of the pairs survive the bound."""
+    """`lot117_pair` with the head columns zeroed in the queries and in 1 of every 4
+    training rows, and set to 1000 in the rest: 25% of the pairs survive the bound."""
     train, test = lot117_pair(rng)
     head = math.ceil(train.n_features * HEAD_SHARE)
     matrix, queries = train.matrix.copy(), test.matrix.copy()
-    matrix[:, :head] = np.where(np.arange(train.n_samples) % 5 < 2, 0.0, 1000.0)[:, None]
+    matrix[:, :head] = np.where(np.arange(train.n_samples) % 4 == 0, 0.0, 1000.0)[:, None]
     queries[:, :head] = 0.0
     return (Dataset(train.sample_ids, train.labels, matrix),
             Dataset(test.sample_ids, test.labels, queries))
@@ -226,9 +226,9 @@ def _compact_pair(rng):
 def test_evaluate_memory_is_a_few_distance_matrices(k, pair):
     train, test = pair(np.random.default_rng(117))
     order = sorted(range(train.n_samples), key=train.sample_ids.__getitem__)
-    # lot117_pair takes the dense tail; the compact pair finishes 25-50% of its pairs
+    # lot117_pair takes the dense tail; the compact pair finishes 25-30% of its pairs
     pruned = np.isinf(_nearest_distances(test.matrix, train.matrix[order], k)).mean()
-    assert pruned == 0.0 if pair is lot117_pair else 0.5 <= pruned <= 0.75
+    assert pruned == 0.0 if pair is lot117_pair else 0.7 <= pruned <= 0.75
     evaluate(train, test, KnnConfig(k))  # numpy's first-call set-up
     tracemalloc.start()
     try:
@@ -407,12 +407,13 @@ def _bound_case():
     s00 ranks before it; s02 1, 5, its head equals the k = 1 bound, so it
     must survive; s03 1, 1 and s04 1, 1 tie the k-th distance under a
     larger sample id (s04 at k = 3, whose bound is 5). The far rows s05 to
-    s11 have head 8 and are pruned at k = 1 and k = 3.
+    s16 have head 8 and are pruned at k = 1 and k = 3, so 5 of the 17 pairs
+    survive, and the 17 rows outnumber the 6 tail columns.
     """
     near = [[0, 1] + [0] * 6, [0, 0, 1] + [0] * 5, [1, 0] + [0] * 5 + [2],
             [0, 1] + [0] * 6, [1, 0] + [0] * 6]
-    far = [[2, 2] + [(i + j) % 3 for j in range(6)] for i in range(7)]
-    train = Dataset([f"s{i:02d}" for i in range(12)], list("abcabcabcabc"),
+    far = [[2, 2] + [(i + j) % 3 for j in range(6)] for i in range(12)]
+    train = Dataset([f"s{i:02d}" for i in range(17)], list("abc" * 5 + "ab"),
                     np.array(near + far, dtype=np.float64))
     return train, np.zeros((1, 8))
 
@@ -422,27 +423,34 @@ def test_pruning_keeps_a_head_sum_equal_to_the_bound():
     assert math.ceil(8 * HEAD_SHARE) == 2  # the head is the first two columns
     for k, ids in ((1, ["s00"]), (3, ["s00", "s01", "s03"])):
         d2 = _nearest_distances(queries, train.matrix, k)
-        assert d2[0].tolist() == [1.0, 1.0, 5.0, 1.0, 1.0] + [np.inf] * 7
+        assert d2[0].tolist() == [1.0, 1.0, 5.0, 1.0, 1.0] + [np.inf] * 12
         _assert_nearest_as_oracle(queries, train.matrix, k)
         _assert_ranked_as_oracle(train, queries, k, None)
         [outcome] = evaluate(train, _queries(queries), KnnConfig(k)).per_sample
         assert [n.sample_id for n in outcome.neighbours] == ids
-    # k = n_train takes the dense path
-    assert _assert_nearest_as_oracle(queries, train.matrix, 12) == 0
-    _assert_ranked_as_oracle(train, queries, 12, None)
+    # k = n_train: every pair survives, so the dense path runs
+    assert _assert_nearest_as_oracle(queries, train.matrix, 17) == 0
+    _assert_ranked_as_oracle(train, queries, 17, None)
 
 
-def test_pruning_falls_back_to_the_dense_tail_when_most_pairs_survive():
+def test_pruning_falls_back_to_the_dense_tail():
     train, queries = _bound_case()
-    # head sum 2 in s00 to s07, 8 in the rest: 8 of the 12 pairs survive the bound of
-    # k = 1 (2) and of k = 3 (6), so the tail is summed over the whole matrix, and no
-    # entry is +inf, not even those of s08 to s11
+    # head sum 2 in s00 to s07, 8 in the rest: 8 of the 17 pairs, more than 3 in 10,
+    # survive the bound of k = 1 (2) and of k = 3 (6), so the tail is summed over the
+    # whole matrix, and no entry is +inf, not even those of s08 to s16
     matrix = train.matrix.copy()
     matrix[:8, :2] = 1.0
     dense = Dataset(train.sample_ids, train.labels, matrix)
     for k in (1, 3):
         assert _assert_nearest_as_oracle(queries, matrix, k) == 0
         _assert_ranked_as_oracle(dense, queries, k, None)
+    # s01 and n far rows: at k = 1 only s01 survives, yet nothing is pruned until the
+    # rows outnumber the 6 tail columns
+    for n_far, pruned in ((5, 0), (6, 6)):
+        rows = train.matrix[[1] + list(range(5, 5 + n_far))]
+        few = Dataset(train.sample_ids[:1 + n_far], train.labels[:1 + n_far], rows)
+        assert _assert_nearest_as_oracle(queries, rows, 1) == pruned
+        _assert_ranked_as_oracle(few, queries, 1, None)
     # one live column is all head and no tail: nothing is pruned
     column = Dataset(train.sample_ids, train.labels, train.matrix[:, 1:2])
     assert math.ceil(1 * HEAD_SHARE) == 1
@@ -471,7 +479,7 @@ def _clustered_tied_split(rng, n_train, n_feat):
 @pytest.mark.parametrize("masked", [False, True])
 def test_pruning_on_tie_heavy_data_matches_oracle(rng, masked):
     paths = Counter()
-    for _ in range(16):
+    for _ in range(32):
         n_train, n_feat = int(rng.integers(12, 30)), int(rng.integers(1, 25))
         train, queries = _clustered_tied_split(rng, n_train, n_feat)
         mask = None
