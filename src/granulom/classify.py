@@ -4,11 +4,13 @@ Distances are Euclidean over the coordinates a FeatureMask enables;
 comparisons happen on squared values, reported distances are the roots.
 
 Both entry points, `evaluate` (k-NN) and `evaluate_template`, rank
-through one path: reference rows in tie-break order, k argmin passes over
-the (queries, refs) matrix of `_nearest_distances`, and a plurality vote
-over the k nearest that a split falls to the nearest tied class. Each
-pass picks every query's first smallest entry and sets it to +inf, so
-the passes pick the first k entries of a stable sort. +inf is a safe
+through one path: reference rows in tie-break order, the (queries, refs)
+matrix of `_nearest_distances`, the k smallest entries of each of its
+rows, and a plurality vote over the k nearest that a split falls to the
+nearest tied class. `_first_k` is the one k-smallest pass, for the
+pruning bound and for the ranking alike: k argmin passes, each of which
+picks every query's first smallest entry and sets it to +inf, so the
+passes pick the first k entries of a stable sort. +inf is a safe
 sentinel: `Dataset` bounds every value by MAX_FEATURE_MAGNITUDE, which
 keeps every squared distance finite.
 k-NN ranks the training rows sorted by sample id, so equal distances are
@@ -16,6 +18,13 @@ ordered by sample id. The template (minimum-distance) rule is exactly 1-NN
 over the class means, each named by its label and sorted by it, so a
 query equidistant from two means goes to the smaller label. Reports are
 fully deterministic.
+
+The engine reads the caller's arrays through views. The test rows are
+ranked where they are, in file order, and the reports list them by
+sample id; a query's distances do not depend on the other queries, so no
+row order shows in a report. A mask is a set of bool bits over the live
+columns, not a copy of the selected columns; only the tail columns of
+the pruned path are gathered.
 
 Every squared distance comes from one engine. `squared_rows` yields the
 (queries, train) row (q_f - t_f)**2 of each column it is given, in turn,
@@ -30,22 +39,23 @@ The classifiers compute a sum in full only where its pair can still rank
 (partial distance search). `_nearest_distances` streams the rows of the
 head, the first ceil(F * HEAD_SHARE) of the F live columns, through one
 reused buffer into every pair's sum, and then sets a bound for each
-query: the k pairs with the smallest head sums are finished over the
-tail, the remaining columns, and the bound is the largest of their k
-sums. A pair whose head sum exceeds its query's bound gets +inf, and
-every other pair continues from its own head sum over the tail, column
-by column in ascending index. Every square is >= +0.0 and rounding is
-monotone, so fl(a + b) >= a: no partial sum exceeds its final sum. A
-pruned pair's final sum is then strictly larger than the bound, which is
-at least the query's k-th smallest sum, so no pruned pair is among the
-first k of a stable sort. The bound's own pairs survive, so every query
-keeps at least k finite entries. Each finite entry is the dense sum's
-sequence of additions, pair by pair, so its bits are the dense sum's and
-every report is the one a dense matrix gives. The tail rows are added to
-the whole matrix instead where the survivors' gathers cost more than they
-save: where the references are no more than the tail columns (the class
-means of `evaluate_template`, say), and where more than 3 in 10 pairs
-survive the bound (k equal to the reference count, say).
+query: the k pairs with the smallest head sums (`_first_k` over a copy
+of the head sums) are finished over the tail, the remaining columns, and
+the bound is the largest of their k sums. A pair whose head sum exceeds
+its query's bound gets +inf, and every other pair continues from its own
+head sum over the tail, column by column in ascending index. Every
+square is >= +0.0 and rounding is monotone, so fl(a + b) >= a: no
+partial sum exceeds its final sum. A pruned pair's final sum is then
+strictly larger than the bound, which is at least the query's k-th
+smallest sum, so no pruned pair is among the first k of a stable sort.
+The bound's own pairs survive, so every query keeps at least k finite
+entries. Each finite entry is the dense sum's sequence of additions,
+pair by pair, so its bits are the dense sum's and every report is the
+one a dense matrix gives. The tail rows are added to the whole matrix
+instead where the survivors' gathers cost more than they save: where the
+references are no more than the tail columns (the class means of
+`evaluate_template`, say), and where more than 3 in 10 pairs survive the
+bound (k equal to the reference count, say).
 
 Every value compared here comes from a `Dataset`, so it is finite. One
 fact makes both the start and the skipped rows exact: a square is never
@@ -177,16 +187,16 @@ class EvalReport:
 
 
 def _selected_columns(n_features: int, mask: FeatureMask | None) -> np.ndarray:
+    """The bool bits of the columns to compare: the mask's, or all-true without one."""
     if n_features == 0:
         raise DataError("no features to compare")
     if mask is None:
-        return np.arange(n_features)
+        return np.ones(n_features, dtype=bool)
     if len(mask) != n_features:
         raise DataError(f"mask length {len(mask)} != feature count {n_features}")
-    sel = mask.indices()
-    if sel.size == 0:
+    if not mask.bits.any():
         raise DataError("empty feature mask")
-    return sel
+    return mask.bits
 
 
 # Reference rows (ids, labels, matrix) in tie-break order.
@@ -195,7 +205,7 @@ _Rows = tuple[list[str], list[str], np.ndarray]
 
 def _training_rows(train: Dataset) -> _Rows:
     """Training rows by ascending sample id."""
-    order = sorted(range(train.n_samples), key=lambda i: train.sample_ids[i])
+    order = sorted(range(train.n_samples), key=train.sample_ids.__getitem__)
     return [train.sample_ids[i] for i in order], [train.labels[i] for i in order], train.matrix[order]
 
 
@@ -274,15 +284,32 @@ def _tail_sums(head: np.ndarray, tail_q: np.ndarray, tail_r: np.ndarray, pairs: 
     return sums
 
 
-def _nearest_distances(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
-    """(queries, refs) squared distances over the live columns, +inf where a pair cannot rank.
+def _first_k(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, values) of the first k entries of a stable sort of each row of `d2`.
 
-    Every pair among its query's k nearest holds its exact dense sum (see
-    the module docstring); a pair that holds +inf has a sum strictly larger
-    than its query's k-th smallest. Every query row keeps at least k
-    finite entries.
+    Pass j takes every row's first smallest entry and sets it to +inf, so
+    equal values keep their column order. `d2` is overwritten.
     """
-    live = live_columns(queries, refs).tolist()  # Python ints index fastest
+    rows = np.arange(d2.shape[0])
+    columns = np.empty((d2.shape[0], k), dtype=np.intp)
+    values = np.empty((d2.shape[0], k))
+    for j in range(k):
+        col = d2.argmin(axis=1)
+        columns[:, j], values[:, j] = col, d2[rows, col]
+        d2[rows, col] = np.inf
+    return columns, values
+
+
+def _nearest_distances(queries: np.ndarray, refs: np.ndarray, selected: np.ndarray, k: int) -> np.ndarray:
+    """(queries, refs) squared distances over the live `selected` columns, +inf where a pair cannot rank.
+
+    `selected` holds one bool per column. Every pair among its query's k
+    nearest holds its exact dense sum (see the module docstring); a pair
+    that holds +inf has a sum strictly larger than its query's k-th
+    smallest. Every query row keeps at least k finite entries.
+    """
+    live = live_columns(queries, refs)
+    live = live[selected[live]].tolist()  # Python ints index fastest
     head = math.ceil(len(live) * HEAD_SHARE)
     shape = (queries.shape[0], refs.shape[0])
     buf = np.empty(shape)
@@ -295,11 +322,7 @@ def _nearest_distances(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndar
     if 0 < len(tail) < shape[1]:
         # the bound: the largest finished sum of each query's k smallest head sums
         np.copyto(buf, d2)
-        offsets = np.arange(shape[0]) * shape[1]
-        first = np.empty((shape[0], k), dtype=np.intp)
-        for j in range(k):
-            first[:, j] = offsets + buf.argmin(axis=1)
-            buf.ravel()[first[:, j]] = np.inf
+        first = _first_k(buf, k)[0] + (np.arange(shape[0]) * shape[1])[:, None]
         tail_q, tail_r = queries[:, tail], refs[:, tail]
         bound = _tail_sums(d2, tail_q, tail_r, first.ravel()).reshape(first.shape).max(axis=1)
         survive = d2 <= bound[:, None]
@@ -322,30 +345,22 @@ def check_k(k: int, n_train: int) -> None:
         raise DataError(f"k={k} exceeds training set size {n_train}")
 
 
-def _rank(
-    refs: _Rows, queries: np.ndarray, k: int, mask: FeatureMask | None
-) -> list[tuple[str, tuple[Neighbour, ...]]]:
-    """Vote and k nearest reference rows of every query row.
+def _report(
+    refs: _Rows, test: Dataset, k: int, mask: FeatureMask | None, listed: int
+) -> EvalReport:
+    """Classify every test sample; rows sorted by sample id, `listed` neighbours each.
 
-    The k argmin passes (see the module docstring) pick the first k
-    entries of a stable sort: equal distances keep the reference order,
-    so the earlier row ranks first.
+    The test rows are ranked in file order. Equal distances keep the
+    reference order, so the earlier reference row ranks first.
     """
+    if test.n_samples == 0:
+        raise DataError("empty test set")
     ids, labels, matrix = refs
     check_k(k, matrix.shape[0])
-    sel = _selected_columns(matrix.shape[1], mask)
-    if queries.shape[1] != matrix.shape[1]:
-        raise DataError(
-            f"test set has {queries.shape[1]} features, the training set {matrix.shape[1]}"
-        )
-    d2 = _nearest_distances(queries[:, sel], matrix[:, sel], k)  # this call's own: overwritten below
-    rows = np.arange(d2.shape[0])
-    nearest = np.empty((d2.shape[0], k), dtype=np.intp)
-    picked = np.empty((d2.shape[0], k))
-    for j in range(k):
-        col = d2.argmin(axis=1)
-        nearest[:, j], picked[:, j] = col, d2[rows, col]
-        d2[rows, col] = np.inf
+    selected = _selected_columns(matrix.shape[1], mask)
+    if test.n_features != matrix.shape[1]:
+        raise DataError(f"test set has {test.n_features} features, the training set {matrix.shape[1]}")
+    nearest, picked = _first_k(_nearest_distances(test.matrix, matrix, selected, k), k)
     winner = nearest[:, 0]
     if k > 1:
         # plurality: count, at each position, the neighbours that share its label;
@@ -355,24 +370,16 @@ def _rank(
         counts = np.zeros(table.shape, dtype=np.intp)
         for j in range(k):
             counts += table == table[:, j, None]
-        winner = nearest[rows, counts.argmax(axis=1)]
+        winner = nearest[np.arange(winner.size), counts.argmax(axis=1)]
     # IEEE square roots are correctly rounded, so every root is rounded once, as math.sqrt's
-    return [
-        (labels[w], tuple(Neighbour(ids[i], labels[i], d) for i, d in zip(cols, dists)))
-        for w, cols, dists in zip(winner.tolist(), nearest.tolist(), np.sqrt(picked).tolist())
+    neighbours = [
+        tuple(Neighbour(ids[i], labels[i], d) for i, d in zip(cols, dists))
+        for cols, dists in zip(nearest[:, :listed].tolist(), np.sqrt(picked[:, :listed]).tolist())
     ]
-
-
-def _report(
-    refs: _Rows, test: Dataset, k: int, mask: FeatureMask | None, listed: int
-) -> EvalReport:
-    """Classify every test sample; rows sorted by sample id, `listed` neighbours each."""
-    if test.n_samples == 0:
-        raise DataError("empty test set")
-    order = sorted(range(test.n_samples), key=lambda i: test.sample_ids[i])
+    winners = winner.tolist()
     per_sample = [
-        SampleOutcome(test.sample_ids[i], test.labels[i], predicted, nearest[:listed])
-        for i, (predicted, nearest) in zip(order, _rank(refs, test.matrix[order], k, mask))
+        SampleOutcome(test.sample_ids[i], test.labels[i], labels[winners[i]], neighbours[i])
+        for i in sorted(range(test.n_samples), key=test.sample_ids.__getitem__)
     ]
     hits = sum(s.predicted == s.true_label for s in per_sample)
     return EvalReport(hits, test.n_samples, per_sample)

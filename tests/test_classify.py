@@ -227,7 +227,8 @@ def test_evaluate_memory_is_a_few_distance_matrices(k, pair):
     train, test = pair(np.random.default_rng(117))
     order = sorted(range(train.n_samples), key=train.sample_ids.__getitem__)
     # lot117_pair takes the dense tail; the compact pair finishes 25-30% of its pairs
-    pruned = np.isinf(_nearest_distances(test.matrix, train.matrix[order], k)).mean()
+    every = np.ones(train.n_features, dtype=bool)
+    pruned = np.isinf(_nearest_distances(test.matrix, train.matrix[order], every, k)).mean()
     assert pruned == 0.0 if pair is lot117_pair else 0.7 <= pruned <= 0.75
     evaluate(train, test, KnnConfig(k))  # numpy's first-call set-up
     tracemalloc.start()
@@ -239,7 +240,7 @@ def test_evaluate_memory_is_a_few_distance_matrices(k, pair):
     # normal draws make every column live: a (features, queries, train) table would be 8.75 MB
     table = train.n_features * test.n_samples * train.n_samples * 8
     assert table > 8e6
-    assert peak <= 1.5e6
+    assert peak <= 1.1e6
 
 
 # --- template classifier -----------------------------------------------------------
@@ -336,15 +337,18 @@ def _engine_inputs(rng, n_features):
     return rng.normal(size=(7, n_features)) * scale, rng.normal(size=(11, n_features)) * scale
 
 
-def _assert_nearest_as_oracle(queries, refs, k):
+def _assert_nearest_as_oracle(queries, refs, k, selected=None):
     """`_nearest_distances` against the left-to-right oracle; returns its count of +inf entries.
 
-    Every finite entry has the oracle's bits, every query keeps at least k
-    finite entries, and every other entry is +inf where the oracle's sum is
-    strictly larger than the query's k-th smallest.
+    `selected` holds the bits of the columns compared, all of them by
+    default. Every finite entry has the oracle's bits, every query keeps
+    at least k finite entries, and every other entry is +inf where the
+    oracle's sum is strictly larger than the query's k-th smallest.
     """
-    d2 = _nearest_distances(queries, refs, k)
-    expected = left_to_right_d2(queries, refs, range(queries.shape[1]))
+    if selected is None:
+        selected = np.ones(queries.shape[1], dtype=bool)
+    d2 = _nearest_distances(queries, refs, selected, k)
+    expected = left_to_right_d2(queries, refs, np.flatnonzero(selected))
     finite = np.isfinite(d2)
     assert np.array_equal(d2[finite].view(np.int64), expected[finite].view(np.int64))
     assert (finite.sum(axis=1) >= k).all()
@@ -367,8 +371,8 @@ def test_engine_matches_left_to_right_reference(rng, n_features):
         expected = left_to_right_d2(queries, training, sel)
         assert np.array_equal(summed_rows(map(sq.__getitem__, sel), np.empty((7, 11))), expected)
         for k in (1, 3):
-            _assert_nearest_as_oracle(queries[:, sel], training[:, sel], k)
-        assert _assert_nearest_as_oracle(queries[:, sel], training[:, sel], 11) == 0
+            _assert_nearest_as_oracle(queries, training, k, bits)
+        assert _assert_nearest_as_oracle(queries, training, 11, bits) == 0
 
 
 @pytest.mark.parametrize("n_features", [1, 117, 150])
@@ -380,7 +384,8 @@ def test_knn_and_template_distances_are_left_to_right(rng, n_features):
     bits = rng.random(n_features) < 0.5
     bits[0] = True
     for mask in (None, FeatureMask(bits)):
-        sel = np.arange(n_features) if mask is None else mask.indices()
+        selected = np.ones(n_features, dtype=bool) if mask is None else mask.bits
+        sel = np.flatnonzero(selected)
         # single query: every reported distance is the root of the reference sum
         [first] = evaluate(train, _queries(queries[:1]), KnnConfig(len(ids)), mask).per_sample
         neighbours = first.neighbours
@@ -391,7 +396,7 @@ def test_knn_and_template_distances_are_left_to_right(rng, n_features):
         means = np.stack([training[[i for i, l in enumerate(labels) if l == c]].mean(axis=0)
                           for c in train.class_labels])
         expected = left_to_right_d2(queries, means, sel)
-        _assert_nearest_as_oracle(queries[:, sel], means[:, sel], 1)
+        _assert_nearest_as_oracle(queries, means, 1, selected)
         template = evaluate_template(train, _queries(queries), mask)
         assert [s.predicted for s in template.per_sample] == [
             train.class_labels[int(np.argmin(row))] for row in expected]
@@ -422,7 +427,7 @@ def test_pruning_keeps_a_head_sum_equal_to_the_bound():
     train, queries = _bound_case()
     assert math.ceil(8 * HEAD_SHARE) == 2  # the head is the first two columns
     for k, ids in ((1, ["s00"]), (3, ["s00", "s01", "s03"])):
-        d2 = _nearest_distances(queries, train.matrix, k)
+        d2 = _nearest_distances(queries, train.matrix, np.ones(8, dtype=bool), k)
         assert d2[0].tolist() == [1.0, 1.0, 5.0, 1.0, 1.0] + [np.inf] * 12
         _assert_nearest_as_oracle(queries, train.matrix, k)
         _assert_ranked_as_oracle(train, queries, k, None)
@@ -487,12 +492,12 @@ def test_pruning_on_tie_heavy_data_matches_oracle(rng, masked):
             bits = rng.random(n_feat) < 0.6
             bits[int(rng.integers(0, n_feat))] = True
             mask = FeatureMask(bits)
-        sel = np.arange(n_feat) if mask is None else mask.indices()
+        selected = np.ones(n_feat, dtype=bool) if mask is None else mask.bits
         means = _means_dataset(train)
         for refs, ks in ((train, (1, 3, n_train)), (means, (1,))):
             order = sorted(range(refs.n_samples), key=refs.sample_ids.__getitem__)
             for k in ks:
-                pruned = _assert_nearest_as_oracle(queries[:, sel], refs.matrix[order][:, sel], k)
+                pruned = _assert_nearest_as_oracle(queries, refs.matrix[order], k, selected)
                 paths["compact" if pruned else "dense"] += 1
         for k in (1, 3, n_train):
             _assert_ranked_as_oracle(train, queries, k, mask)
@@ -551,7 +556,8 @@ def test_skipping_single_valued_rows_is_bitwise_exact(rng):
         planted = rng.choice(n_features, size=int(share * n_features), replace=False)
         queries, training, dead = _planted_inputs(rng, n_features, planted)
         every_row = left_to_right_d2(queries, training, range(n_features))
-        skipped = _nearest_distances(queries, training, training.shape[0])  # the dense path
+        every = np.ones(n_features, dtype=bool)
+        skipped = _nearest_distances(queries, training, every, training.shape[0])  # the dense path
         assert skipped.shape == every_row.shape
         assert np.array_equal(skipped.view(np.int64), every_row.view(np.int64))
         for k in (1, 3):
@@ -560,7 +566,7 @@ def test_skipping_single_valued_rows_is_bitwise_exact(rng):
     queries, training = np.full((3, 4), 2.5), np.full((5, 4), 2.5)
     queries[:, 1], training[:, 1] = -0.0, 0.0
     assert live_columns(queries, training).size == 0
-    d2 = _nearest_distances(queries, training, 1)
+    d2 = _nearest_distances(queries, training, np.ones(4, dtype=bool), 1)
     assert d2.shape == (3, 5) and not d2.view(np.int64).any()
     # a sum of no rows is +0.0 everywhere, from a list or from the generator over
     # no column, and `out` is overwritten, never added to
@@ -662,9 +668,15 @@ def test_golden_split_has_its_ties():
     assert len({train.matrix[i].tobytes() for i in range(40)}) < 40 - 1
 
 
-@pytest.mark.parametrize("kind, masked", sorted(GOLDEN_REPORT_SHA256, key=str))
-def test_classify_golden_bytes(tmp_path, kind, masked):
+@pytest.mark.parametrize("kind, masked, reverse", [
+    pytest.param(kind, masked, reverse, id=f"{kind}-{masked}" + "-reversed" * reverse)
+    for reverse in (False, True) for kind, masked in sorted(GOLDEN_REPORT_SHA256, key=str)])
+def test_classify_golden_bytes(tmp_path, kind, masked, reverse):
+    # the test rows are ranked in file order and reported in sample-id order, and the
+    # training rows are ranked in sample-id order, so neither file order shows
     train, test, _ = _golden_split()
+    if reverse:
+        train, test = (ds.subset(range(ds.n_samples - 1, -1, -1)) for ds in (train, test))
     mask = FeatureMask.from_string(GOLDEN_MASK) if masked else None
     if kind == "template":
         report = evaluate_template(train, test, mask)
